@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import benchfn, neural, runner, stats, trainer
 from .errors import ConsistencyError, NumericFailure
+from .policy import PolicyConfig
 
 
 class UsageError(Exception):
@@ -59,10 +60,7 @@ CONFIG_TYPES = {
 
 def _read_config(path: str) -> dict:
     out = {}
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
+    text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -198,39 +196,46 @@ def _load_instances(directory: str, role: str):
     return [benchfn.load_instance(p) for p in paths]
 
 
-# TrainConfig fields that the train command exposes; their defaults are the
-# dataclass's own
-TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(trainer.TrainConfig)
-                   if f.name != "n_functions")
-# controller settings a weight file records; run adopts them
-SPEC_KEYS = ("window", "sigma", "p_best", "f_min")
+def _settings(cls, opt: dict, **extra):
+    """Build a config dataclass from the resolved options; a key left unset
+    (None) keeps the dataclass default."""
+    given = {f.name: opt[f.name] for f in dataclasses.fields(cls)
+             if opt.get(f.name) is not None}
+    return cls(**given, **extra)
+
+
+def _adopt(opt: dict, recorded: dict) -> None:
+    """Take each setting a weight file records where the flags and config
+    file left it unset; refuse one given with a different value."""
+    for key, value in recorded.items():
+        if opt[key] is None:
+            opt[key] = value
+        elif opt[key] != value:
+            raise UsageError(
+                f"weights were trained with {key}={value}; requested {key}={opt[key]}")
 
 
 def cmd_train(args) -> int:
-    dflt = trainer.TrainConfig()
     opt = _resolve(args, {
         "jobs": 1, "out": "trained", "suite": "suite",
-        **{k: getattr(dflt, k) for k in TRAIN_KEYS},
+        **dict.fromkeys(f.name for f in dataclasses.fields(trainer.TrainConfig)),
         "checkpoint_every": 10, "resume": None, "timings": False,
     })
-    try:
-        cfg = trainer.TrainConfig(**{k: opt[k] for k in TRAIN_KEYS})
-    except ValueError as exc:
-        raise UsageError(str(exc))
     functions = _load_instances(opt["suite"], "train")
+    opt.update(functions=len(functions), dim=functions[0].dim)
 
     weights = None
     start_epoch = 0
     if opt["resume"]:
         weights, manifest = neural.load_weights(opt["resume"])
-        meta = manifest.get("training_metadata", {})
-        start_epoch = int(meta.get("epochs_done", 0))
-        if manifest["N"] != cfg.pop_size or manifest["b"] != cfg.bins:
-            raise UsageError(
-                f"checkpoint dims (N={manifest['N']}, b={manifest['b']}) do not "
-                f"match config (N={cfg.pop_size}, b={cfg.bins})")
-        if weights.hidden != cfg.hidden:
-            raise UsageError("checkpoint hidden size does not match config")
+        trained = manifest.get("training_metadata", {})
+        start_epoch = int(trained.get("epochs_done", 0))
+        _adopt(opt, {
+            **manifest["spec"], "hidden": manifest["H"], "seed": manifest["seed"],
+            **{k: trained[k] for k in ("functions", "dim", "horizon", "rollouts", "alpha")
+               if k in trained},
+        })
+    cfg = _settings(trainer.TrainConfig, opt)
 
     out = Path(opt["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -238,11 +243,13 @@ def cmd_train(args) -> int:
     if opt["timings"]:
         cols.append("wallclock_ms")
     meta = {
-        "epochs_done": cfg.epochs, "functions": len(functions),
-        "dim": functions[0].dim, "horizon": cfg.horizon, "rollouts": cfg.rollouts,
-        "alpha": cfg.alpha, "sigma": cfg.sigma, "p_best": cfg.p_best,
-        "f_min": cfg.f_min, "window": cfg.window,
+        "epochs_done": cfg.epochs, "functions": opt["functions"], "dim": opt["dim"],
+        "horizon": cfg.horizon, "rollouts": cfg.rollouts, "alpha": cfg.alpha,
     }
+
+    def save(w, name, epochs_done):
+        neural.save_weights(w, out / name, seed=cfg.seed, spec=cfg,
+                            training_metadata={**meta, "epochs_done": epochs_done})
 
     log_fh = open(out / "train_log.csv", "w", newline="")
     log = csv.writer(log_fh, lineterminator="\n")
@@ -255,24 +262,18 @@ def cmd_train(args) -> int:
         log_fh.flush()
         if opt["checkpoint_every"] > 0 and (epoch + 1) % opt["checkpoint_every"] == 0 \
                 and epoch + 1 < cfg.epochs:
-            neural.save_weights(
-                w, out / f"checkpoint_{epoch + 1:04d}.bin", seed=cfg.seed,
-                bins=cfg.bins, training_metadata={**meta, "epochs_done": epoch + 1})
+            save(w, f"checkpoint_{epoch + 1:04d}.bin", epoch + 1)
 
     try:
         w, _ = trainer.train(functions, cfg, jobs=opt["jobs"], weights=weights,
                              start_epoch=start_epoch, on_epoch=on_epoch)
     except NumericFailure as exc:
         if exc.last_good is not None:
-            neural.save_weights(
-                exc.last_good["weights"], out / "weights_lastgood.bin",
-                seed=cfg.seed, bins=cfg.bins,
-                training_metadata={**meta, "epochs_done": exc.last_good["epochs_done"]})
+            save(exc.last_good["weights"], "weights_lastgood.bin", exc.last_good["epochs_done"])
         raise
     finally:
         log_fh.close()
-    neural.save_weights(w, out / "weights.bin", seed=cfg.seed, bins=cfg.bins,
-                        training_metadata=meta)
+    save(w, "weights.bin", cfg.epochs)
     print(f"trained {cfg.epochs} epochs on {len(functions)} functions -> {out / 'weights.bin'}")
     return 0
 
@@ -283,7 +284,7 @@ def cmd_run(args) -> int:
         "instances": "suite", "role": "test",
         "algorithms": "lde,de_rand1_fixed,ctpb_fixed,random_params",
         "runs": 11, "budget": None, "tol": 1e-8,
-        "pop_size": None, "bins": None, **dict.fromkeys(SPEC_KEYS),
+        **dict.fromkeys(f.name for f in dataclasses.fields(PolicyConfig)),
         "deterministic": False, "param_traces": False,
     })
     algorithms = [a.strip() for a in opt["algorithms"].split(",") if a.strip()]
@@ -291,51 +292,22 @@ def cmd_run(args) -> int:
         raise UsageError("empty algorithm list")
     functions = _load_instances(opt["instances"], opt["role"])
 
-    dflt = runner.RunConfig()
     weights = None
-    pop_size, bins = opt["pop_size"], opt["bins"]
-    spec = {k: opt[k] for k in SPEC_KEYS}
     if runner.LEARNED in algorithms:
         if not opt["weights"]:
             raise UsageError("the learned optimizer needs --weights")
         weights, manifest = neural.load_weights(opt["weights"])
-        if pop_size is None:
-            pop_size = manifest["N"]
-        if bins is None:
-            bins = manifest["b"]
-        if pop_size != manifest["N"] or bins != manifest["b"]:
-            raise UsageError(
-                f"weights were trained with N={manifest['N']}, b={manifest['b']}; "
-                f"requested N={pop_size}, b={bins}")
-        trained = manifest.get("training_metadata", {})
-        for k in SPEC_KEYS:
-            if k not in trained:
-                continue
-            if spec[k] is None:
-                spec[k] = trained[k]
-            elif spec[k] != trained[k]:
-                raise UsageError(
-                    f"weights were trained with {k}={trained[k]}; requested {k}={spec[k]}")
-    else:
-        pop_size = dflt.pop_size if pop_size is None else pop_size
-        bins = dflt.bins if bins is None else bins
-
-    try:
-        cfg = runner.RunConfig(
-            pop_size=pop_size, bins=bins,
-            **{k: getattr(dflt, k) if v is None else v for k, v in spec.items()},
-            sample_actions=not opt["deterministic"], track_params=opt["param_traces"],
-        )
-        budget = opt["budget"]
-        if budget is None:
-            budget = functions[0].dim * 10_000
-        term = runner.Termination(max_evals=budget, error_tol=opt["tol"])
-        if budget < cfg.pop_size:
-            raise ValueError(f"budget {budget} below one generation ({cfg.pop_size} evals)")
-        if opt["runs"] < 1:
-            raise ValueError("runs must be >= 1")
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        _adopt(opt, manifest["spec"])
+    cfg = _settings(runner.RunConfig, opt, sample_actions=not opt["deterministic"],
+                    track_params=opt["param_traces"])
+    budget = opt["budget"]
+    if budget is None:
+        budget = functions[0].dim * 10_000
+    term = runner.Termination(max_evals=budget, error_tol=opt["tol"])
+    if budget < cfg.pop_size:
+        raise UsageError(f"budget {budget} below one generation ({cfg.pop_size} evals)")
+    if opt["runs"] < 1:
+        raise UsageError("runs must be >= 1")
 
     results = runner.batch_experiment(
         algorithms, functions, opt["runs"], term, cfg, opt["seed"],
@@ -439,10 +411,7 @@ def main(argv=None) -> int:
         if args.command not in handlers:
             raise UsageError("pick a command: suite, train, run, compare, gradcheck")
         return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (NumericFailure, ConsistencyError, FloatingPointError) as exc:

@@ -76,12 +76,27 @@ def init_population(objective, size: int, rng) -> Population:
     return Population(members, objective.evaluate_batch(members), generation=0)
 
 
-def _shift_past(draw, excluded):
-    # map a draw from a shrunken range onto [0, N) minus sorted exclusions
-    out = draw.copy()
-    for e in excluded:
-        out += out >= e
-    return out
+def distinct_indices(N: int, k: int, rng) -> list:
+    """k index arrays r_1..r_k of length N with i, r_1, ..., r_k pairwise distinct.
+
+    r_j is one batch of N integers drawn from [0, N - j) and shifted past
+    i and r_1..r_{j-1}, so it is uniform over the indices left; the
+    batches are drawn in order r_1, ..., r_k.
+    """
+    taken = [np.arange(N)]  # i and the picks so far, ascending in every column
+    picks = []
+    for j in range(1, k + 1):
+        r = rng.integers(0, N - j, size=N)
+        for excluded in taken:
+            r = r + (r >= excluded)
+        picks.append(r)
+        if j < k:  # insert r into taken, column by column
+            merged = []
+            for excluded in taken:
+                merged.append(np.minimum(excluded, r))
+                r = np.maximum(excluded, r)
+            taken = merged + [r]
+    return picks
 
 
 def mutate_current_to_pbest(pop: Population, sheet: ParamSheet, p: float, rng) -> np.ndarray:
@@ -99,16 +114,8 @@ def mutate_current_to_pbest(pop: Population, sheet: ParamSheet, p: float, rng) -
     if sheet.F.shape != (N,):
         raise ValueError("sheet length must equal population size")
     pool = np.argsort(pop.fitness, kind="stable")[: math.ceil(N * p)]
-    idx = np.arange(N)
-
     pbest = pool[rng.integers(0, len(pool), size=N)]
-    d1 = rng.integers(0, N - 1, size=N)
-    r1 = d1 + (d1 >= idx)
-    lo = np.minimum(idx, r1)
-    hi = np.maximum(idx, r1)
-    d2 = rng.integers(0, N - 2, size=N)
-    r2 = d2 + (d2 >= lo)
-    r2 += r2 >= hi
+    r1, r2 = distinct_indices(N, 2, rng)
 
     X = pop.members
     F = sheet.F[:, None]
@@ -131,15 +138,6 @@ def binomial_crossover_batch(targets, mutants, cr, rng) -> np.ndarray:
         take[off] = (rng.random((N, n - 1)) <= cr[:, None]).ravel()
     take[np.arange(N), j_rand] = True
     return np.where(take, M, T)
-
-
-def binomial_crossover(target, mutant, cr: float, rng) -> np.ndarray:
-    """Trial vector taking mutant coordinates where rand <= cr or j == j_rand."""
-    t = np.asarray(target, dtype=float)
-    m = np.asarray(mutant, dtype=float)
-    if t.shape != m.shape or t.ndim != 1:
-        raise ValueError("target and mutant must be 1-D of equal length")
-    return binomial_crossover_batch(t[None, :], m[None, :], np.array([cr]), rng)[0]
 
 
 def repair_bounds(points, bounds) -> np.ndarray:

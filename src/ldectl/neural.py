@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericFailure
+from .policy import PolicyConfig
 
 FIELD_ORDER = (
     "W_f", "W_i", "W_c", "W_o",
@@ -41,11 +42,11 @@ FIELD_ORDER = (
 # head outputs are clamped strictly inside (0, 1)
 _HEAD_EPS = 1e-12
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class WeightFileError(OSError):
-    """Malformed manifest, bad sizes, or checksum mismatch in a weight file."""
+    """Unknown version, malformed manifest, bad sizes, or checksum mismatch."""
 
 
 @dataclass
@@ -389,18 +390,20 @@ def _shapes(hidden: int, input_size: int, actions: int):
     )
 
 
-def save_weights(w: ControllerWeights, path, *, seed: int, bins: int,
+def save_weights(w: ControllerWeights, path, *, seed: int, spec: PolicyConfig,
                  training_metadata: dict | None = None) -> None:
-    """Write manifest line, matrix blob, and trailing CRC32."""
+    """Write manifest line, matrix blob, and trailing CRC32.
+
+    The manifest records the controller spec once; D and N follow from it.
+    """
+    spec.check_weights(w)
     blob = b"".join(
         np.ascontiguousarray(getattr(w, k), dtype="<f8").tobytes() for k in FIELD_ORDER
     )
     manifest = {
         "format_version": FORMAT_VERSION,
         "H": w.hidden,
-        "D": w.input_size,
-        "N": w.actions,
-        "b": bins,
+        "spec": spec.spec_dict(),
         "seed": seed,
         "blob_bytes": len(blob),
         "training_metadata": training_metadata or {},
@@ -415,8 +418,8 @@ def save_weights(w: ControllerWeights, path, *, seed: int, bins: int,
 def load_weights(path):
     """Read a weight file back; returns (weights, manifest).
 
-    Raises WeightFileError on a malformed manifest, wrong sizes, or a
-    checksum mismatch.
+    Raises WeightFileError on an unknown format version, a malformed
+    manifest or spec, wrong sizes, or a checksum mismatch.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -427,15 +430,19 @@ def load_weights(path):
         manifest = json.loads(raw[:nl].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WeightFileError(f"{path}: malformed manifest ({exc})") from None
-    required = {"format_version", "H", "D", "N", "b", "seed", "blob_bytes"}
-    if not isinstance(manifest, dict) or not required <= set(manifest):
+    if not isinstance(manifest, dict):
+        raise WeightFileError(f"{path}: manifest is not an object")
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise WeightFileError(f"{path}: unsupported format_version {version}")
+    if not {"H", "spec", "seed", "blob_bytes"} <= set(manifest):
         raise WeightFileError(f"{path}: manifest missing required keys")
-    if manifest["format_version"] != FORMAT_VERSION:
-        raise WeightFileError(f"{path}: unsupported format_version {manifest['format_version']}")
-    H, D, N, b = (int(manifest[k]) for k in ("H", "D", "N", "b"))
-    if D != N + 2 * b:
-        raise WeightFileError(f"{path}: inconsistent dims D={D}, N={N}, b={b}")
-    shapes = _shapes(H, D, N)
+    try:
+        spec = PolicyConfig(**manifest["spec"])
+        hidden = int(manifest["H"])
+    except (TypeError, ValueError) as exc:
+        raise WeightFileError(f"{path}: bad spec or H ({exc})") from None
+    shapes = _shapes(hidden, spec.input_size, spec.pop_size)
     want = sum(int(np.prod(s)) for s in shapes) * 8
     if manifest["blob_bytes"] != want:
         raise WeightFileError(f"{path}: blob_bytes {manifest['blob_bytes']} != expected {want}")

@@ -1,4 +1,4 @@
-"""Gaussian action head over the controller outputs, and the reward.
+"""The controller spec, the Gaussian action head, and the reward.
 
 Actions are raw draws from N(mu, sigma^2) in 2N dimensions; the first
 half maps to scale factors (clipped into [f_min, 1]), the second half
@@ -10,7 +10,7 @@ relative drop of the population's best error value, which lands in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,22 +20,53 @@ from .errors import ConsistencyError
 
 @dataclass
 class PolicyConfig:
-    """Exploration std and lower F clip.
+    """The settings a controller is trained and run with.
 
-    These defaults are the single source for training and running.
-    sigma = 0.3 is near the 0.29 std of a U[0, 1] draw; at 0.1 the
-    score-function noise (which grows as 1/sigma) swamped the learning
-    signal at desk scale.
+    A policy only carries over to new functions when it sees the same
+    featurisation (N fitness values, b-bin histograms averaged over g
+    generations) and samples from the same action distribution, so these
+    defaults are the single source for training, running and the weight
+    manifest.  sigma = 0.3 is near the 0.29 std of a U[0, 1] draw; at 0.1
+    the score-function noise (which grows as 1/sigma) swamped the
+    learning signal at desk scale.
     """
 
+    pop_size: int = 20
+    bins: int = 5
+    window: int = 5
     sigma: float = 0.3
+    p_best: float = 0.05
     f_min: float = 1e-3
 
     def __post_init__(self):
+        if self.pop_size < 4:
+            raise ValueError(f"pop_size must be >= 4, got {self.pop_size}")
+        if self.bins < 1 or self.window < 1:
+            raise ValueError("bins and window must be >= 1")
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.p_best <= 1.0:
+            raise ValueError(f"p_best must lie in (0, 1], got {self.p_best}")
         if not 0.0 < self.f_min < 1.0:
             raise ValueError(f"f_min must lie in (0, 1), got {self.f_min}")
+
+    @property
+    def input_size(self) -> int:
+        """Controller input length D = N + 2b."""
+        return self.pop_size + 2 * self.bins
+
+    def spec_dict(self) -> dict:
+        """The spec fields alone, as a weight manifest records them."""
+        return {f.name: getattr(self, f.name) for f in fields(PolicyConfig)}
+
+    def check_weights(self, w) -> None:
+        """Refuse weights built for another population size or featurisation."""
+        if w.actions != self.pop_size:
+            raise ValueError(
+                f"weights control {w.actions} individuals but pop_size is {self.pop_size}")
+        if w.input_size != self.input_size:
+            raise ValueError(
+                f"weights expect input {w.input_size}, featurisation yields {self.input_size}")
 
 
 @dataclass
@@ -55,13 +86,13 @@ def sample_action(mu, cfg: PolicyConfig, rng) -> Action:
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.size % 2 != 0 or mu.size == 0:
         raise ValueError(f"mu must be 1-D with even length, got shape {mu.shape}")
-    n = mu.size // 2
-    raw = rng.normal(mu, cfg.sigma)
-    return Action(
-        raw=raw,
-        F=np.clip(raw[:n], cfg.f_min, 1.0),
-        CR=np.clip(raw[n:], 0.0, 1.0),
-    )
+    return clip_action(rng.normal(mu, cfg.sigma), cfg)
+
+
+def clip_action(raw, cfg: PolicyConfig) -> Action:
+    """Map a raw 2N vector onto parameters: F into [f_min, 1], CR into [0, 1]."""
+    n = raw.size // 2
+    return Action(raw=raw, F=np.clip(raw[:n], cfg.f_min, 1.0), CR=np.clip(raw[n:], 0.0, 1.0))
 
 
 def logprob_grad_mu(action: Action, mu, cfg: PolicyConfig) -> np.ndarray:

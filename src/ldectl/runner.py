@@ -2,9 +2,10 @@
 
 Every run shares one harness: initialise uniformly, then loop full
 generations until the next one would exceed the evaluation budget or
-the best error value drops to the tolerance.  The learned optimizer
-re-uses the training-time featurisation and samples its parameters from
-N(mu, sigma^2) each generation (a deterministic mode uses mu directly).
+the best error value drops to the tolerance.  The learned optimizer runs
+the trainer's own generation step (``trainer.ControllerStep``), so it
+featurises and samples its parameters from N(mu, sigma^2) exactly as in
+training (a deterministic mode clips the head means instead).
 
 Baselines:
 
@@ -34,15 +35,16 @@ from .de_core import (
     ParamSheet,
     Population,
     binomial_crossover_batch,
+    distinct_indices,
     evolve,
     init_population,
     repair_bounds,
     select,
 )
-from .neural import ControllerWeights, forward_step, zero_state
-from .policy import Action, PolicyConfig, sample_action
+from .neural import ControllerWeights
+from .policy import PolicyConfig
 from .rng import stream
-from .state_feat import HistRing, assemble_state
+from .trainer import ControllerStep
 
 BASELINES = ("de_rand1_fixed", "ctpb_fixed", "random_params")
 LEARNED = "lde"
@@ -61,24 +63,11 @@ class Termination:
 
 
 @dataclass
-class RunConfig:
-    pop_size: int = 20
-    bins: int = 5
-    window: int = 5
-    sigma: float = PolicyConfig.sigma
-    p_best: float = 0.05
-    f_min: float = PolicyConfig.f_min
+class RunConfig(PolicyConfig):
+    """The controller spec plus how the learned optimizer is driven."""
+
     sample_actions: bool = True  # False: use the head means directly
     track_params: bool = False   # record per-tercile mean F / CR per generation
-
-    def __post_init__(self):
-        if self.pop_size < 4:
-            raise ValueError("pop_size must be >= 4")
-        if self.bins < 1 or self.window < 1:
-            raise ValueError("bins and window must be >= 1")
-        if not 0.0 < self.p_best <= 1.0:
-            raise ValueError("p_best must lie in (0, 1]")
-        PolicyConfig(sigma=self.sigma, f_min=self.f_min)
 
 
 @dataclass
@@ -101,7 +90,8 @@ def _tercile_rows(gen, order, sheet, out):
 
 def _drive(algorithm_id, objective, term: Termination, cfg: RunConfig, rng,
            gen_step, run_seed: int = 0) -> RunResult:
-    """Shared budgeted loop; gen_step(pop, rng) -> (new_pop, sheet)."""
+    """Shared budgeted loop; gen_step(pop, rng) -> (new_pop, params), where
+    params carries the generation's per-individual F and CR."""
     if term.max_evals < cfg.pop_size:
         raise ValueError(
             f"budget {term.max_evals} cannot cover one evaluation of {cfg.pop_size} members"
@@ -131,31 +121,11 @@ def _drive(algorithm_id, objective, term: Termination, cfg: RunConfig, rng,
 def run_lde(w: ControllerWeights, objective, term: Termination, cfg: RunConfig,
             rng, run_seed: int = 0) -> RunResult:
     """Drive the learned controller on one function."""
-    if w.actions != cfg.pop_size:
-        raise ValueError(
-            f"weights control {w.actions} individuals but cfg.pop_size is {cfg.pop_size}"
-        )
-    if w.input_size != cfg.pop_size + 2 * cfg.bins:
-        raise ValueError(
-            f"weights expect input {w.input_size}, featurisation yields "
-            f"{cfg.pop_size + 2 * cfg.bins}"
-        )
-    pcfg = PolicyConfig(sigma=cfg.sigma, f_min=cfg.f_min)
-    ring = HistRing(cfg.window)
-    state = zero_state(w.hidden)
+    step = ControllerStep(w, cfg, sample=cfg.sample_actions)
 
     def gen_step(pop, rng):
-        nonlocal state
-        feat = assemble_state(pop, ring, cfg.bins)
-        mu, state, _ = forward_step(w, feat.as_vector, state)
-        n = cfg.pop_size
-        if cfg.sample_actions:
-            action = sample_action(mu, pcfg, rng)
-        else:
-            action = Action(raw=mu, F=np.clip(mu[:n], cfg.f_min, 1.0),
-                            CR=np.clip(mu[n:], 0.0, 1.0))
-        sheet = action.sheet()
-        return evolve(pop, objective, sheet, cfg.p_best, rng), sheet
+        pop, record = step(pop, objective, rng)
+        return pop, record.action
 
     return _drive(LEARNED, objective, term, cfg, rng, gen_step, run_seed)
 
@@ -165,18 +135,7 @@ def _mutate_rand1(pop: Population, F: float, rng) -> np.ndarray:
     N = pop.size
     if N < 4:
         raise ValueError(f"population must hold at least 4 members, got {N}")
-    idx = np.arange(N)
-    d1 = rng.integers(0, N - 1, size=N)
-    r1 = d1 + (d1 >= idx)
-    ex = np.sort(np.stack([idx, r1]), axis=0)
-    d2 = rng.integers(0, N - 2, size=N)
-    r2 = d2 + (d2 >= ex[0])
-    r2 += r2 >= ex[1]
-    ex = np.sort(np.stack([idx, r1, r2]), axis=0)
-    d3 = rng.integers(0, N - 3, size=N)
-    r3 = d3 + (d3 >= ex[0])
-    r3 += r3 >= ex[1]
-    r3 += r3 >= ex[2]
+    r1, r2, r3 = distinct_indices(N, 3, rng)
     X = pop.members
     return X[r1] + F * (X[r2] - X[r3])
 
@@ -265,35 +224,25 @@ def batch_experiment(algorithms, functions, runs: int, term: Termination,
     results = []
     writer = None
     fh = None
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
         if out_path is not None:
             out_path.mkdir(parents=True, exist_ok=True)
             fh = open(out_path / "results.csv", "w", newline="")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["algorithm_id", "function_id", "seed", "best_error", "evals_used"])
-        if jobs > 1:
-            pool = ProcessPoolExecutor(max_workers=jobs)
-            try:
-                stream_iter = pool.map(_run_task, payloads, chunksize=1)
-                for res in stream_iter:
-                    results.append(res)
-                    if writer is not None:
-                        writer.writerow([res.algorithm_id, res.function_id, res.seed,
-                                         repr(res.best_error), res.evals_used])
-                        fh.flush()
-                        _write_trace(out_path, res)
-            finally:
-                pool.shutdown()
-        else:
-            for payload in payloads:
-                res = _run_task(payload)
-                results.append(res)
-                if writer is not None:
-                    writer.writerow([res.algorithm_id, res.function_id, res.seed,
-                                     repr(res.best_error), res.evals_used])
-                    fh.flush()
-                    _write_trace(out_path, res)
+        done = (pool.map(_run_task, payloads, chunksize=1) if pool is not None
+                else map(_run_task, payloads))
+        for res in done:
+            results.append(res)
+            if writer is not None:
+                writer.writerow([res.algorithm_id, res.function_id, res.seed,
+                                 repr(res.best_error), res.evals_used])
+                fh.flush()
+                _write_trace(out_path, res)
     finally:
+        if pool is not None:
+            pool.shutdown()
         if fh is not None:
             fh.close()
     return results

@@ -13,6 +13,9 @@ gradient unchanged.  With L = 1 there is nothing to leave out and the
 advantage is the plain reward-to-go.  The scaled gradients are chained
 through the recurrence by full backpropagation through time.
 
+Every rollout generation is one ``ControllerStep``, the same step the
+runner drives the trained controller with.
+
 Randomness is addressed per purpose -- ("weights"), ("epoch", e,
 "init"), ("epoch", e, "traj", k, l) -- so results are identical for any
 worker count and training can resume from a checkpoint bit-exactly.
@@ -43,51 +46,42 @@ from .neural import (
     weights_zeros_like,
     zero_state,
 )
-from .policy import PolicyConfig, logprob_grad_mu, reward, sample_action, trajectory_return
+from .policy import (
+    PolicyConfig,
+    clip_action,
+    logprob_grad_mu,
+    reward,
+    sample_action,
+    trajectory_return,
+)
 from .rng import stream
 from .state_feat import HistRing, assemble_state
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(PolicyConfig):
+    """The controller spec plus the training budget and step size."""
+
     epochs: int = 60
     rollouts: int = 10       # trajectories per function per epoch
     horizon: int = 30        # generations per trajectory
-    pop_size: int = 20
-    bins: int = 5
-    window: int = 5
     hidden: int = 32
     alpha: float = 0.2       # tuned on the paired return of seeds 5-9; see README
-    sigma: float = PolicyConfig.sigma
-    p_best: float = 0.05
-    f_min: float = PolicyConfig.f_min
     seed: int = 0
     n_functions: Optional[int] = None  # validated against the suite when set
 
     def __post_init__(self):
+        super().__post_init__()
         if self.epochs < 0 or self.horizon < 0:
             raise ValueError("epochs and horizon must be non-negative")
         if self.rollouts < 1:
             raise ValueError("rollouts must be >= 1")
-        if self.pop_size < 4:
-            raise ValueError("pop_size must be >= 4")
-        if self.bins < 1 or self.window < 1 or self.hidden < 1:
-            raise ValueError("bins, window, and hidden must be >= 1")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
         if self.alpha < 0.0:
             raise ValueError("alpha must be non-negative")
-        if not 0.0 < self.p_best <= 1.0:
-            raise ValueError("p_best must lie in (0, 1]")
         if self.n_functions is not None and self.n_functions < 1:
             raise ValueError("n_functions must be >= 1 when set")
-        # PolicyConfig validates sigma and f_min
-        self.policy()
-
-    @property
-    def input_size(self) -> int:
-        return self.pop_size + 2 * self.bins
-
-    def policy(self) -> PolicyConfig:
-        return PolicyConfig(sigma=self.sigma, f_min=self.f_min)
 
 
 @dataclass
@@ -96,7 +90,7 @@ class StepRecord:
     tape: object
     action: object
     mu: np.ndarray
-    reward: float
+    reward: float = 0.0
 
 
 @dataclass
@@ -106,22 +100,47 @@ class Trajectory:
     total_return: float = 0.0
 
 
+class ControllerStep:
+    """One generation of the learned optimizer, for training and running alike.
+
+    Holds one rollout's histogram ring and LSTM state.  Each call
+    featurises the population, steps the controller, draws the action
+    (or, with ``sample=False``, clips the head means) and evolves one
+    generation; it returns the next population and the step's record,
+    whose reward the caller fills in.
+    """
+
+    def __init__(self, w: ControllerWeights, spec: PolicyConfig, sample: bool = True):
+        spec.check_weights(w)
+        self.w = w
+        self.spec = spec
+        self.sample = sample
+        self.ring = HistRing(spec.window)
+        self.state = zero_state(w.hidden)
+
+    def __call__(self, pop: Population, objective, rng):
+        feat = assemble_state(pop, self.ring, self.spec.bins)
+        mu, self.state, tape = forward_step(self.w, feat.as_vector, self.state)
+        if self.sample:
+            action = sample_action(mu, self.spec, rng)
+        else:
+            action = clip_action(mu, self.spec)
+        pop = evolve(pop, objective, action.sheet(), self.spec.p_best, rng)
+        return pop, StepRecord(feat, tape, action, mu)
+
+
 def sample_trajectory(w: ControllerWeights, objective, pop0: Population,
                       cfg: TrainConfig, rng) -> Trajectory:
     """Roll the controller out for cfg.horizon generations from pop0."""
-    pcfg = cfg.policy()
-    ring = HistRing(cfg.window)
-    state = zero_state(cfg.hidden)
+    step = ControllerStep(w, cfg)
     pop = pop0
     err_prev = error_value(objective, float(pop.fitness.min()))
     steps = []
     for _ in range(cfg.horizon):
-        feat = assemble_state(pop, ring, cfg.bins)
-        mu, state, tape = forward_step(w, feat.as_vector, state)
-        action = sample_action(mu, pcfg, rng)
-        pop = evolve(pop, objective, action.sheet(), cfg.p_best, rng)
+        pop, record = step(pop, objective, rng)
         err_next = error_value(objective, float(pop.fitness.min()))
-        steps.append(StepRecord(feat, tape, action, mu, reward(err_prev, err_next)))
+        record.reward = reward(err_prev, err_next)
+        steps.append(record)
         err_prev = err_next
     return Trajectory(
         function_id=objective.id,
@@ -165,10 +184,9 @@ def epoch_gradient(w: ControllerWeights, trajectories, cfg: TrainConfig) -> Cont
     """
     if not trajectories:
         raise ValueError("epoch_gradient needs at least one trajectory")
-    pcfg = cfg.policy()
     acc = weights_zeros_like(w)
     for tr, adv in zip(trajectories, step_advantages(trajectories)):
-        out_grads = [a * logprob_grad_mu(s.action, s.mu, pcfg) for s, a in zip(tr.steps, adv)]
+        out_grads = [a * logprob_grad_mu(s.action, s.mu, cfg) for s, a in zip(tr.steps, adv)]
         weights_add_scaled(acc, backward_through_time(w, [s.tape for s in tr.steps], out_grads), 1.0)
     for k in FIELD_ORDER:
         getattr(acc, k).__imul__(1.0 / len(trajectories))
@@ -208,8 +226,6 @@ def train(functions, cfg: TrainConfig, jobs: int = 1,
 
     w = weights if weights is not None else init_weights(
         cfg.hidden, cfg.input_size, cfg.pop_size, stream(cfg.seed, "weights"))
-    if w.actions != cfg.pop_size or w.input_size != cfg.input_size:
-        raise ValueError("weights were built for different pop_size/bins")
 
     log_rows = []
     lo, hi = bounds

@@ -62,7 +62,8 @@ def test_train_zero_epochs_equals_seeded_init(ws):
     ref = neural.init_weights(4, 6 + 2 * 2, 6, stream(9, "weights"))
     for name in neural.FIELD_ORDER:
         assert (getattr(w, name) == getattr(ref, name)).all()
-    assert manifest["seed"] == 9 and manifest["N"] == 6 and manifest["b"] == 2
+    assert manifest["seed"] == 9 and manifest["H"] == 4
+    assert manifest["spec"]["pop_size"] == 6 and manifest["spec"]["bins"] == 2
 
 
 def test_train_log_has_epoch_by_function_rows(ws):
@@ -108,6 +109,48 @@ def test_train_resume_dim_mismatch_is_usage_error(ws, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_train_resume_refuses_changed_settings(ws, capsys):
+    _suite(ws)
+    assert main(["train", *TINY_TRAIN, "--checkpoint-every", "1", "--out", "ckpt"]) == 0
+    resume = ["train", *TINY_TRAIN, "--resume", "ckpt/checkpoint_0001.bin"]
+    capsys.readouterr()
+    assert main([*resume, "--window", "5", "--sigma", "0.1", "--alpha", "0.001",
+                 "--seed", "3"]) == 1
+    assert "weights were trained with" in capsys.readouterr().err
+    for flag, key, value in (
+            ("--pop-size", "pop_size", "8"), ("--bins", "bins", "3"),
+            ("--window", "window", "5"), ("--sigma", "sigma", "0.1"),
+            ("--p-best", "p_best", "0.3"), ("--f-min", "f_min", "0.01"),
+            ("--hidden", "hidden", "8"), ("--seed", "seed", "3"),
+            ("--horizon", "horizon", "4"), ("--rollouts", "rollouts", "3"),
+            ("--alpha", "alpha", "0.001")):
+        assert main([*resume, flag, value]) == 1
+        assert f"weights were trained with {key}=" in capsys.readouterr().err
+    # the suite fixes dim and the function count
+    _suite(ws, dim=4, train=2, test=0, seed=0)
+    main(["suite", "--dim", "3", "--train", "3", "--test", "0", "--out", "suite3"])
+    capsys.readouterr()
+    assert main([*resume, "--suite", "suite"]) == 1
+    assert "weights were trained with dim=3" in capsys.readouterr().err
+    assert main([*resume, "--suite", "suite3"]) == 1
+    assert "weights were trained with functions=2" in capsys.readouterr().err
+    assert not (ws / "trained").exists()
+
+
+def test_train_resume_adopts_recorded_settings(ws):
+    _suite(ws)
+    base = ["train", *TINY_TRAIN, "--epochs", "4", "--sigma", "0.2", "--alpha", "0.05",
+            "--seed", "4"]
+    assert main([*base, "--out", "full"]) == 0
+    assert main([*base, "--checkpoint-every", "2", "--out", "half"]) == 0
+    # no setting given: every recorded one is adopted, so the resumed run
+    # writes the uninterrupted run's file, manifest included
+    assert main(["train", "--epochs", "4", "--resume", "half/checkpoint_0002.bin",
+                 "--out", "resumed"]) == 0
+    assert ((ws / "resumed" / "weights.bin").read_bytes()
+            == (ws / "full" / "weights.bin").read_bytes())
+
+
 def test_train_jobs_do_not_change_weights(ws):
     _suite(ws)
     for jobs, out in (("1", "j1"), ("2", "j2")):
@@ -151,7 +194,7 @@ def test_run_pop_size_mismatch_with_weights_is_usage_error(ws, capsys):
     code = main(["run", "--weights", "trained/weights.bin", "--pop-size", "9",
                  "--runs", "2", "--budget", "90"])
     assert code == 1
-    assert "trained with N=6" in capsys.readouterr().err
+    assert "trained with pop_size=6" in capsys.readouterr().err
 
 
 def test_run_adopts_controller_settings_from_weight_manifest(ws, capsys):

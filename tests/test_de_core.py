@@ -12,7 +12,6 @@ from ldectl.benchfn import EvalCounter, FunctionInstance, make_suite
 from ldectl.de_core import (
     ParamSheet,
     Population,
-    binomial_crossover,
     binomial_crossover_batch,
     evolve,
     init_population,
@@ -134,17 +133,17 @@ def test_crossover_pinned_hand_case():
     # forced coordinate drawn as index 1; uniforms 0.2 (take) and 0.8 (keep)
     # fall on the remaining coordinates in order -> trial (9, 9, 1)
     rng = ScriptedRng(ints=[[1]], uniforms=[[[0.2, 0.8]]])
-    trial = binomial_crossover(np.ones(3), np.full(3, 9.0), 0.5, rng)
-    np.testing.assert_array_equal(trial, [9.0, 9.0, 1.0])
+    trial = binomial_crossover_batch(np.ones((1, 3)), np.full((1, 3), 9.0), [0.5], rng)
+    np.testing.assert_array_equal(trial, [[9.0, 9.0, 1.0]])
     assert rng.exhausted()
 
 
 def test_crossover_cr_one_gives_mutant():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        t = rng.normal(size=6)
-        m = rng.normal(size=6)
-        np.testing.assert_array_equal(binomial_crossover(t, m, 1.0, rng), m)
+        t = rng.normal(size=(1, 6))
+        m = rng.normal(size=(1, 6))
+        np.testing.assert_array_equal(binomial_crossover_batch(t, m, [1.0], rng), m)
 
 
 def test_crossover_cr_zero_changes_exactly_forced_coordinate():
@@ -152,7 +151,7 @@ def test_crossover_cr_zero_changes_exactly_forced_coordinate():
     for _ in range(50):
         t = rng.normal(size=5)
         m = rng.normal(size=5)
-        trial = binomial_crossover(t, m, 0.0, rng)
+        trial = binomial_crossover_batch(t[None, :], m[None, :], [0.0], rng)[0]
         changed = np.nonzero(trial != t)[0]
         assert changed.size == 1
         assert trial[changed[0]] == m[changed[0]]
@@ -161,8 +160,8 @@ def test_crossover_cr_zero_changes_exactly_forced_coordinate():
 def test_crossover_boundary_uniform_equal_cr_takes_mutant():
     # the comparison is rand <= CR, non-strict
     rng = ScriptedRng(ints=[[0]], uniforms=[[[0.5, 0.5]]])
-    trial = binomial_crossover(np.zeros(3), np.ones(3), 0.5, rng)
-    np.testing.assert_array_equal(trial, [1.0, 1.0, 1.0])
+    trial = binomial_crossover_batch(np.zeros((1, 3)), np.ones((1, 3)), [0.5], rng)
+    np.testing.assert_array_equal(trial, [[1.0, 1.0, 1.0]])
 
 
 def test_crossover_batch_rowwise_matches_scalar():
@@ -180,12 +179,13 @@ def test_crossover_batch_rowwise_matches_scalar():
 
 def test_crossover_single_coordinate_always_mutant():
     rng = np.random.default_rng(5)
-    assert binomial_crossover(np.array([1.0]), np.array([2.0]), 0.0, rng)[0] == 2.0
+    assert binomial_crossover_batch([[1.0]], [[2.0]], [0.0], rng)[0, 0] == 2.0
 
 
 def test_crossover_shape_validation():
     with pytest.raises(ValueError):
-        binomial_crossover(np.zeros(3), np.zeros(4), 0.5, np.random.default_rng(0))
+        binomial_crossover_batch(np.zeros((1, 3)), np.zeros((1, 4)), [0.5],
+                                 np.random.default_rng(0))
     with pytest.raises(ValueError):
         binomial_crossover_batch(np.zeros((2, 3)), np.zeros((2, 3)),
                                  np.zeros(3), np.random.default_rng(0))

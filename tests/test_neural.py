@@ -29,6 +29,7 @@ from ldectl.neural import (
     weights_zeros_like,
     zero_state,
 )
+from ldectl.policy import PolicyConfig
 from ldectl.rng import stream
 
 
@@ -269,21 +270,26 @@ def test_mac_count_scopes_do_not_leak():
 
 
 # ---------------------------------------------------------------- weight file
+SPEC = PolicyConfig(pop_size=4, bins=1)  # D = 4 + 2 * 1 = 6
+
+
 def test_save_load_round_trip(tmp_path):
     w = init_weights(8, 6, 4, np.random.default_rng(1))
     path = tmp_path / "w.bin"
-    save_weights(w, path, seed=17, bins=1,
-                 training_metadata={"epochs_done": 3})
+    save_weights(w, path, seed=17, spec=SPEC, training_metadata={"epochs_done": 3})
     back, manifest = load_weights(path)
     np.testing.assert_array_equal(flatten_weights(back), flatten_weights(w))
-    assert manifest["H"] == 8 and manifest["D"] == 6 and manifest["N"] == 4
-    assert manifest["b"] == 1 and manifest["seed"] == 17
+    assert manifest["format_version"] == 2
+    assert manifest["H"] == 8 and manifest["seed"] == 17
+    assert manifest["spec"] == {"pop_size": 4, "bins": 1, "window": 5, "sigma": 0.3,
+                                "p_best": 0.05, "f_min": 1e-3}
+    assert "D" not in manifest and "N" not in manifest  # both follow from the spec
     assert manifest["training_metadata"]["epochs_done"] == 3
 
 
 def test_load_rejects_flipped_blob_byte(tmp_path):
     path = tmp_path / "w.bin"
-    save_weights(init_weights(4, 4, 2, np.random.default_rng(0)), path, seed=0, bins=1)
+    save_weights(init_weights(4, 6, 4, np.random.default_rng(0)), path, seed=0, spec=SPEC)
     raw = bytearray(path.read_bytes())
     nl = raw.index(b"\n")
     raw[nl + 10] ^= 0xFF
@@ -294,7 +300,7 @@ def test_load_rejects_flipped_blob_byte(tmp_path):
 
 def test_load_rejects_truncation(tmp_path):
     path = tmp_path / "w.bin"
-    save_weights(init_weights(4, 4, 2, np.random.default_rng(0)), path, seed=0, bins=1)
+    save_weights(init_weights(4, 6, 4, np.random.default_rng(0)), path, seed=0, spec=SPEC)
     path.write_bytes(path.read_bytes()[:-7])
     with pytest.raises(WeightFileError):
         load_weights(path)
@@ -309,21 +315,41 @@ def test_load_rejects_bad_manifest(tmp_path):
 
 def test_load_rejects_wrong_version_and_bad_dims(tmp_path):
     path = tmp_path / "w.bin"
-    save_weights(init_weights(4, 4, 2, np.random.default_rng(0)), path, seed=0, bins=1)
+    save_weights(init_weights(4, 6, 4, np.random.default_rng(0)), path, seed=0, spec=SPEC)
     raw = path.read_bytes()
     nl = raw.index(b"\n")
     manifest = json.loads(raw[:nl])
 
-    manifest["format_version"] = 99
+    for version in (99, 1):
+        manifest["format_version"] = version
+        path.write_bytes(json.dumps(manifest).encode() + raw[nl:])
+        with pytest.raises(WeightFileError):
+            load_weights(path)
+
+    manifest["format_version"] = 2
+    manifest["spec"]["bins"] = 3  # the spec now implies D = 10; the blob holds D = 6
     path.write_bytes(json.dumps(manifest).encode() + raw[nl:])
     with pytest.raises(WeightFileError):
         load_weights(path)
 
-    manifest["format_version"] = 1
-    manifest["b"] = 3  # now D != N + 2b
+    manifest["spec"] = {**SPEC.spec_dict(), "pop_size": 3}  # not a valid spec
     path.write_bytes(json.dumps(manifest).encode() + raw[nl:])
     with pytest.raises(WeightFileError):
         load_weights(path)
+
+    manifest["spec"] = SPEC.spec_dict()
+    manifest["H"] = "x"
+    path.write_bytes(json.dumps(manifest).encode() + raw[nl:])
+    with pytest.raises(WeightFileError):
+        load_weights(path)
+
+
+def test_save_refuses_spec_that_does_not_fit_the_weights(tmp_path):
+    w = init_weights(4, 6, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        save_weights(w, tmp_path / "w.bin", seed=0, spec=PolicyConfig(pop_size=4, bins=2))
+    with pytest.raises(ValueError):
+        save_weights(w, tmp_path / "w.bin", seed=0, spec=PolicyConfig(pop_size=5, bins=1))
 
 
 def test_load_missing_file_is_oserror(tmp_path):

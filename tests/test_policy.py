@@ -1,4 +1,5 @@
-"""Gaussian action head: sampling, log-density gradients, reward shape."""
+"""Controller spec and Gaussian action head: validation, sampling,
+log-density gradients, reward shape."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from ldectl.policy import (
     sample_action,
     trajectory_return,
 )
+from ldectl.runner import RunConfig
+from ldectl.trainer import TrainConfig
 
 
 CFG = PolicyConfig(sigma=0.1, f_min=1e-3)  # the examples below are worked at sigma = 0.1
@@ -71,13 +74,23 @@ def test_sample_ranges_always_hold(seed, sigma):
     np.testing.assert_array_equal(action.CR, np.clip(action.raw[4:], 0.0, 1.0))
 
 
-def test_policy_config_validation():
-    with pytest.raises(ValueError):
-        PolicyConfig(sigma=0.0)
-    with pytest.raises(ValueError):
-        PolicyConfig(f_min=0.0)
-    with pytest.raises(ValueError):
-        PolicyConfig(f_min=1.0)
+# one spec, validated once: every config that extends it rejects the same
+# settings, and TrainConfig adds its own
+SPEC_REJECTS = [dict(pop_size=3), dict(bins=0), dict(window=0), dict(sigma=0.0),
+                dict(p_best=0.0), dict(p_best=1.5), dict(f_min=0.0), dict(f_min=1.0)]
+OWN_REJECTS = {
+    TrainConfig: [dict(epochs=-1), dict(horizon=-1), dict(rollouts=0), dict(hidden=0),
+                  dict(alpha=-0.1), dict(n_functions=0)],
+}
+
+
+@pytest.mark.parametrize("cls", [PolicyConfig, TrainConfig, RunConfig],
+                         ids=lambda cls: cls.__name__)
+def test_config_rejects_bad_settings(cls):
+    for bad in SPEC_REJECTS + OWN_REJECTS.get(cls, []):
+        with pytest.raises(ValueError):
+            cls(**bad)
+    assert cls().input_size == 20 + 2 * 5
 
 
 # ---------------------------------------------------------------- gradient

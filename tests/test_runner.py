@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import ScriptedRng
 from ldectl.benchfn import EvalCounter, make_suite
+from ldectl.de_core import Population
 from ldectl.neural import init_weights
 from ldectl.rng import stream
 from ldectl.runner import (
@@ -11,6 +13,7 @@ from ldectl.runner import (
     LEARNED,
     RunConfig,
     Termination,
+    _mutate_rand1,
     batch_experiment,
     run_baseline,
     run_lde,
@@ -115,6 +118,27 @@ def test_distinct_baselines_distinct_results():
         for kind in BASELINES
     }
     assert len(set(outs.values())) == 3
+
+
+def test_rand1_mutation_pinned_draw_order():
+    # three offset batches, r1 then r2 then r3, each shifted past i and the
+    # earlier picks.  N = 4, offsets d1 = 0, d2 = 1, d3 = 0 for every i:
+    #   i=0: r1 = 1, r2 = 1 -> past {0, 1} -> 3, r3 = 0 -> past {0, 1, 3} -> 2
+    #   i=1: r1 = 0, r2 = 1 -> past {0, 1} -> 3, r3 = 0 -> past {0, 1, 3} -> 2
+    #   i=2: r1 = 0, r2 = 1 -> past {0, 2} -> 3, r3 = 0 -> past {0, 2, 3} -> 1
+    #   i=3: r1 = 0, r2 = 1 -> past {0, 3} -> 2, r3 = 0 -> past {0, 2, 3} -> 1
+    # one-hot members make v_i = e_r1 + F (e_r2 - e_r3) readable.
+    pop = Population(np.eye(4), np.arange(4.0))
+    rng = ScriptedRng(ints=[[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0]])
+    v = _mutate_rand1(pop, 0.5, rng)
+    assert rng.exhausted()
+    picks = [(1, 3, 2), (0, 3, 2), (0, 3, 1), (0, 2, 1)]
+    want = np.zeros((4, 4))
+    for i, (r1, r2, r3) in enumerate(picks):
+        want[i, r1] += 1.0
+        want[i, r2] += 0.5
+        want[i, r3] -= 0.5
+    np.testing.assert_array_equal(v, want)
 
 
 def test_unknown_baseline_rejected():

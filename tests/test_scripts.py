@@ -1,0 +1,47 @@
+"""The scripts under scripts/: run in-process at a tiny size."""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+from ldectl import neural
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_desk_pipeline_runs_suite_to_comparison(tmp_path, capsys):
+    desk = _load("desk_pipeline")
+    out = tmp_path / "desk"
+    desk.run(desk.parse_args([
+        "--dim", "2", "--train-functions", "2", "--test-functions", "2",
+        "--epochs", "1", "--hidden", "4", "--runs", "2", "--budget", "200",
+        "--out", str(out)]))
+    assert "report at" in capsys.readouterr().out
+
+    _, manifest = neural.load_weights(out / "trained" / "weights.bin")
+    assert manifest["format_version"] == neural.FORMAT_VERSION
+    assert manifest["H"] == 4 and manifest["training_metadata"]["epochs_done"] == 1
+    with open(out / "runs" / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 * 2 * 2  # algorithms x test functions x runs
+    assert all(int(r["evals_used"]) <= 200 for r in rows)
+    for name in ("comparison.csv", "marks.csv", "aps.csv", "report.txt"):
+        assert (out / "comparison" / name).stat().st_size > 0
+
+
+def test_controller_cost_sweeps_the_given_sizes(capsys):
+    cost = _load("controller_cost")
+    assert cost.main(["--sizes", "16,32"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = {int(line.split()[0]): int(line.split()[1])
+            for line in lines if line.split() and line.split()[0].isdigit()}
+    # 4H(H + D) + 2NH MACs at the script's defaults N = 2, b = 1 (D = 4)
+    assert rows == {h: 4 * h * (h + 4) + 2 * 2 * h for h in (16, 32)}
+    assert "log-log slope" in lines[-1]

@@ -212,14 +212,13 @@ def test_step_advantages_require_one_horizon_per_function():
 def _toy_batch(w, xs, target, cfg, rng, rollouts):
     # inputs are fixed, so mu_t depends on the weights only; the reward
     # -|a_t - target|^2 then has expectation -|mu_t - target|^2 - 2 sigma^2
-    pcfg = cfg.policy()
     batch = []
     for _ in range(rollouts):
         state = zero_state(w.hidden)
         tr = Trajectory(function_id="toy")
         for x in xs:
             mu, state, tape = forward_step(w, x, state)
-            act = sample_action(mu, pcfg, rng)
+            act = sample_action(mu, cfg, rng)
             r = -float(np.sum((act.raw - target) ** 2))
             tr.steps.append(StepRecord(None, tape, act, mu, r))
             tr.total_return += r
@@ -240,7 +239,6 @@ def test_estimator_matches_exact_gradient_with_less_variance():
     exact = flatten_weights(backward_through_time(w, tapes, out_grads))
 
     rng = stream(11, "toy")
-    pcfg = cfg.policy()
     new, whole = [], []
     for _ in range(1000):
         batch = _toy_batch(w, xs, target, cfg, rng, rollouts=4)
@@ -249,7 +247,7 @@ def test_estimator_matches_exact_gradient_with_less_variance():
         for tr in batch:
             acc += flatten_weights(backward_through_time(
                 w, [s.tape for s in tr.steps],
-                [tr.total_return * logprob_grad_mu(s.action, s.mu, pcfg) for s in tr.steps]))
+                [tr.total_return * logprob_grad_mu(s.action, s.mu, cfg) for s in tr.steps]))
         whole.append(acc / len(batch))
     new, whole = np.asarray(new), np.asarray(whole)
     se = new.std(axis=0, ddof=1) / np.sqrt(len(new))
@@ -362,17 +360,3 @@ def test_train_divergence_carries_last_good_state():
                         stream(cfg.seed, "weights"))
     np.testing.assert_array_equal(
         flatten_weights(last_good["weights"]), flatten_weights(init))
-
-
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(pop_size=3)
-    with pytest.raises(ValueError):
-        TrainConfig(rollouts=0)
-    with pytest.raises(ValueError):
-        TrainConfig(alpha=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(sigma=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(p_best=0.0)
-    assert TrainConfig().input_size == 20 + 2 * 5

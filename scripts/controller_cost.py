@@ -20,9 +20,9 @@ def sweep(sizes, pop_size, bins, seed):
     rows = []
     for h in sizes:
         w = init_weights(h, d, pop_size, stream(seed, "weights", h))
-        x = stream(seed, "input", h).normal(0.0, 1.0, d)
+        x = stream(seed, "input", h).normal(0.0, 1.0, (1, d))
         with count_macs() as counter:
-            forward_step(w, x, zero_state(h))
+            forward_step(w, x, zero_state(h, 1))
         rows.append((h, counter.total))
     return rows
 

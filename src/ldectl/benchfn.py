@@ -173,25 +173,6 @@ class FunctionInstance:
         return body(Z) + self.f_star
 
 
-class EvalCounter:
-    """Wraps an instance and counts evaluations (one per row in a batch)."""
-
-    def __init__(self, inst):
-        self.inst = inst
-        self.count = 0
-
-    def evaluate(self, x):
-        self.count += 1
-        return self.inst.evaluate(x)
-
-    def evaluate_batch(self, X):
-        self.count += np.asarray(X).shape[0]
-        return self.inst.evaluate_batch(X)
-
-    def __getattr__(self, name):
-        return getattr(self.inst, name)
-
-
 def error_value(inst, f_found: float) -> float:
     """Error of a found value against the instance optimum, never negative."""
     e = float(f_found) - inst.f_star

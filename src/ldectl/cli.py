@@ -4,7 +4,7 @@ Subcommands: suite, train, run, compare, gradcheck.  Every option can
 also be set in a plain-text config file of ``key = value`` lines passed
 via --config; an explicit flag beats the file, the file beats the
 built-in default.  Exit codes: 0 success, 1 usage, 2 numeric failure,
-3 I/O failure.
+3 I/O failure, 4 worker failure (a --jobs worker process died).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import benchfn, neural, runner, stats, trainer
@@ -420,6 +421,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenProcessPool as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -14,6 +14,12 @@ sum_t <out_grad_t, mu_t> with respect to every weight; nothing is
 truncated.  A central finite-difference checker covers the whole
 parameter vector.
 
+Forward and backward advance a batch of B independent rollouts: inputs,
+states, tapes and output gradients carry a leading batch axis, and
+backward returns one gradient per rollout.  Every matrix-vector product
+is one stacked product (B, 1, K) @ (K, M), which gives each row the bits
+of its own W @ v whatever B is; a plain (B, K) @ (K, M) gemm does not.
+
 Weight files are a single JSON manifest line followed by the raw
 matrices (row-major little-endian float64, in FIELD_ORDER) and a CRC32
 of that blob, so a save/load round trip is bit-exact.
@@ -82,13 +88,13 @@ class ControllerWeights:
 
 @dataclass
 class ControllerState:
-    h: np.ndarray
-    c: np.ndarray
+    h: np.ndarray  # (B, H)
+    c: np.ndarray  # (B, H)
 
 
 @dataclass
 class StepTape:
-    """Everything backward needs to replay one forward step."""
+    """Everything backward needs to replay one forward step; (B, .) rows."""
 
     z: np.ndarray        # [h_prev; x]
     c_prev: np.ndarray
@@ -102,8 +108,8 @@ class StepTape:
     mu_raw: np.ndarray   # head sigmoids before output clamping
 
 
-def zero_state(hidden: int) -> ControllerState:
-    return ControllerState(np.zeros(hidden), np.zeros(hidden))
+def zero_state(hidden: int, batch: int) -> ControllerState:
+    return ControllerState(np.zeros((batch, hidden)), np.zeros((batch, hidden)))
 
 
 def init_weights(hidden: int, input_size: int, actions: int, rng) -> ControllerWeights:
@@ -125,12 +131,10 @@ def init_weights(hidden: int, input_size: int, actions: int, rng) -> ControllerW
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, both from
+    # e = e^-|z|, so neither branch overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +150,12 @@ _mac_counter: Optional[MacCounter] = None
 
 @contextmanager
 def count_macs():
-    """Count multiply-adds of every matrix-vector product in scope."""
+    """Count the multiply-adds of the controller steps in scope.
+
+    A step over B rollouts counts once: the total is the cost per
+    rollout, 4H(H+D) for the gates plus 2NH for the heads, whatever the
+    batch size.
+    """
     global _mac_counter
     prev, counter = _mac_counter, MacCounter()
     _mac_counter = counter
@@ -156,51 +165,54 @@ def count_macs():
         _mac_counter = prev
 
 
-def _mv(W, v):
-    if _mac_counter is not None:
-        _mac_counter.total += W.shape[0] * W.shape[1]
-    return W @ v
+def _stacked(W, v):
+    """W @ v_b for every row v_b of v (B, K), as one stacked product: (B, M)."""
+    return (v[:, None, :] @ W.T)[:, 0]
 
 
 # ---------------------------------------------------------------------------
 # forward / backward
 
 def forward_step(w: ControllerWeights, x, state: ControllerState):
-    """One controller step.
+    """One controller step of B rollouts.
 
     Arguments
     ---------
     w : ControllerWeights
-    x : ndarray, shape (D,)
-        Feature vector for the current generation.
+    x : ndarray, shape (B, D)
+        Feature vectors for the current generation.
     state : ControllerState
-        Hidden and cell vectors from the previous step.
+        Hidden and cell rows from the previous step, shape (B, H) each.
 
     Returns
     -------
-    mu : ndarray, shape (2N,)
+    mu : ndarray, shape (B, 2N)
         Head outputs, scale-factor means first, clamped inside (0, 1).
     new_state : ControllerState
     tape : StepTape
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (w.input_size,):
-        raise ValueError(f"input shape {x.shape} != ({w.input_size},)")
-    z = np.concatenate([state.h, x])
-    f = _sigmoid(_mv(w.W_f, z) + w.b_f)
-    i = _sigmoid(_mv(w.W_i, z) + w.b_i)
-    ctilde = np.tanh(_mv(w.W_c, z) + w.b_c)
-    o = _sigmoid(_mv(w.W_o, z) + w.b_o)
+    H = w.hidden
+    if x.ndim != 2 or x.shape[1] != w.input_size:
+        raise ValueError(f"input shape {x.shape} != (B, {w.input_size})")
+    if _mac_counter is not None:
+        _mac_counter.total += 4 * w.W_f.size + w.W_F.size + w.W_C.size
+    z = np.concatenate([state.h, x], axis=1)
+    # the three sigmoid gates in one elementwise pass
+    fio = _sigmoid(np.concatenate([_stacked(w.W_f, z) + w.b_f, _stacked(w.W_i, z) + w.b_i,
+                                   _stacked(w.W_o, z) + w.b_o], axis=1))
+    f, i, o = fio[:, :H], fio[:, H:2 * H], fio[:, 2 * H:]
+    ctilde = np.tanh(_stacked(w.W_c, z) + w.b_c)
     c = f * state.c + i * ctilde
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    mu_raw = np.concatenate([
-        _sigmoid(_mv(w.W_F.T, h) + w.b_F),
-        _sigmoid(_mv(w.W_C.T, h) + w.b_C),
-    ])
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(mu_raw))):
+    mu_raw = _sigmoid(np.concatenate([_stacked(w.W_F.T, h) + w.b_F,
+                                      _stacked(w.W_C.T, h) + w.b_C], axis=1))
+    # h lies in [-1, 1] and mu_raw in [0, 1]: their sum is finite unless
+    # some entry is not
+    if not np.isfinite(h.sum() + mu_raw.sum()):
         raise NumericFailure("controller produced non-finite activations")
-    mu = np.clip(mu_raw, _HEAD_EPS, 1.0 - _HEAD_EPS)
+    mu = np.minimum(np.maximum(mu_raw, _HEAD_EPS), 1.0 - _HEAD_EPS)
     tape = StepTape(z=z, c_prev=state.c, f=f, i=i, ctilde=ctilde, o=o,
                     c=c, tanh_c=tanh_c, h=h, mu_raw=mu_raw)
     return mu, ControllerState(h, c), tape
@@ -223,6 +235,12 @@ def sgd_ascent(w: ControllerWeights, grad: ControllerWeights, alpha: float) -> C
     )
 
 
+def weights_rows(g: ControllerWeights) -> list:
+    """Split weights stacked along a leading batch axis into one per row."""
+    return [ControllerWeights(**{k: getattr(g, k)[b] for k in FIELD_ORDER})
+            for b in range(g.b_f.shape[0])]
+
+
 def flatten_weights(w: ControllerWeights) -> np.ndarray:
     return np.concatenate([getattr(w, k).ravel() for k in FIELD_ORDER])
 
@@ -232,38 +250,44 @@ def grad_norm(g: ControllerWeights) -> float:
 
 
 def backward_through_time(w: ControllerWeights, tapes, out_grads) -> ControllerWeights:
-    """Exact gradient of sum_t <out_grads[t], mu_t> over a taped rollout.
+    """Exact gradient of sum_t <out_grads[t], mu_t> over B taped rollouts.
 
     Arguments
     ---------
-    tapes : list of StepTape, oldest first.
-    out_grads : list of ndarray, shape (2N,)
+    tapes : list of StepTape, oldest first, with (B, .) rows.
+    out_grads : list of ndarray, shape (B, 2N)
         Gradient on the head outputs per step (scale-factor half first).
 
     Returns
     -------
-    ControllerWeights holding the accumulated parameter gradients.
+    ControllerWeights whose fields carry a leading batch axis: row b is
+    the gradient of rollout b alone, summed over its steps newest first.
     """
     if len(tapes) != len(out_grads):
         raise ValueError("tapes and out_grads must have equal length")
     H = w.hidden
     N = w.actions
-    g = weights_zeros_like(w)
-    dh_next = np.zeros(H)
-    dc_next = np.zeros(H)
+    B = len(out_grads[0]) if out_grads else 0
+    # the gate gradients accumulate as one (B, 4H, H + D) stack, gates in
+    # the order f, i, c, o, and the heads as one (B, H, 2N) stack: each
+    # entry still sums its own products over the steps, newest first
+    g_gates = np.zeros((B, 4 * H, w.W_f.shape[1]))
+    outer = np.empty_like(g_gates)  # reused: a fresh (B, 4H, H + D) temporary per step is slower
+    g_gate_bias = np.zeros((B, 4 * H))
+    g_heads = np.zeros((B, H, 2 * N))
+    g_head_bias = np.zeros((B, 2 * N))
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
     for tape, og in zip(reversed(tapes), reversed(out_grads)):
         og = np.asarray(og, dtype=float)
-        if og.shape != (2 * N,):
-            raise ValueError(f"out_grad shape {og.shape} != ({2 * N},)")
-        muF, muC = tape.mu_raw[:N], tape.mu_raw[N:]
-        daF = og[:N] * muF * (1.0 - muF)
-        daC = og[N:] * muC * (1.0 - muC)
-        g.W_F += np.outer(tape.h, daF)
-        g.b_F += daF
-        g.W_C += np.outer(tape.h, daC)
-        g.b_C += daC
+        if og.shape != (B, 2 * N):
+            raise ValueError(f"out_grad shape {og.shape} != ({B}, {2 * N})")
+        da_heads = og * tape.mu_raw * (1.0 - tape.mu_raw)
+        daF, daC = da_heads[:, :N], da_heads[:, N:]
+        g_heads += tape.h[:, :, None] * da_heads[:, None, :]
+        g_head_bias += da_heads
 
-        dh = w.W_F @ daF + w.W_C @ daC + dh_next
+        dh = _stacked(w.W_F, daF) + _stacked(w.W_C, daC) + dh_next
         do = dh * tape.tanh_c
         dao = do * tape.o * (1.0 - tape.o)
         dc = dh * tape.o * (1.0 - tape.tanh_c ** 2) + dc_next
@@ -274,31 +298,34 @@ def backward_through_time(w: ControllerWeights, tapes, out_grads) -> ControllerW
         dg = dc * tape.i
         dac = dg * (1.0 - tape.ctilde ** 2)
 
-        g.W_f += np.outer(daf, tape.z)
-        g.W_i += np.outer(dai, tape.z)
-        g.W_c += np.outer(dac, tape.z)
-        g.W_o += np.outer(dao, tape.z)
-        g.b_f += daf
-        g.b_i += dai
-        g.b_c += dac
-        g.b_o += dao
+        da_gates = np.concatenate([daf, dai, dac, dao], axis=1)
+        g_gates += np.multiply(da_gates[:, :, None], tape.z[:, None, :], out=outer)
+        g_gate_bias += da_gates
 
-        dz = w.W_f.T @ daf + w.W_i.T @ dai + w.W_c.T @ dac + w.W_o.T @ dao
-        dh_next = dz[:H]
+        dz = (_stacked(w.W_f.T, daf) + _stacked(w.W_i.T, dai)
+              + _stacked(w.W_c.T, dac) + _stacked(w.W_o.T, dao))
+        dh_next = dz[:, :H]
         dc_next = dc * tape.f
-    return g
+    W_f, W_i, W_c, W_o = np.split(g_gates, 4, axis=1)
+    b_f, b_i, b_c, b_o = np.split(g_gate_bias, 4, axis=1)
+    return ControllerWeights(
+        W_f=W_f, W_i=W_i, W_c=W_c, W_o=W_o, b_f=b_f, b_i=b_i, b_c=b_c, b_o=b_o,
+        W_F=g_heads[:, :, :N], b_F=g_head_bias[:, :N],
+        W_C=g_heads[:, :, N:], b_C=g_head_bias[:, N:],
+    )
 
 
 # ---------------------------------------------------------------------------
 # finite-difference checking
 
 def rollout_objective(w: ControllerWeights, xs, out_grads) -> float:
-    """sum_t <out_grads[t], mu_t> over a fresh zero-state rollout."""
-    state = zero_state(w.hidden)
+    """sum_t <out_grads[t], mu_t> over one fresh zero-state rollout,
+    inputs xs[t] of shape (D,), run as a batch of one."""
+    state = zero_state(w.hidden, 1)
     total = 0.0
     for x, og in zip(xs, out_grads):
-        mu, state, _ = forward_step(w, x, state)
-        total += float(np.dot(og, mu))
+        mu, state, _ = forward_step(w, np.asarray(x, dtype=float)[None], state)
+        total += float(np.dot(og, mu[0]))
     return total
 
 
@@ -349,12 +376,12 @@ def run_gradcheck(hidden: int = 8, actions: int = 4, bins: int = 1, steps: int =
     xs = rng.uniform(0.0, 1.0, size=(steps, input_size))
     out_grads = rng.standard_normal((steps, 2 * actions))
 
-    state = zero_state(hidden)
+    state = zero_state(hidden, 1)
     tapes = []
     for x in xs:
-        _, state, tape = forward_step(w, x, state)
+        _, state, tape = forward_step(w, x[None], state)
         tapes.append(tape)
-    analytic = backward_through_time(w, tapes, list(out_grads))
+    analytic, = weights_rows(backward_through_time(w, tapes, [og[None] for og in out_grads]))
     if corrupt:
         analytic.W_f[0, 0] += 1.0
     numeric = fd_gradient(w, xs, out_grads, eps=eps)

@@ -6,6 +6,9 @@ to crossover rates (clipped into [0, 1]).  Log-density gradients always
 use the raw, pre-clip sample.  The per-generation reward is the
 relative drop of the population's best error value, which lands in
 [0, 1] under elitist selection regardless of the function's scale.
+
+Actions, head means and rewards carry a leading batch axis, one row per
+rollout; each row draws from its own generator.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .de_core import ParamSheet
+from .de_core import ParamSheet, per_row
 from .errors import ConsistencyError
 
 
@@ -71,28 +74,37 @@ class PolicyConfig:
 
 @dataclass
 class Action:
-    """One generation's sampled parameters."""
+    """One generation's sampled parameters, one row per rollout."""
 
-    raw: np.ndarray  # (2N,), pre-clip Gaussian sample
-    F: np.ndarray    # (N,), raw[:N] clipped into [f_min, 1]
-    CR: np.ndarray   # (N,), raw[N:] clipped into [0, 1]
+    raw: np.ndarray  # (B, 2N), pre-clip Gaussian sample
+    F: np.ndarray    # (B, N), raw[:, :N] clipped into [f_min, 1]
+    CR: np.ndarray   # (B, N), raw[:, N:] clipped into [0, 1]
 
     def sheet(self) -> ParamSheet:
         return ParamSheet(self.F, self.CR)
 
 
-def sample_action(mu, cfg: PolicyConfig, rng) -> Action:
-    """Draw raw ~ N(mu, sigma^2) and clip the two halves into range."""
+def sample_action(mu, cfg: PolicyConfig, rngs) -> Action:
+    """Draw raw ~ N(mu, sigma^2), row b from rngs[b], and clip the two
+    halves into range.
+
+    raw = mu + sigma * z with z from standard_normal: the same draws, and
+    the same bits, as normal(mu, sigma), without its per-call overhead.
+    """
     mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 1 or mu.size % 2 != 0 or mu.size == 0:
-        raise ValueError(f"mu must be 1-D with even length, got shape {mu.shape}")
-    return clip_action(rng.normal(mu, cfg.sigma), cfg)
+    if mu.ndim != 2 or mu.shape[1] % 2 != 0 or mu.shape[1] == 0:
+        raise ValueError(f"mu must be 2-D with even row length, got shape {mu.shape}")
+    if len(rngs) != mu.shape[0]:
+        raise ValueError(f"need one generator per row: {len(rngs)} for {mu.shape[0]} rows")
+    z = per_row([rng.standard_normal(mu.shape[1]) for rng in rngs])
+    return clip_action(mu + cfg.sigma * z, cfg)
 
 
 def clip_action(raw, cfg: PolicyConfig) -> Action:
-    """Map a raw 2N vector onto parameters: F into [f_min, 1], CR into [0, 1]."""
-    n = raw.size // 2
-    return Action(raw=raw, F=np.clip(raw[:n], cfg.f_min, 1.0), CR=np.clip(raw[n:], 0.0, 1.0))
+    """Map raw (B, 2N) rows onto parameters: F into [f_min, 1], CR into [0, 1]."""
+    n = raw.shape[1] // 2
+    return Action(raw=raw, F=np.clip(raw[:, :n], cfg.f_min, 1.0),
+                  CR=np.clip(raw[:, n:], 0.0, 1.0))
 
 
 def logprob_grad_mu(action: Action, mu, cfg: PolicyConfig) -> np.ndarray:
@@ -103,16 +115,21 @@ def logprob_grad_mu(action: Action, mu, cfg: PolicyConfig) -> np.ndarray:
     return (action.raw - mu) / (cfg.sigma ** 2)
 
 
-def reward(err_prev: float, err_next: float) -> float:
-    """Relative best-error improvement; 0 when stalled or already at zero."""
-    if err_next > err_prev + 1e-9:
+def reward(err_prev, err_next):
+    """Relative best-error improvement, elementwise over rollouts; 0 when
+    stalled or already at zero."""
+    err_prev = np.asarray(err_prev, dtype=float)
+    err_next = np.asarray(err_next, dtype=float)
+    worse = err_next > err_prev + 1e-9
+    if np.any(worse):
         raise ConsistencyError(
-            f"best error worsened from {err_prev} to {err_next}; selection is elitist"
+            f"best error worsened from {err_prev[worse].flat[0]} to {err_next[worse].flat[0]};"
+            " selection is elitist"
         )
     r = (err_prev - err_next) / (err_prev + 1e-12)
-    return max(0.0, r)
+    return np.where(r > 0.0, r, 0.0)
 
 
-def trajectory_return(rewards) -> float:
-    """Undiscounted sum of per-generation rewards."""
-    return float(np.sum(np.asarray(rewards, dtype=float))) if len(rewards) else 0.0
+def trajectory_return(rewards):
+    """Undiscounted sum of per-generation rewards over the last axis."""
+    return np.sum(np.asarray(rewards, dtype=float), axis=-1)

@@ -34,8 +34,10 @@ from .benchfn import error_value
 from .de_core import (
     ParamSheet,
     Population,
+    batch_rows,
     binomial_crossover_batch,
     distinct_indices,
+    draw_offsets,
     evolve,
     init_population,
     repair_bounds,
@@ -85,13 +87,14 @@ def _tercile_rows(gen, order, sheet, out):
     groups = np.array_split(order, 3)
     for t, g in enumerate(groups):
         if len(g):
-            out.append((gen, t, float(np.mean(sheet.F[g])), float(np.mean(sheet.CR[g]))))
+            out.append((gen, t, float(np.mean(sheet.F[0, g])), float(np.mean(sheet.CR[0, g]))))
 
 
 def _drive(algorithm_id, objective, term: Termination, cfg: RunConfig, rng,
            gen_step, run_seed: int = 0) -> RunResult:
-    """Shared budgeted loop; gen_step(pop, rng) -> (new_pop, params), where
-    params carries the generation's per-individual F and CR."""
+    """Shared budgeted loop over a batch of one; gen_step(pop, rngs) ->
+    (new_pop, params), where params carries the generation's
+    per-individual F and CR and rngs is [rng]."""
     if term.max_evals < cfg.pop_size:
         raise ValueError(
             f"budget {term.max_evals} cannot cover one evaluation of {cfg.pop_size} members"
@@ -102,9 +105,11 @@ def _drive(algorithm_id, objective, term: Termination, cfg: RunConfig, rng,
     trace = [(evals, best)]
     params = [] if cfg.track_params else None
     gen = 0
+    rngs = [rng]
     while evals + cfg.pop_size <= term.max_evals and best > term.error_tol:
-        order = np.argsort(pop.fitness, kind="stable")
-        pop, sheet = gen_step(pop, rng)
+        if params is not None:  # terciles of the population the sheet acts on
+            order = np.argsort(pop.fitness[0], kind="stable")
+        pop, sheet = gen_step(pop, rngs)
         evals += cfg.pop_size
         gen += 1
         if params is not None:
@@ -123,21 +128,21 @@ def run_lde(w: ControllerWeights, objective, term: Termination, cfg: RunConfig,
     """Drive the learned controller on one function."""
     step = ControllerStep(w, cfg, sample=cfg.sample_actions)
 
-    def gen_step(pop, rng):
-        pop, record = step(pop, objective, rng)
+    def gen_step(pop, rngs):
+        pop, record = step(pop, objective, rngs)
         return pop, record.action
 
     return _drive(LEARNED, objective, term, cfg, rng, gen_step, run_seed)
 
 
-def _mutate_rand1(pop: Population, F: float, rng) -> np.ndarray:
+def _mutate_rand1(pop: Population, F: float, rngs) -> np.ndarray:
     # v_i = x_r1 + F (x_r2 - x_r3), r1, r2, r3, i pairwise distinct
-    N = pop.size
+    B, N = pop.fitness.shape
     if N < 4:
         raise ValueError(f"population must hold at least 4 members, got {N}")
-    r1, r2, r3 = distinct_indices(N, 3, rng)
-    X = pop.members
-    return X[r1] + F * (X[r2] - X[r3])
+    X_r1, X_r2, X_r3 = pop.members[batch_rows(B), np.array(distinct_indices(
+        draw_offsets(rngs, (N - 1, N - 2, N - 3), N)))]
+    return X_r1 + F * (X_r2 - X_r3)
 
 
 def run_baseline(kind: str, objective, term: Termination, cfg: RunConfig,
@@ -146,26 +151,27 @@ def run_baseline(kind: str, objective, term: Termination, cfg: RunConfig,
     n = cfg.pop_size
 
     if kind == "de_rand1_fixed":
-        sheet = ParamSheet(np.full(n, 0.5), np.full(n, 0.8))
+        sheet = ParamSheet(np.full((1, n), 0.5), np.full((1, n), 0.8))
 
-        def gen_step(pop, rng):
-            mutants = _mutate_rand1(pop, 0.5, rng)
-            trials = binomial_crossover_batch(pop.members, mutants, sheet.CR, rng)
+        def gen_step(pop, rngs):
+            mutants = _mutate_rand1(pop, 0.5, rngs)
+            trials = binomial_crossover_batch(pop.members, mutants, sheet.CR, rngs)
             trials = repair_bounds(trials, objective.bounds)
-            return select(pop, trials, objective.evaluate_batch(trials)), sheet
+            return select(pop, trials, objective.evaluate_batch(trials[0])[None]), sheet
 
     elif kind == "ctpb_fixed":
-        sheet = ParamSheet(np.full(n, 0.5), np.full(n, 0.9))
+        sheet = ParamSheet(np.full((1, n), 0.5), np.full((1, n), 0.9))
 
-        def gen_step(pop, rng):
-            return evolve(pop, objective, sheet, cfg.p_best, rng), sheet
+        def gen_step(pop, rngs):
+            return evolve(pop, objective, sheet, cfg.p_best, rngs), sheet
 
     elif kind == "random_params":
 
-        def gen_step(pop, rng):
-            sheet = ParamSheet(rng.uniform(cfg.f_min, 1.0, size=n),
-                               rng.uniform(0.0, 1.0, size=n))
-            return evolve(pop, objective, sheet, cfg.p_best, rng), sheet
+        def gen_step(pop, rngs):
+            rng, = rngs
+            sheet = ParamSheet(rng.uniform(cfg.f_min, 1.0, size=(1, n)),
+                               rng.uniform(0.0, 1.0, size=(1, n)))
+            return evolve(pop, objective, sheet, cfg.p_best, rngs), sheet
 
     else:
         raise ValueError(f"unknown baseline {kind!r}; pick one of {BASELINES}")

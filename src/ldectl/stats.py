@@ -97,11 +97,24 @@ def significance_mark(p_value: float, mean_a: float, mean_b: float,
     return MARK_BETTER if mean_a < mean_b else MARK_WORSE
 
 
-def aps_rank(samples: dict, alpha: float = DEFAULT_ALPHA) -> dict:
+def pair_p_values(per_fn: dict, algorithms) -> dict:
+    """p-value of every ordered pair (a, b) of one function's samples.
+
+    The test is symmetric, so each unordered pair is tested once and
+    both orders share its p-value.
+    """
+    out = {}
+    for a, b in itertools.combinations(algorithms, 2):
+        out[a, b] = out[b, a] = ranksum_test(per_fn[a], per_fn[b]).p_value
+    return out
+
+
+def aps_rank(samples: dict, alpha: float = DEFAULT_ALPHA, p_values: dict = None) -> dict:
     """Average performance score per algorithm.
 
     ``samples`` maps function_id -> {algorithm_id -> error sample}.
-    Every function must cover the same algorithms.
+    Every function must cover the same algorithms.  ``p_values`` maps
+    function_id -> pair_p_values of that function when they are known.
     """
     if not samples:
         raise ValueError("aps_rank needs at least one function")
@@ -116,13 +129,13 @@ def aps_rank(samples: dict, alpha: float = DEFAULT_ALPHA) -> dict:
     for fid in fn_ids:
         per_fn = samples[fid]
         means = {alg: float(np.mean(per_fn[alg])) for alg in algs}
+        p_table = p_values[fid] if p_values is not None else pair_p_values(per_fn, algs)
         for i in algs:
             beaten_by = 0
             for j in algs:
                 if j == i:
                     continue
-                p = ranksum_test(per_fn[i], per_fn[j]).p_value
-                if p < alpha and means[j] < means[i]:
+                if p_table[i, j] < alpha and means[j] < means[i]:
                     beaten_by += 1
             scores[i] += beaten_by
     return {alg: scores[alg] / len(fn_ids) for alg in algs}
@@ -148,6 +161,7 @@ def build_comparison(samples: dict, algorithms=None, alpha: float = DEFAULT_ALPH
     functions = sorted(samples)
     algs = list(algorithms) if algorithms else sorted(samples[functions[0]])
     table = ComparisonTable(algorithms=algs, functions=functions)
+    p_values = {}
     for fid in functions:
         per_fn = samples[fid]
         for alg in algs:
@@ -156,12 +170,13 @@ def build_comparison(samples: dict, algorithms=None, alpha: float = DEFAULT_ALPH
             errs = np.asarray(per_fn[alg], dtype=float)
             table.mean[(fid, alg)] = float(np.mean(errs))
             table.std[(fid, alg)] = float(np.std(errs, ddof=1)) if errs.size > 1 else 0.0
+        p_values[fid] = pair_p_values(per_fn, sorted(per_fn))  # what aps_rank ranks
         for a, b in itertools.permutations(algs, 2):
-            p = ranksum_test(per_fn[a], per_fn[b]).p_value
+            p = p_values[fid][a, b]
             table.p_value[(fid, a, b)] = p
             table.mark[(fid, a, b)] = significance_mark(
                 p, table.mean[(fid, a)], table.mean[(fid, b)], alpha)
-    table.aps = aps_rank({fid: samples[fid] for fid in functions}, alpha)
+    table.aps = aps_rank({fid: samples[fid] for fid in functions}, alpha, p_values)
     return table
 
 

@@ -13,19 +13,24 @@ gradient unchanged.  With L = 1 there is nothing to leave out and the
 advantage is the plain reward-to-go.  The scaled gradients are chained
 through the recurrence by full backpropagation through time.
 
-Every rollout generation is one ``ControllerStep``, the same step the
-runner drives the trained controller with.
+A function's L rollouts advance together as one batch: each generation
+is one ``ControllerStep`` over all of them (the same step the runner
+drives the trained controller with, there with a batch of one), with a
+single stacked controller step and a single evaluation of the L * N
+trials.  Backpropagation runs over the whole batch at once.  A worker
+pool, when used, maps over the functions.
 
 Randomness is addressed per purpose -- ("weights"), ("epoch", e,
-"init"), ("epoch", e, "traj", k, l) -- so results are identical for any
-worker count and training can resume from a checkpoint bit-exactly.
+"init"), ("epoch", e, "traj", k, l) -- and rollout l of function k draws
+only from its own stream, so results are identical for any worker count
+and batch layout, and training can resume from a checkpoint bit-exactly.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,6 +48,7 @@ from .neural import (
     init_weights,
     sgd_ascent,
     weights_add_scaled,
+    weights_rows,
     weights_zeros_like,
     zero_state,
 )
@@ -86,117 +92,135 @@ class TrainConfig(PolicyConfig):
 
 @dataclass
 class StepRecord:
+    """One generation of a batch: features, tape, action and head means,
+    each with one row per rollout."""
+
     state: object
     tape: object
     action: object
     mu: np.ndarray
-    reward: float = 0.0
 
 
 @dataclass
-class Trajectory:
+class RolloutBatch:
+    """One function's rollouts from a shared start, advanced together.
+
+    ``steps`` holds one StepRecord per generation; ``rewards`` has shape
+    (B, horizon) and ``total_return`` shape (B,).
+    """
+
     function_id: str
-    steps: list = field(default_factory=list)
-    total_return: float = 0.0
+    steps: list
+    rewards: np.ndarray
+    total_return: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.rewards)
 
 
 class ControllerStep:
     """One generation of the learned optimizer, for training and running alike.
 
-    Holds one rollout's histogram ring and LSTM state.  Each call
-    featurises the population, steps the controller, draws the action
-    (or, with ``sample=False``, clips the head means) and evolves one
-    generation; it returns the next population and the step's record,
-    whose reward the caller fills in.
+    Holds the histogram ring and LSTM state of a batch of rollouts.  Each
+    call featurises the population batch, steps the controller, draws the
+    actions (or, with ``sample=False``, clips the head means) and evolves
+    one generation; it returns the next population and the step's record.
     """
 
-    def __init__(self, w: ControllerWeights, spec: PolicyConfig, sample: bool = True):
+    def __init__(self, w: ControllerWeights, spec: PolicyConfig, batch: int = 1,
+                 sample: bool = True):
         spec.check_weights(w)
         self.w = w
         self.spec = spec
         self.sample = sample
         self.ring = HistRing(spec.window)
-        self.state = zero_state(w.hidden)
+        self.state = zero_state(w.hidden, batch)
 
-    def __call__(self, pop: Population, objective, rng):
+    def __call__(self, pop: Population, objective, rngs):
         feat = assemble_state(pop, self.ring, self.spec.bins)
         mu, self.state, tape = forward_step(self.w, feat.as_vector, self.state)
         if self.sample:
-            action = sample_action(mu, self.spec, rng)
+            action = sample_action(mu, self.spec, rngs)
         else:
             action = clip_action(mu, self.spec)
-        pop = evolve(pop, objective, action.sheet(), self.spec.p_best, rng)
+        pop = evolve(pop, objective, action.sheet(), self.spec.p_best, rngs)
         return pop, StepRecord(feat, tape, action, mu)
 
 
+def _best_errors(objective, pop: Population) -> np.ndarray:
+    return np.array([error_value(objective, f) for f in pop.fitness.min(axis=1)])
+
+
 def sample_trajectory(w: ControllerWeights, objective, pop0: Population,
-                      cfg: TrainConfig, rng) -> Trajectory:
-    """Roll the controller out for cfg.horizon generations from pop0."""
-    step = ControllerStep(w, cfg)
-    pop = pop0
-    err_prev = error_value(objective, float(pop.fitness.min()))
+                      cfg: TrainConfig, rngs) -> RolloutBatch:
+    """Roll len(rngs) rollouts out together for cfg.horizon generations,
+    each from the shared start pop0 (a batch of one) and drawing from its
+    own generator."""
+    if pop0.batch != 1:
+        raise ValueError("the shared start population must be a batch of one")
+    B = len(rngs)
+    step = ControllerStep(w, cfg, batch=B)
+    pop = Population(np.repeat(pop0.members, B, axis=0), np.repeat(pop0.fitness, B, axis=0))
+    err_prev = _best_errors(objective, pop)
+    rewards = np.empty((B, cfg.horizon))
     steps = []
-    for _ in range(cfg.horizon):
-        pop, record = step(pop, objective, rng)
-        err_next = error_value(objective, float(pop.fitness.min()))
-        record.reward = reward(err_prev, err_next)
+    for t in range(cfg.horizon):
+        pop, record = step(pop, objective, rngs)
+        err_next = _best_errors(objective, pop)
+        rewards[:, t] = reward(err_prev, err_next)
         steps.append(record)
         err_prev = err_next
-    return Trajectory(
-        function_id=objective.id,
-        steps=steps,
-        total_return=trajectory_return([s.reward for s in steps]),
-    )
+    return RolloutBatch(objective.id, steps, rewards, trajectory_return(rewards))
 
 
-def step_advantages(trajectories) -> list:
-    """Per-step advantages, one array per trajectory, in list order.
+def step_advantages(batch: RolloutBatch) -> np.ndarray:
+    """Per-step advantages of one function's rollouts, shape (B, horizon).
 
     A_{i,t} = G_{i,t} - mean_{j != i} G_{j,t}, where G is the
-    reward-to-go and j runs over the other trajectories of the same
-    function.  A function with a single trajectory keeps plain
-    reward-to-go.
+    reward-to-go and j runs over the batch's other rollouts.  A batch of
+    one keeps plain reward-to-go.
     """
-    by_fn = {}
-    for i, tr in enumerate(trajectories):
-        by_fn.setdefault(tr.function_id, []).append(i)
-    out = [None] * len(trajectories)
-    for fid, idx in by_fn.items():
-        if len({len(trajectories[i].steps) for i in idx}) > 1:
-            raise ValueError(f"rollouts of {fid} must share one horizon")
-        rewards = np.array([[s.reward for s in trajectories[i].steps] for i in idx],
-                           dtype=float)
-        G = np.cumsum(rewards[:, ::-1], axis=1)[:, ::-1]
-        if len(idx) > 1:
-            G = G - (G.sum(axis=0) - G) / (len(idx) - 1)
-        for i, adv in zip(idx, G):
-            out[i] = adv
-    return out
+    G = np.cumsum(batch.rewards[:, ::-1], axis=1)[:, ::-1]
+    if batch.size > 1:
+        G = G - (G.sum(axis=0) - G) / (batch.size - 1)
+    return G
 
 
-def epoch_gradient(w: ControllerWeights, trajectories, cfg: TrainConfig) -> ControllerWeights:
-    """Average REINFORCE gradient over one epoch's trajectories.
+def epoch_gradient(w: ControllerWeights, batches, cfg: TrainConfig) -> ControllerWeights:
+    """Average REINFORCE gradient over one epoch's rollout batches.
 
-    Rollouts that share a function_id are taken to share a start
-    population; their per-step advantages come from step_advantages.
-    Reduction runs in list order, so the result does not depend on how
-    the rollouts were scheduled.
+    Each batch holds one function's rollouts from one start population;
+    its per-step advantages come from step_advantages and its rollouts
+    are back-propagated together.  The per-rollout gradients are added
+    in list order, so the result does not depend on how the rollouts
+    were scheduled.
     """
-    if not trajectories:
-        raise ValueError("epoch_gradient needs at least one trajectory")
+    if not batches:
+        raise ValueError("epoch_gradient needs at least one rollout batch")
+    fids = [batch.function_id for batch in batches]
+    if len(set(fids)) < len(fids):  # their baseline would not pool them
+        raise ValueError("each function's rollouts must form one batch")
     acc = weights_zeros_like(w)
-    for tr, adv in zip(trajectories, step_advantages(trajectories)):
-        out_grads = [a * logprob_grad_mu(s.action, s.mu, cfg) for s, a in zip(tr.steps, adv)]
-        weights_add_scaled(acc, backward_through_time(w, [s.tape for s in tr.steps], out_grads), 1.0)
+    count = 0
+    for batch in batches:
+        adv = step_advantages(batch)
+        out_grads = [adv[:, t, None] * logprob_grad_mu(s.action, s.mu, cfg)
+                     for t, s in enumerate(batch.steps)]
+        grads = backward_through_time(w, [s.tape for s in batch.steps], out_grads)
+        for g in weights_rows(grads):
+            weights_add_scaled(acc, g, 1.0)
+        count += batch.size
     for k in FIELD_ORDER:
-        getattr(acc, k).__imul__(1.0 / len(trajectories))
+        getattr(acc, k).__imul__(1.0 / count)
     return acc
 
 
 def _rollout_task(payload):
-    w, inst, members, fitness, cfg, epoch, k, l = payload
-    rng = stream(cfg.seed, "epoch", epoch, "traj", k, l)
-    return sample_trajectory(w, inst, Population(members, fitness, 0), cfg, rng)
+    w, inst, members, cfg, epoch, k = payload
+    pop0 = Population(members[None], inst.evaluate_batch(members)[None])  # one shared P0 eval
+    rngs = [stream(cfg.seed, "epoch", epoch, "traj", k, l) for l in range(cfg.rollouts)]
+    return sample_trajectory(w, inst, pop0, cfg, rngs)
 
 
 def train(functions, cfg: TrainConfig, jobs: int = 1,
@@ -235,19 +259,13 @@ def train(functions, cfg: TrainConfig, jobs: int = 1,
             t0 = time.perf_counter()
             members = stream(cfg.seed, "epoch", epoch, "init").uniform(
                 lo, hi, size=(cfg.pop_size, dim))
-            payloads = []
-            for k, f in enumerate(functions):
-                fitness0 = f.evaluate_batch(members)  # one shared P0 eval per function
-                payloads.extend(
-                    (w, f, members, fitness0, cfg, epoch, k, l)
-                    for l in range(cfg.rollouts)
-                )
+            payloads = [(w, f, members, cfg, epoch, k) for k, f in enumerate(functions)]
             if pool is not None:
-                trajectories = list(pool.map(_rollout_task, payloads, chunksize=4))
+                batches = list(pool.map(_rollout_task, payloads))
             else:
-                trajectories = [_rollout_task(p) for p in payloads]
+                batches = [_rollout_task(p) for p in payloads]
 
-            grad = epoch_gradient(w, trajectories, cfg)
+            grad = epoch_gradient(w, batches, cfg)
             gnorm = grad_norm(grad)
             new_w = sgd_ascent(w, grad, cfg.alpha)
             if not np.all(np.isfinite(flatten_weights(new_w))):
@@ -259,9 +277,8 @@ def train(functions, cfg: TrainConfig, jobs: int = 1,
 
             ms = (time.perf_counter() - t0) * 1000.0
             epoch_rows = []
-            for k, f in enumerate(functions):
-                rets = [tr.total_return
-                        for tr in trajectories[k * cfg.rollouts:(k + 1) * cfg.rollouts]]
+            for f, batch in zip(functions, batches):
+                rets = batch.total_return
                 epoch_rows.append({
                     "epoch": epoch,
                     "function_id": f.id,

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from conftest import check_sheet_ranges
 from ldectl import neural
 from ldectl.benchfn import error_value, make_suite
 from ldectl.cli import main
@@ -105,11 +106,11 @@ def _eval_return(w, functions, cfg):
         members = stream(cfg.seed, "eval", e, "init").uniform(
             lo, hi, size=(cfg.pop_size, functions[0].dim))
         for k, f in enumerate(functions):
-            pop0 = Population(members, f.evaluate_batch(members), 0)
-            returns.extend(
-                sample_trajectory(w, f, pop0, cfg,
-                                  stream(cfg.seed, "eval", e, "traj", k, l)).total_return
-                for l in range(cfg.rollouts))
+            pop0 = Population(members[None], f.evaluate_batch(members)[None], 0)
+            returns.extend(sample_trajectory(
+                w, f, pop0, cfg,
+                [stream(cfg.seed, "eval", e, "traj", k, l) for l in range(cfg.rollouts)],
+            ).total_return)
     return float(np.mean(returns))
 
 
@@ -193,22 +194,22 @@ def _de_core_cases():
     lo, hi = -5.0, 5.0
 
     def fit_of(M):
-        return np.sum(M * M, axis=1)
+        return np.sum(M * M, axis=-1)
 
-    X = rng.uniform(lo, hi, (100, 8))
+    X = rng.uniform(lo, hi, (1, 100, 8))  # a batch of one
     pop = Population(X, fit_of(X))
     cases = 0
     for _ in range(100):
-        sheet = ParamSheet(rng.uniform(0.05, 1.0, pop.size),
-                           rng.uniform(0.0, 1.0, pop.size))
-        sheet.validate()
-        mut = mutate_current_to_pbest(pop, sheet, 0.11, rng)
+        sheet = ParamSheet(rng.uniform(0.05, 1.0, (1, pop.size)),
+                           rng.uniform(0.0, 1.0, (1, pop.size)))
+        check_sheet_ranges(sheet)
+        mut = mutate_current_to_pbest(pop, sheet, 0.11, [rng])
         assert np.all(np.isfinite(mut))
-        trials = binomial_crossover_batch(pop.members, mut, sheet.CR, rng)
+        trials = binomial_crossover_batch(pop.members, mut, sheet.CR, [rng])
         from_target = trials == pop.members
         from_mutant = trials == mut
         assert np.all(from_target | from_mutant)
-        assert np.all(from_mutant.any(axis=1))  # forced mutant coordinate
+        assert np.all(from_mutant.any(axis=-1))  # forced mutant coordinate
         repaired = repair_bounds(trials, (lo, hi))
         assert np.all(repaired >= lo) and np.all(repaired <= hi)
         tf = fit_of(repaired)
@@ -225,12 +226,12 @@ def _state_feat_cases():
     cases = 0
     for _ in range(10_000):
         fit = rng.normal(0.0, 100.0, int(rng.integers(2, 41)))
-        z = normalize_fitness(fit)
+        z = normalize_fitness(fit[None])
         assert z.min() == 0.0 and z.max() == 1.0
         assert np.all((z >= 0.0) & (z <= 1.0))
         bins = int(rng.integers(1, 9))
         h = histogram(z, bins)
-        assert h.shape == (bins,) and np.all(h >= 0.0)
+        assert h.shape == (1, bins) and np.all(h >= 0.0)
         assert np.isclose(h.sum(), 1.0, rtol=0.0, atol=1e-12)
         cases += 1
     return cases
@@ -241,8 +242,8 @@ def _policy_cases():
     cfg = PolicyConfig(sigma=0.1, f_min=1e-3)
     cases = 0
     for _ in range(10_000):
-        mu = rng.uniform(-0.5, 1.5, 6)
-        act = sample_action(mu, cfg, rng)
+        mu = rng.uniform(-0.5, 1.5, (1, 6))
+        act = sample_action(mu, cfg, [rng])
         assert np.all((act.F >= cfg.f_min) & (act.F <= 1.0))
         assert np.all((act.CR >= 0.0) & (act.CR <= 1.0))
         g = logprob_grad_mu(act, mu, cfg)
@@ -383,9 +384,9 @@ def test_criterion_9_controller_cost_scaling():
     costs = []
     for H in sizes:
         w = init_weights(H, D, N, stream(9, "mac", H))
-        x = stream(9, "x", H).normal(0.0, 1.0, D)
+        x = stream(9, "x", H).normal(0.0, 1.0, (1, D))
         with count_macs() as counter:
-            forward_step(w, x, zero_state(H))
+            forward_step(w, x, zero_state(H, 1))
         assert counter.total == 4 * H * (H + D) + 2 * N * H
         costs.append(counter.total)
     slope = float(np.polyfit(np.log(sizes), np.log(costs), 1)[0])

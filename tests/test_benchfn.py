@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from ldectl.benchfn import (
     DEFAULT_BOUNDS,
     FAMILY_CYCLE,
-    EvalCounter,
     FunctionInstance,
     error_value,
     format_instance,
@@ -18,6 +17,7 @@ from ldectl.benchfn import (
     parse_instance,
     save_instance,
 )
+from conftest import EvalCounter
 from ldectl.errors import ConsistencyError
 
 

@@ -1,11 +1,12 @@
 """Command-line front end: pipeline round trip, precedence, exit codes."""
 
 import csv
+import os
 from pathlib import Path
 
 import pytest
 
-from ldectl import neural
+from ldectl import neural, runner, trainer
 from ldectl.cli import main
 from ldectl.rng import stream
 
@@ -343,3 +344,22 @@ def test_unknown_flag_is_usage_error(capsys):
 def test_missing_instance_dir_is_io_failure(ws, capsys):
     assert main(["train", "--suite", "void"]) == 3
     assert "i/o failure" in capsys.readouterr().err
+
+
+def _die(payload):
+    os._exit(1)  # a worker process dying mid-task, as on a crash or an OOM kill
+
+
+def test_train_worker_crash_is_worker_failure(ws, capsys, monkeypatch):
+    _suite(ws)
+    monkeypatch.setattr(trainer, "_rollout_task", _die)
+    assert main(["train", *TINY_TRAIN, "--jobs", "2"]) == 4
+    assert "worker failure" in capsys.readouterr().err
+
+
+def test_run_worker_crash_is_worker_failure(ws, capsys, monkeypatch):
+    _suite(ws)
+    monkeypatch.setattr(runner, "_run_task", _die)
+    assert main(["run", "--algorithms", "de_rand1_fixed,ctpb_fixed", "--runs", "2",
+                 "--budget", "60", "--pop-size", "6", "--jobs", "2"]) == 4
+    assert "worker failure" in capsys.readouterr().err

@@ -26,6 +26,7 @@ from ldectl.neural import (
     save_weights,
     sgd_ascent,
     weights_add_scaled,
+    weights_rows,
     weights_zeros_like,
     zero_state,
 )
@@ -46,24 +47,24 @@ def _zero_weights(H, D, N):
 # ---------------------------------------------------------------- forward
 def test_forward_zero_weights_zero_state():
     w = _zero_weights(3, 2, 4)
-    mu, state, tape = forward_step(w, np.array([0.7, -0.2]), zero_state(3))
-    np.testing.assert_array_equal(tape.f, np.full(3, 0.5))
-    np.testing.assert_array_equal(tape.i, np.full(3, 0.5))
-    np.testing.assert_array_equal(tape.o, np.full(3, 0.5))
-    np.testing.assert_array_equal(tape.ctilde, np.zeros(3))
-    np.testing.assert_array_equal(state.c, np.zeros(3))
-    np.testing.assert_array_equal(state.h, np.zeros(3))
-    np.testing.assert_array_equal(mu, np.full(8, 0.5))
+    mu, state, tape = forward_step(w, np.array([[0.7, -0.2]]), zero_state(3, 1))
+    np.testing.assert_array_equal(tape.f, np.full((1, 3), 0.5))
+    np.testing.assert_array_equal(tape.i, np.full((1, 3), 0.5))
+    np.testing.assert_array_equal(tape.o, np.full((1, 3), 0.5))
+    np.testing.assert_array_equal(tape.ctilde, np.zeros((1, 3)))
+    np.testing.assert_array_equal(state.c, np.zeros((1, 3)))
+    np.testing.assert_array_equal(state.h, np.zeros((1, 3)))
+    np.testing.assert_array_equal(mu, np.full((1, 8), 0.5))
 
 
 def test_forward_zero_weights_carried_cell():
     w = _zero_weights(3, 2, 1)
-    prev = ControllerState(np.zeros(3), np.full(3, 2.0))
-    mu, state, _ = forward_step(w, np.zeros(2), prev)
-    np.testing.assert_array_equal(state.c, np.ones(3))  # c = 0.5 * c_prev
-    np.testing.assert_allclose(state.h, np.full(3, 0.5 * math.tanh(1.0)), atol=1e-15)
-    assert abs(state.h[0] - 0.38079708) < 1e-8
-    np.testing.assert_array_equal(mu, np.full(2, 0.5))
+    prev = ControllerState(np.zeros((1, 3)), np.full((1, 3), 2.0))
+    mu, state, _ = forward_step(w, np.zeros((1, 2)), prev)
+    np.testing.assert_array_equal(state.c, np.ones((1, 3)))  # c = 0.5 * c_prev
+    np.testing.assert_allclose(state.h, np.full((1, 3), 0.5 * math.tanh(1.0)), atol=1e-15)
+    assert abs(state.h[0, 0] - 0.38079708) < 1e-8
+    np.testing.assert_array_equal(mu, np.full((1, 2), 0.5))
 
 
 def test_forward_matches_straight_line_reimplementation():
@@ -87,30 +88,32 @@ def test_forward_matches_straight_line_reimplementation():
     mu_f = [sig(sum(w.W_F[r, j] * h[r] for r in range(H)) + w.b_F[j]) for j in range(N)]
     mu_c = [sig(sum(w.W_C[r, j] * h[r] for r in range(H)) + w.b_C[j]) for j in range(N)]
 
-    mu, state, _ = forward_step(w, x, st0)
-    np.testing.assert_allclose(state.c, c, rtol=1e-12)
-    np.testing.assert_allclose(state.h, h, rtol=1e-12)
-    np.testing.assert_allclose(mu, mu_f + mu_c, rtol=1e-12)
+    mu, state, _ = forward_step(w, x[None], ControllerState(st0.h[None], st0.c[None]))
+    np.testing.assert_allclose(state.c[0], c, rtol=1e-12)
+    np.testing.assert_allclose(state.h[0], h, rtol=1e-12)
+    np.testing.assert_allclose(mu[0], mu_f + mu_c, rtol=1e-12)
 
 
 def test_forward_validates_input_shape():
     w = init_weights(4, 3, 2, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        forward_step(w, np.zeros(4), zero_state(4))
+        forward_step(w, np.zeros((1, 4)), zero_state(4, 1))
+    with pytest.raises(ValueError):  # no batch axis
+        forward_step(w, np.zeros(3), zero_state(4, 1))
 
 
 def test_forward_nonfinite_raises_numeric_failure():
     w = init_weights(4, 3, 2, np.random.default_rng(0))
     w.W_f[0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericFailure):
-        forward_step(w, np.ones(3), zero_state(4))
+        forward_step(w, np.ones((1, 3)), zero_state(4, 1))
 
 
 def test_forward_outputs_clamped_inside_open_interval():
     w = init_weights(4, 3, 2, np.random.default_rng(0))
     w.b_F[:] = 1e9   # saturate the scale-factor head
     w.b_C[:] = -1e9
-    mu, _, _ = forward_step(w, np.ones(3), zero_state(4))
+    mu, _, _ = forward_step(w, np.ones((1, 3)), zero_state(4, 1))
     assert np.all(mu > 0.0) and np.all(mu < 1.0)
 
 
@@ -163,12 +166,12 @@ def test_bptt_matches_finite_differences_everywhere():
     xs = [rng.uniform(0, 1, D) for _ in range(T)]
     out_grads = [rng.normal(size=2 * N) for _ in range(T)]
 
-    state = zero_state(H)
+    state = zero_state(H, 1)
     tapes = []
     for x in xs:
-        _, state, tape = forward_step(w, x, state)
+        _, state, tape = forward_step(w, x[None], state)
         tapes.append(tape)
-    analytic = backward_through_time(w, tapes, out_grads)
+    analytic, = weights_rows(backward_through_time(w, tapes, [g[None] for g in out_grads]))
     numeric = fd_gradient(w, xs, out_grads, eps=1e-6)
 
     for k in FIELD_ORDER:
@@ -183,20 +186,22 @@ def test_bptt_matches_finite_differences_everywhere():
 def test_bptt_zero_out_grads_zero_gradient():
     H, D, N = 4, 3, 2
     w = init_weights(H, D, N, np.random.default_rng(0))
-    state = zero_state(H)
+    state = zero_state(H, 1)
     tapes = []
     for _ in range(3):
-        _, state, tape = forward_step(w, np.ones(D) * 0.5, state)
+        _, state, tape = forward_step(w, np.ones((1, D)) * 0.5, state)
         tapes.append(tape)
-    g = backward_through_time(w, tapes, [np.zeros(2 * N)] * 3)
+    g = backward_through_time(w, tapes, [np.zeros((1, 2 * N))] * 3)
     assert grad_norm(g) == 0.0
 
 
 def test_bptt_validates_lengths():
     w = init_weights(4, 3, 2, np.random.default_rng(0))
-    _, _, tape = forward_step(w, np.zeros(3), zero_state(4))
+    _, _, tape = forward_step(w, np.zeros((1, 3)), zero_state(4, 1))
     with pytest.raises(ValueError):
-        backward_through_time(w, [tape], [np.zeros(4), np.zeros(4)])
+        backward_through_time(w, [tape], [np.zeros((1, 4)), np.zeros((1, 4))])
+    with pytest.raises(ValueError):  # one output gradient row per rollout
+        backward_through_time(w, [tape], [np.zeros(4)])
 
 
 def test_single_step_head_only_gradient():
@@ -206,9 +211,9 @@ def test_single_step_head_only_gradient():
     rng = np.random.default_rng(9)
     w = init_weights(H, D, N, rng)
     x = rng.uniform(0, 1, D)
-    _, _, tape = forward_step(w, x, zero_state(H))
+    _, _, tape = forward_step(w, x[None], zero_state(H, 1))
     og = [rng.normal(size=2 * N)]
-    analytic = backward_through_time(w, [tape], og)
+    analytic, = weights_rows(backward_through_time(w, [tape], [og[0][None]]))
     numeric = fd_gradient(w, [x], og, eps=1e-6)
     assert grad_norm(analytic) > 0
     for k in FIELD_ORDER:
@@ -252,21 +257,24 @@ def test_mac_count_per_forward_step():
     H, D, N = 8, 6, 4
     w = init_weights(H, D, N, np.random.default_rng(0))
     with count_macs() as mc:
-        forward_step(w, np.zeros(D), zero_state(H))
+        forward_step(w, np.zeros((1, D)), zero_state(H, 1))
     assert mc.total == 4 * H * (H + D) + 2 * N * H
+    with count_macs() as batched:  # a step over 7 rollouts counts per rollout
+        forward_step(w, np.zeros((7, D)), zero_state(H, 7))
+    assert batched.total == mc.total
 
 
 def test_mac_count_scopes_do_not_leak():
     H, D, N = 4, 3, 2
     w = init_weights(H, D, N, np.random.default_rng(0))
     with count_macs() as outer:
-        forward_step(w, np.zeros(D), zero_state(H))
+        forward_step(w, np.zeros((1, D)), zero_state(H, 1))
         first = outer.total
         with count_macs() as inner:
-            forward_step(w, np.zeros(D), zero_state(H))
+            forward_step(w, np.zeros((1, D)), zero_state(H, 1))
         assert inner.total == first
         assert outer.total == first  # inner scope absorbed its own counts
-    forward_step(w, np.zeros(D), zero_state(H))  # no active counter: no error
+    forward_step(w, np.zeros((1, D)), zero_state(H, 1))  # no active counter: no error
 
 
 # ---------------------------------------------------------------- weight file

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import ScriptedRng
-from ldectl.benchfn import EvalCounter, make_suite
+from conftest import EvalCounter, ScriptedRng
+from ldectl.benchfn import make_suite
 from ldectl.de_core import Population
 from ldectl.neural import init_weights
 from ldectl.rng import stream
@@ -128,9 +128,9 @@ def test_rand1_mutation_pinned_draw_order():
     #   i=2: r1 = 0, r2 = 1 -> past {0, 2} -> 3, r3 = 0 -> past {0, 2, 3} -> 1
     #   i=3: r1 = 0, r2 = 1 -> past {0, 3} -> 2, r3 = 0 -> past {0, 2, 3} -> 1
     # one-hot members make v_i = e_r1 + F (e_r2 - e_r3) readable.
-    pop = Population(np.eye(4), np.arange(4.0))
+    pop = Population(np.eye(4)[None], np.arange(4.0)[None])
     rng = ScriptedRng(ints=[[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0]])
-    v = _mutate_rand1(pop, 0.5, rng)
+    v = _mutate_rand1(pop, 0.5, [rng])[0]
     assert rng.exhausted()
     picks = [(1, 3, 2), (0, 3, 2), (0, 3, 1), (0, 2, 1)]
     want = np.zeros((4, 4))

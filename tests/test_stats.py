@@ -205,9 +205,38 @@ def test_build_comparison_contents():
     assert table.aps == {"x": 0.0, "y": 0.5}
 
 
+def test_build_comparison_tests_each_unordered_pair_once(monkeypatch):
+    from ldectl import stats
+
+    rng = np.random.default_rng(5)
+    samples = {f"fn-{k}": {alg: rng.random(6).tolist() for alg in "abcd"} for k in range(3)}
+    want = build_comparison(samples)
+    calls = []
+
+    def counted(a, b):
+        calls.append((id(a), id(b)))
+        return ranksum_test(a, b)
+
+    monkeypatch.setattr(stats, "ranksum_test", counted)
+    table = build_comparison(samples)
+    assert len(calls) == 3 * 6  # C(4, 2) pairs per function, aps_rank reuses them
+    assert len({frozenset(c) for c in calls}) == len(calls)
+    assert table.p_value == want.p_value and table.mark == want.mark
+    assert table.aps == want.aps == aps_rank(samples)
+    for (fid, a, b), p in table.p_value.items():  # the test is symmetric
+        assert p == ranksum_test(samples[fid][b], samples[fid][a]).p_value
+
+
 def test_build_comparison_respects_algorithm_order():
     table = build_comparison(_table_samples(), algorithms=["y", "x"])
     assert table.algorithms == ["y", "x"]
+    # a subset of the algorithms gets marks; APS still ranks them all
+    samples = _table_samples()
+    for per_fn in samples.values():
+        per_fn["z"] = [v + 20.0 for v in per_fn["x"]]
+    table = build_comparison(samples, algorithms=["z", "x"])
+    assert set(table.p_value) == {(f, a, b) for f in samples for a, b in (("z", "x"), ("x", "z"))}
+    assert table.aps == aps_rank(samples)
 
 
 def test_build_comparison_validation():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ldectl.benchfn import EvalCounter, make_suite
+from conftest import EvalCounter
+from ldectl.benchfn import make_suite
 from ldectl.de_core import init_population
 from ldectl.errors import NumericFailure
 from ldectl.neural import (
@@ -15,14 +16,15 @@ from ldectl.neural import (
     forward_step,
     grad_norm,
     init_weights,
+    weights_rows,
     zero_state,
 )
-from ldectl.policy import logprob_grad_mu, sample_action
+from ldectl.policy import clip_action, logprob_grad_mu
 from ldectl.rng import stream
 from ldectl.trainer import (
+    RolloutBatch,
     StepRecord,
     TrainConfig,
-    Trajectory,
     epoch_gradient,
     sample_trajectory,
     step_advantages,
@@ -48,39 +50,56 @@ def _tiny_setup(cfg, fn_seed=7):
 def test_trajectory_shape_and_return_consistency():
     cfg = _tiny_cfg(horizon=5)
     f, w, pop0 = _tiny_setup(cfg)
-    tr = sample_trajectory(w, f, pop0, cfg, stream(0, "t"))
-    assert len(tr.steps) == 5
+    tr = sample_trajectory(w, f, pop0, cfg, [stream(0, "t")])
+    assert len(tr.steps) == 5 and tr.rewards.shape == (1, 5)
     assert tr.function_id == f.id
-    assert abs(tr.total_return - sum(s.reward for s in tr.steps)) < 1e-12
-    assert all(0.0 <= s.reward <= 1.0 for s in tr.steps)
+    assert abs(tr.total_return[0] - sum(tr.rewards[0])) < 1e-12
+    assert np.all((0.0 <= tr.rewards) & (tr.rewards <= 1.0))
 
 
 def test_trajectory_zero_horizon():
     cfg = _tiny_cfg(horizon=0)
     f, w, pop0 = _tiny_setup(cfg)
-    tr = sample_trajectory(w, f, pop0, cfg, stream(0, "t"))
-    assert tr.steps == [] and tr.total_return == 0.0
+    tr = sample_trajectory(w, f, pop0, cfg, [stream(0, "t")])
+    assert tr.steps == [] and tr.total_return.tolist() == [0.0]
 
 
 def test_trajectory_deterministic_and_pure():
     cfg = _tiny_cfg()
     f, w, pop0 = _tiny_setup(cfg)
     before = pop0.members.copy()
-    a = sample_trajectory(w, f, pop0, cfg, stream(3, "t"))
-    b = sample_trajectory(w, f, pop0, cfg, stream(3, "t"))
+    a = sample_trajectory(w, f, pop0, cfg, [stream(3, "t")])
+    b = sample_trajectory(w, f, pop0, cfg, [stream(3, "t")])
     np.testing.assert_array_equal(pop0.members, before)
-    assert a.total_return == b.total_return
+    np.testing.assert_array_equal(a.total_return, b.total_return)
     for sa, sb in zip(a.steps, b.steps):
         np.testing.assert_array_equal(sa.action.raw, sb.action.raw)
         np.testing.assert_array_equal(sa.mu, sb.mu)
+
+
+def test_trajectory_rows_do_not_depend_on_their_batch():
+    # a rollout's draws come from its own stream alone: rolled out with
+    # others or alone, it takes the same actions and earns the same rewards
+    cfg = _tiny_cfg(horizon=4)
+    f, w, pop0 = _tiny_setup(cfg)
+    together = sample_trajectory(w, f, pop0, cfg, [stream(5, "t", l) for l in range(3)])
+    for l in range(3):
+        alone = sample_trajectory(w, f, pop0, cfg, [stream(5, "t", l)])
+        np.testing.assert_array_equal(together.rewards[l], alone.rewards[0])
+        for st, sa in zip(together.steps, alone.steps):
+            np.testing.assert_array_equal(st.action.raw[l], sa.action.raw[0])
+            np.testing.assert_array_equal(st.mu[l], sa.mu[0])
 
 
 def test_trajectory_consumes_exactly_n_times_t_evaluations():
     cfg = _tiny_cfg(horizon=6)
     f, w, pop0 = _tiny_setup(cfg)
     counted = EvalCounter(f)
-    sample_trajectory(w, counted, pop0, cfg, stream(0, "t"))
+    sample_trajectory(w, counted, pop0, cfg, [stream(0, "t")])
     assert counted.count == cfg.pop_size * 6
+    counted = EvalCounter(f)  # L rollouts: L * N rows per generation
+    sample_trajectory(w, counted, pop0, cfg, [stream(0, "t", l) for l in range(3)])
+    assert counted.count == 3 * cfg.pop_size * 6
 
 
 def test_random_weights_make_progress_on_sphere():
@@ -93,36 +112,38 @@ def test_random_weights_make_progress_on_sphere():
         assert f.base == "sphere"
         w = init_weights(cfg.hidden, cfg.input_size, cfg.pop_size, stream(seed, "w"))
         pop0 = init_population(f, cfg.pop_size, stream(seed, "p0"))
-        tr = sample_trajectory(w, f, pop0, cfg, stream(seed, "t"))
-        wins += tr.total_return > 0.0
+        tr = sample_trajectory(w, f, pop0, cfg, [stream(seed, "t")])
+        wins += tr.total_return[0] > 0.0
     assert wins >= 9
 
 
 # ---------------------------------------------------------------- estimator
-def _oracle_advantages(trajs):
+def _oracle_advantages(batch):
     # straight-line reward-to-go minus the leave-one-out mean over the
-    # other trajectories of the same function, step by step
+    # batch's other rollouts, step by step
+    rewards = batch.rewards.tolist()
     out = []
-    for tr in trajs:
-        peers = [o for o in trajs if o is not tr and o.function_id == tr.function_id]
+    for i, mine in enumerate(rewards):
+        peers = [r for j, r in enumerate(rewards) if j != i]
         adv = []
-        for t in range(len(tr.steps)):
-            g = sum(s.reward for s in tr.steps[t:])
+        for t in range(len(mine)):
+            g = sum(mine[t:])
             if peers:
-                g -= sum(sum(s.reward for s in o.steps[t:]) for o in peers) / len(peers)
+                g -= sum(sum(r[t:]) for r in peers) / len(peers)
             adv.append(g)
         out.append(adv)
     return out
 
 
-def _replay_logdensity(w, trajs, advantages, sigma, hidden):
+def _replay_logdensity(w, batch, advantages, sigma, hidden):
+    # every rollout replayed alone, as a batch of one
     total = 0.0
-    for tr, adv in zip(trajs, advantages):
-        st = zero_state(hidden)
-        for step, a in zip(tr.steps, adv):
-            mu, st, _ = forward_step(w, step.state.as_vector, st)
-            total += a * float(np.sum(-((step.action.raw - mu) ** 2))) / (2 * sigma ** 2)
-    return total / len(trajs)
+    for b, adv in enumerate(advantages):
+        st = zero_state(hidden, 1)
+        for step, a in zip(batch.steps, adv):
+            mu, st, _ = forward_step(w, step.state.as_vector[b:b + 1], st)
+            total += a * float(np.sum(-((step.action.raw[b] - mu[0]) ** 2))) / (2 * sigma ** 2)
+    return total / len(advantages)
 
 
 @pytest.mark.parametrize("baseline", [False, True])
@@ -133,12 +154,11 @@ def test_epoch_gradient_matches_composite_finite_differences(baseline):
     cfg = _tiny_cfg()
     f, w, pop0 = _tiny_setup(cfg)
     rollouts = 3 if baseline else 1
-    trajs = [sample_trajectory(w, f, pop0, cfg, stream(1, "t", l)) for l in range(rollouts)]
-    advantages = _oracle_advantages(trajs)
-    for got, want in zip(step_advantages(trajs), advantages):
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    batch = sample_trajectory(w, f, pop0, cfg, [stream(1, "t", l) for l in range(rollouts)])
+    advantages = _oracle_advantages(batch)
+    np.testing.assert_allclose(step_advantages(batch), advantages, rtol=0.0, atol=1e-12)
 
-    analytic = epoch_gradient(w, trajs, cfg)
+    analytic = epoch_gradient(w, [batch], cfg)
     eps = 1e-6
     for k in FIELD_ORDER:
         arr = getattr(w, k)
@@ -148,9 +168,9 @@ def test_epoch_gradient_matches_composite_finite_differences(baseline):
             ix = it.multi_index
             orig = arr[ix]
             arr[ix] = orig + eps
-            hi = _replay_logdensity(w, trajs, advantages, cfg.sigma, cfg.hidden)
+            hi = _replay_logdensity(w, batch, advantages, cfg.sigma, cfg.hidden)
             arr[ix] = orig - eps
-            lo = _replay_logdensity(w, trajs, advantages, cfg.sigma, cfg.hidden)
+            lo = _replay_logdensity(w, batch, advantages, cfg.sigma, cfg.hidden)
             arr[ix] = orig
             numeric[ix] = (hi - lo) / (2 * eps)
         a = getattr(analytic, k)
@@ -162,11 +182,9 @@ def test_epoch_gradient_matches_composite_finite_differences(baseline):
 def test_epoch_gradient_zero_returns_zero_gradient():
     cfg = _tiny_cfg()
     f, w, pop0 = _tiny_setup(cfg)
-    trajs = [sample_trajectory(w, f, pop0, cfg, stream(1, "t", l)) for l in range(2)]
-    for tr in trajs:  # zero every step reward: every advantage is built from them
-        for s in tr.steps:
-            s.reward = 0.0
-    assert grad_norm(epoch_gradient(w, trajs, cfg)) == 0.0
+    batch = sample_trajectory(w, f, pop0, cfg, [stream(1, "t", l) for l in range(2)])
+    batch.rewards[:] = 0.0  # zero every step reward: every advantage is built from them
+    assert grad_norm(epoch_gradient(w, [batch], cfg)) == 0.0
 
 
 def test_epoch_gradient_baseline_centers_per_function():
@@ -174,11 +192,9 @@ def test_epoch_gradient_baseline_centers_per_function():
     f, w, pop0 = _tiny_setup(cfg)
     # three trajectories of one function with the same per-step rewards:
     # every leave-one-out advantage is zero
-    trajs = [sample_trajectory(w, f, pop0, cfg, stream(2, "t", l)) for l in range(3)]
-    for tr in trajs:
-        for s, r in zip(tr.steps, (0.5, 0.25, 0.125)):
-            s.reward = r
-    assert grad_norm(epoch_gradient(w, trajs, cfg)) == 0.0
+    batch = sample_trajectory(w, f, pop0, cfg, [stream(2, "t", l) for l in range(3)])
+    batch.rewards[:] = (0.5, 0.25, 0.125)
+    assert grad_norm(epoch_gradient(w, [batch], cfg)) == 0.0
 
 
 def test_epoch_gradient_single_rollout_falls_back_to_reward_to_go():
@@ -186,44 +202,43 @@ def test_epoch_gradient_single_rollout_falls_back_to_reward_to_go():
     f, w, pop0 = _tiny_setup(cfg)
     g = make_suite(7, 2, 2, 0).train[1]
     assert g.id != f.id
-    alone = sample_trajectory(w, f, pop0, cfg, stream(3, "t"))
-    pair = [sample_trajectory(w, g, pop0, cfg, stream(3, "u", l)) for l in range(2)]
-    for tr, rewards in zip([alone, *pair], ((0.5, 0.25, 0.0, 0.125),
-                                            (0.5, 0.5, 0.0, 0.0),
-                                            (0.25, 0.0, 0.0, 0.25))):
-        for s, r in zip(tr.steps, rewards):
-            s.reward = r
-    adv = step_advantages([alone, *pair])
-    np.testing.assert_array_equal(adv[0], [0.875, 0.375, 0.125, 0.125])
+    alone = sample_trajectory(w, f, pop0, cfg, [stream(3, "t")])
+    pair = sample_trajectory(w, g, pop0, cfg, [stream(3, "u", l) for l in range(2)])
+    alone.rewards[:] = (0.5, 0.25, 0.0, 0.125)
+    pair.rewards[:] = ((0.5, 0.5, 0.0, 0.0), (0.25, 0.0, 0.0, 0.25))
+    np.testing.assert_array_equal(step_advantages(alone), [[0.875, 0.375, 0.125, 0.125]])
     # the pair centres on each other; the lone rollout is not pooled in
-    np.testing.assert_array_equal(adv[1], [0.5, 0.25, -0.25, -0.25])
-    np.testing.assert_array_equal(adv[2], [-0.5, -0.25, 0.25, 0.25])
+    adv = step_advantages(pair)
+    np.testing.assert_array_equal(adv[0], [0.5, 0.25, -0.25, -0.25])
+    np.testing.assert_array_equal(adv[1], [-0.5, -0.25, 0.25, 0.25])
     assert grad_norm(epoch_gradient(w, [alone], cfg)) > 0.0
+    assert grad_norm(epoch_gradient(w, [alone, pair], cfg)) > 0.0
 
 
-def test_step_advantages_require_one_horizon_per_function():
+def test_epoch_gradient_requires_one_batch_per_function():
+    # a function's rollouts share one baseline, so they must form one batch
     f, w, pop0 = _tiny_setup(_tiny_cfg())
-    short = sample_trajectory(w, f, pop0, _tiny_cfg(horizon=2), stream(4, "t", 0))
-    long = sample_trajectory(w, f, pop0, _tiny_cfg(horizon=3), stream(4, "t", 1))
+    short = sample_trajectory(w, f, pop0, _tiny_cfg(horizon=2), [stream(4, "t", 0)])
+    long = sample_trajectory(w, f, pop0, _tiny_cfg(horizon=3), [stream(4, "t", 1)])
     with pytest.raises(ValueError):
-        step_advantages([short, long])
+        epoch_gradient(w, [short, long], _tiny_cfg())
 
 
 def _toy_batch(w, xs, target, cfg, rng, rollouts):
     # inputs are fixed, so mu_t depends on the weights only; the reward
-    # -|a_t - target|^2 then has expectation -|mu_t - target|^2 - 2 sigma^2
-    batch = []
-    for _ in range(rollouts):
-        state = zero_state(w.hidden)
-        tr = Trajectory(function_id="toy")
-        for x in xs:
-            mu, state, tape = forward_step(w, x, state)
-            act = sample_action(mu, cfg, rng)
-            r = -float(np.sum((act.raw - target) ** 2))
-            tr.steps.append(StepRecord(None, tape, act, mu, r))
-            tr.total_return += r
-        batch.append(tr)
-    return batch
+    # -|a_t - target|^2 then has expectation -|mu_t - target|^2 - 2 sigma^2.
+    # The rollouts draw from one generator, rollout by rollout.
+    state = zero_state(w.hidden, rollouts)
+    mus, tapes = [], []
+    for x in xs:
+        mu, state, tape = forward_step(w, np.tile(x, (rollouts, 1)), state)
+        mus.append(mu)
+        tapes.append(tape)
+    raw = np.array([[rng.normal(mu[b], cfg.sigma) for mu in mus] for b in range(rollouts)])
+    rewards = -np.sum((raw - target) ** 2, axis=2)
+    steps = [StepRecord(None, tape, clip_action(raw[:, t], cfg), mu)
+             for t, (mu, tape) in enumerate(zip(mus, tapes))]
+    return RolloutBatch("toy", steps, rewards, rewards.sum(axis=1))
 
 
 def test_estimator_matches_exact_gradient_with_less_variance():
@@ -231,24 +246,26 @@ def test_estimator_matches_exact_gradient_with_less_variance():
     w = init_weights(3, 2, 1, stream(11, "w"))
     xs = stream(11, "x").normal(0.0, 1.0, (4, 2))
     target = np.array([0.7, 0.2])
-    tapes, state, out_grads = [], zero_state(w.hidden), []
+    tapes, state, out_grads = [], zero_state(w.hidden, 1), []
     for x in xs:
-        mu, state, tape = forward_step(w, x, state)
+        mu, state, tape = forward_step(w, x[None], state)
         tapes.append(tape)
         out_grads.append(-2.0 * (mu - target))
-    exact = flatten_weights(backward_through_time(w, tapes, out_grads))
+    exact, = weights_rows(backward_through_time(w, tapes, out_grads))
+    exact = flatten_weights(exact)
 
     rng = stream(11, "toy")
     new, whole = [], []
     for _ in range(1000):
         batch = _toy_batch(w, xs, target, cfg, rng, rollouts=4)
-        new.append(flatten_weights(epoch_gradient(w, batch, cfg)))
+        new.append(flatten_weights(epoch_gradient(w, [batch], cfg)))
         acc = np.zeros_like(exact)
-        for tr in batch:
-            acc += flatten_weights(backward_through_time(
-                w, [s.tape for s in tr.steps],
-                [tr.total_return * logprob_grad_mu(s.action, s.mu, cfg) for s in tr.steps]))
-        whole.append(acc / len(batch))
+        for g in weights_rows(backward_through_time(
+                w, [s.tape for s in batch.steps],
+                [batch.total_return[:, None] * logprob_grad_mu(s.action, s.mu, cfg)
+                 for s in batch.steps])):
+            acc += flatten_weights(g)
+        whole.append(acc / batch.size)
     new, whole = np.asarray(new), np.asarray(whole)
     se = new.std(axis=0, ddof=1) / np.sqrt(len(new))
     z = (new.mean(axis=0) - exact) / se

@@ -1,8 +1,12 @@
 """Shared test helpers: scripted random streams, an evaluation counter, a
-parameter-range check, and hypothesis settings."""
+parameter-range check, the brute-force rank-sum oracle, and hypothesis
+settings."""
+
+import itertools
 
 import numpy as np
 from hypothesis import HealthCheck, settings
+from scipy import stats as sps
 
 settings.register_profile(
     "default",
@@ -79,3 +83,19 @@ def check_sheet_ranges(sheet):
         raise ValueError("F entries must lie in (0, 1]")
     if np.any(sheet.CR < 0.0) or np.any(sheet.CR > 1.0):
         raise ValueError("CR entries must lie in [0, 1]")
+
+
+def oracle_exact_p(a, b):
+    """Brute force: midranks via scipy, tail mass of |W - E[W]| >= observed."""
+    pooled = np.concatenate([np.asarray(a, float), np.asarray(b, float)])
+    ranks = sps.rankdata(pooled)
+    n = len(a)
+    mean_w = n * (len(pooled) + 1) / 2.0
+    w_obs = ranks[:n].sum()
+    dev = abs(w_obs - mean_w) - 1e-9
+    hits = total = 0
+    for combo in itertools.combinations(range(len(pooled)), n):
+        total += 1
+        if abs(ranks[list(combo)].sum() - mean_w) >= dev:
+            hits += 1
+    return w_obs, hits / total

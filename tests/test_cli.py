@@ -4,8 +4,10 @@ import csv
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import oracle_exact_p
 from ldectl import neural, runner, trainer
 from ldectl.cli import main
 from ldectl.rng import stream
@@ -255,6 +257,36 @@ def test_compare_reads_run_output(ws, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     assert all(0.0 <= float(r["aps"]) <= 3.0 for r in rows)
+
+
+def test_compare_exact_p_values_at_the_limit(ws, capsys):
+    # 10 runs per pair, the most the exact path takes; some runs solve to 0.0
+    rng = np.random.default_rng(11)
+    errors = {}
+    for fid in ("fn-a", "fn-b"):
+        for k, alg in enumerate(("alpha", "beta", "gamma")):
+            e = rng.lognormal(k, 1.0, 10)
+            e[rng.random(10) < 0.3 * (3 - k)] = 0.0
+            errors[fid, alg] = e.tolist()
+    with open(ws / "results.csv", "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["algorithm_id", "function_id", "seed", "best_error", "evals_used"])
+        for (fid, alg), errs in errors.items():
+            for seed, err in enumerate(errs):
+                wr.writerow([alg, fid, seed, repr(err), 100])
+    assert main(["compare", "--results", "results.csv", "--out", "cmp"]) == 0
+    capsys.readouterr()
+    with open(ws / "cmp" / "marks.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 3 * 2
+    oracle = {}
+    for r in rows:
+        fid = r["function_id"]
+        a, b = sorted((r["algorithm_a"], r["algorithm_b"]))
+        if (fid, a, b) not in oracle:  # the test is symmetric: one oracle run per pair
+            oracle[fid, a, b] = oracle_exact_p(errors[fid, a], errors[fid, b])[1]
+        assert float(r["p_value"]) == oracle[fid, a, b]
+    assert min(oracle.values()) < 0.05 < max(oracle.values())
 
 
 def test_compare_missing_results_file_is_io_failure(ws, capsys):

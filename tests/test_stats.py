@@ -1,6 +1,6 @@
 """Rank-sum comparison: exact and normal p-values, marks, APS, report."""
 
-import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from conftest import oracle_exact_p
 from ldectl.stats import (
     EXACT_LIMIT,
     MARK_BETTER,
@@ -19,22 +20,6 @@ from ldectl.stats import (
     render_report,
     significance_mark,
 )
-
-
-def _oracle_exact_p(a, b):
-    """Brute force: midranks via scipy, tail mass of |W - E[W]| >= observed."""
-    pooled = np.concatenate([np.asarray(a, float), np.asarray(b, float)])
-    ranks = sps.rankdata(pooled)
-    n = len(a)
-    mean_w = n * (len(pooled) + 1) / 2.0
-    w_obs = ranks[:n].sum()
-    dev = abs(w_obs - mean_w) - 1e-9
-    hits = total = 0
-    for combo in itertools.combinations(range(len(pooled)), n):
-        total += 1
-        if abs(ranks[list(combo)].sum() - mean_w) >= dev:
-            hits += 1
-    return w_obs, hits / total
 
 
 # ---------------------------------------------------------------- exact path
@@ -61,7 +46,7 @@ def test_exact_tied_pool_uses_midranks():
     res = ranksum_test([1, 2, 2, 3], [2, 2, 4])
     assert res.statistic == pytest.approx(1 + 3.5 + 3.5 + 6)
     assert res.p_value == pytest.approx(17 / 35)
-    w, p = _oracle_exact_p([1, 2, 2, 3], [2, 2, 4])
+    w, p = oracle_exact_p([1, 2, 2, 3], [2, 2, 4])
     assert res.statistic == pytest.approx(w) and res.p_value == pytest.approx(p)
 
 
@@ -73,9 +58,38 @@ def test_exact_tied_pool_uses_midranks():
 def test_exact_path_matches_enumeration_oracle(a, b):
     res = ranksum_test(a, b)
     assert res.method == "exact"
-    w, p = _oracle_exact_p(a, b)
+    w, p = oracle_exact_p(a, b)
     assert res.statistic == pytest.approx(w)
-    assert res.p_value == pytest.approx(p, rel=1e-12)
+    assert res.p_value == p
+
+
+def _pool(kind, size, rng):
+    if kind == "normal":
+        return rng.normal(size=size)
+    if kind == "binary":  # heavy ties
+        return rng.integers(0, 2, size).astype(float)
+    return np.full(size, 0.25)  # "tied": one value throughout
+
+
+@pytest.mark.parametrize("n, m, kind", [
+    (10, 10, "normal"), (1, 10, "normal"), (10, 1, "normal"), (9, 10, "normal"),
+    (10, 10, "binary"), (10, 10, "tied"),
+])
+def test_exact_p_equals_enumeration_at_the_limit(n, m, kind):
+    rng = np.random.default_rng(n * 100 + m)
+    a, b = _pool(kind, n, rng), _pool(kind, m, rng)
+    res = ranksum_test(a, b)
+    assert res.method == "exact"
+    w, p = oracle_exact_p(a, b)
+    assert res.statistic == w
+    assert res.p_value == p
+    if kind == "tied":
+        assert p == 1.0
+
+
+def test_exact_fully_separated_at_the_limit():
+    res = ranksum_test(range(EXACT_LIMIT), range(EXACT_LIMIT, 2 * EXACT_LIMIT))
+    assert res.p_value == 2 / math.comb(2 * EXACT_LIMIT, EXACT_LIMIT)
 
 
 def test_exact_p_symmetric_in_sample_order():

@@ -163,7 +163,6 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int)
     p.add_argument("--eps", type=float)
     p.add_argument("--threshold", type=float)
-    p.add_argument("--corrupt", action="store_true", default=None, help=argparse.SUPPRESS)
 
     return top
 
@@ -325,18 +324,25 @@ def cmd_compare(args) -> int:
         raise UsageError("alpha_sig must lie in (0, 1)")
     samples = {}
     algorithms = []
-    with open(opt["results"], newline="") as fh:
-        rd = csv.DictReader(fh)
-        need = {"algorithm_id", "function_id", "best_error"}
-        if rd.fieldnames is None or not need <= set(rd.fieldnames):
-            raise UsageError(f"{opt['results']}: missing columns {sorted(need)}")
+    path = opt["results"]
+    with open(path, newline="") as fh:
+        rd = csv.reader(fh)
+        header = next(rd, [])
+        need = ("algorithm_id", "function_id", "best_error")
+        if not set(need) <= set(header):
+            raise UsageError(f"{path}: missing columns {sorted(need)}")
+        ia, ifn, ie = (header.index(c) for c in need)
         for row in rd:
-            samples.setdefault(row["function_id"], {}).setdefault(
-                row["algorithm_id"], []).append(float(row["best_error"]))
-            if row["algorithm_id"] not in algorithms:
-                algorithms.append(row["algorithm_id"])
+            if not row:  # blank line
+                continue
+            if len(row) != len(header):
+                raise UsageError(f"{path} line {rd.line_num}: "
+                                 f"{len(row)} fields, header has {len(header)}")
+            samples.setdefault(row[ifn], {}).setdefault(row[ia], []).append(float(row[ie]))
+            if row[ia] not in algorithms:
+                algorithms.append(row[ia])
     if not samples:
-        raise UsageError(f"{opt['results']}: no data rows")
+        raise UsageError(f"{path}: no data rows")
     if len(algorithms) < 2:
         raise UsageError("comparison needs at least two algorithms")
     for fid, per_fn in samples.items():
@@ -380,14 +386,14 @@ def cmd_compare(args) -> int:
 def cmd_gradcheck(args) -> int:
     opt = _resolve(args, {
         "seed": 0, "hidden": 8, "actions": 4, "bins": 1, "steps": 5,
-        "eps": 1e-6, "threshold": 1e-4, "corrupt": False,
+        "eps": 1e-6, "threshold": 1e-4,
     })
     if min(opt["hidden"], opt["actions"], opt["bins"], opt["steps"]) < 1:
         raise UsageError("hidden, actions, bins, and steps must be >= 1")
     report = neural.run_gradcheck(
         hidden=opt["hidden"], actions=opt["actions"], bins=opt["bins"],
         steps=opt["steps"], eps=opt["eps"], threshold=opt["threshold"],
-        seed=opt["seed"], corrupt=opt["corrupt"])
+        seed=opt["seed"])
     for name in neural.FIELD_ORDER:
         print(f"{name:6s} rel_err {report.per_field[name]:.3e}")
     verdict = "PASS" if report.passed else "FAIL"

@@ -1,15 +1,17 @@
 """LSTM controller with two sigmoid heads, trained by hand-rolled BPTT.
 
-One forward step consumes the feature vector x_t (length D), updates the
-cell through the usual gates
+One forward step consumes the feature vector x_t (length D) and updates
+the cell through the usual gates, stacked into one product with the
+(4H, H + D) matrix W_g, gate rows in the order f, i, o, c:
 
-    f = sig(W_f [h; x] + b_f)      i = sig(W_i [h; x] + b_i)
-    g = tanh(W_c [h; x] + b_c)     o = sig(W_o [h; x] + b_o)
-    c = f * c_prev + i * g         h = o * tanh(c)
+    [a_f; a_i; a_o; a_c] = W_g [h; x] + b_g
+    f, i, o = sig(a_f), sig(a_i), sig(a_o)      g = tanh(a_c)
+    c = f * c_prev + i * g                      h = o * tanh(c)
 
-and emits 2N head outputs mu = [sig(h W_F + b_F); sig(h W_C + b_C)],
-the per-individual scale-factor and crossover-rate means.  Backward
-replays the taped steps in reverse and accumulates exact gradients of
+and emits 2N head outputs mu = sig(W_head^T h + b_head) from the (H, 2N)
+matrix W_head: the per-individual scale-factor means in its first N
+columns, the crossover-rate means in the last N.  Backward replays the
+taped steps in reverse and accumulates exact gradients of
 sum_t <out_grad_t, mu_t> with respect to every weight; nothing is
 truncated.  A central finite-difference checker covers the whole
 parameter vector.
@@ -39,16 +41,12 @@ import numpy as np
 from .errors import NumericFailure
 from .policy import PolicyConfig
 
-FIELD_ORDER = (
-    "W_f", "W_i", "W_c", "W_o",
-    "b_f", "b_i", "b_c", "b_o",
-    "W_F", "b_F", "W_C", "b_C",
-)
+FIELD_ORDER = ("W_g", "b_g", "W_head", "b_head")
 
 # head outputs are clamped strictly inside (0, 1)
 _HEAD_EPS = 1e-12
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class WeightFileError(OSError):
@@ -57,33 +55,25 @@ class WeightFileError(OSError):
 
 @dataclass
 class ControllerWeights:
-    """All trainable parameters; gate matrices act on [h_prev; x]."""
+    """All trainable parameters: the stacked gates act on [h_prev; x]."""
 
-    W_f: np.ndarray
-    W_i: np.ndarray
-    W_c: np.ndarray
-    W_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-    W_F: np.ndarray
-    b_F: np.ndarray
-    W_C: np.ndarray
-    b_C: np.ndarray
+    W_g: np.ndarray     # (4H, H + D), gate rows f, i, o, c
+    b_g: np.ndarray     # (4H,)
+    W_head: np.ndarray  # (H, 2N), scale-factor columns first
+    b_head: np.ndarray  # (2N,)
 
     @property
     def hidden(self) -> int:
-        return self.b_f.shape[0]
+        return self.W_head.shape[0]
 
     @property
     def input_size(self) -> int:
-        return self.W_f.shape[1] - self.hidden
+        return self.W_g.shape[1] - self.hidden
 
     @property
     def actions(self) -> int:
         # individuals controlled, i.e. N; the policy emits 2N means
-        return self.b_F.shape[0]
+        return self.b_head.shape[0] // 2
 
 
 @dataclass
@@ -113,7 +103,12 @@ def zero_state(hidden: int, batch: int) -> ControllerState:
 
 
 def init_weights(hidden: int, input_size: int, actions: int, rng) -> ControllerWeights:
-    """Every entry uniform in [-1/sqrt(hidden), +1/sqrt(hidden)]."""
+    """Every entry uniform in [-1/sqrt(hidden), +1/sqrt(hidden)].
+
+    Each gate and head is drawn on its own, in the order W_f, W_i, W_c,
+    W_o, b_f, b_i, b_c, b_o, W_F, b_F, W_C, b_C, and the draws are then
+    stacked into the fused layout.
+    """
     if hidden < 1 or input_size < 1 or actions < 1:
         raise ValueError("hidden, input_size, and actions must be positive")
     lim = 1.0 / np.sqrt(hidden)
@@ -121,12 +116,13 @@ def init_weights(hidden: int, input_size: int, actions: int, rng) -> ControllerW
     def u(*shape):
         return rng.uniform(-lim, lim, size=shape)
 
+    W_f, W_i, W_c, W_o = (u(hidden, hidden + input_size) for _ in range(4))
+    b_f, b_i, b_c, b_o = (u(hidden) for _ in range(4))
+    W_F, b_F = u(hidden, actions), u(actions)
+    W_C, b_C = u(hidden, actions), u(actions)
     return ControllerWeights(
-        W_f=u(hidden, hidden + input_size), W_i=u(hidden, hidden + input_size),
-        W_c=u(hidden, hidden + input_size), W_o=u(hidden, hidden + input_size),
-        b_f=u(hidden), b_i=u(hidden), b_c=u(hidden), b_o=u(hidden),
-        W_F=u(hidden, actions), b_F=u(actions),
-        W_C=u(hidden, actions), b_C=u(actions),
+        W_g=np.concatenate([W_f, W_i, W_o, W_c]), b_g=np.concatenate([b_f, b_i, b_o, b_c]),
+        W_head=np.concatenate([W_F, W_C], axis=1), b_head=np.concatenate([b_F, b_C]),
     )
 
 
@@ -196,18 +192,17 @@ def forward_step(w: ControllerWeights, x, state: ControllerState):
     if x.ndim != 2 or x.shape[1] != w.input_size:
         raise ValueError(f"input shape {x.shape} != (B, {w.input_size})")
     if _mac_counter is not None:
-        _mac_counter.total += 4 * w.W_f.size + w.W_F.size + w.W_C.size
+        _mac_counter.total += w.W_g.size + w.W_head.size
     z = np.concatenate([state.h, x], axis=1)
+    a = _stacked(w.W_g, z) + w.b_g
     # the three sigmoid gates in one elementwise pass
-    fio = _sigmoid(np.concatenate([_stacked(w.W_f, z) + w.b_f, _stacked(w.W_i, z) + w.b_i,
-                                   _stacked(w.W_o, z) + w.b_o], axis=1))
+    fio = _sigmoid(a[:, :3 * H])
     f, i, o = fio[:, :H], fio[:, H:2 * H], fio[:, 2 * H:]
-    ctilde = np.tanh(_stacked(w.W_c, z) + w.b_c)
+    ctilde = np.tanh(a[:, 3 * H:])
     c = f * state.c + i * ctilde
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    mu_raw = _sigmoid(np.concatenate([_stacked(w.W_F.T, h) + w.b_F,
-                                      _stacked(w.W_C.T, h) + w.b_C], axis=1))
+    mu_raw = _sigmoid(_stacked(w.W_head.T, h) + w.b_head)
     # h lies in [-1, 1] and mu_raw in [0, 1]: their sum is finite unless
     # some entry is not
     if not np.isfinite(h.sum() + mu_raw.sum()):
@@ -238,7 +233,7 @@ def sgd_ascent(w: ControllerWeights, grad: ControllerWeights, alpha: float) -> C
 def weights_rows(g: ControllerWeights) -> list:
     """Split weights stacked along a leading batch axis into one per row."""
     return [ControllerWeights(**{k: getattr(g, k)[b] for k in FIELD_ORDER})
-            for b in range(g.b_f.shape[0])]
+            for b in range(g.b_g.shape[0])]
 
 
 def flatten_weights(w: ControllerWeights) -> np.ndarray:
@@ -266,28 +261,24 @@ def backward_through_time(w: ControllerWeights, tapes, out_grads) -> ControllerW
     if len(tapes) != len(out_grads):
         raise ValueError("tapes and out_grads must have equal length")
     H = w.hidden
-    N = w.actions
     B = len(out_grads[0]) if out_grads else 0
-    # the gate gradients accumulate as one (B, 4H, H + D) stack, gates in
-    # the order f, i, c, o, and the heads as one (B, H, 2N) stack: each
-    # entry still sums its own products over the steps, newest first
-    g_gates = np.zeros((B, 4 * H, w.W_f.shape[1]))
-    outer = np.empty_like(g_gates)  # reused: a fresh (B, 4H, H + D) temporary per step is slower
-    g_gate_bias = np.zeros((B, 4 * H))
-    g_heads = np.zeros((B, H, 2 * N))
-    g_head_bias = np.zeros((B, 2 * N))
+    # each entry sums its own outer-product terms over the steps, newest first
+    g_W = np.zeros((B,) + w.W_g.shape)
+    outer = np.empty_like(g_W)  # reused: a fresh (B, 4H, H + D) temporary per step is slower
+    g_b = np.zeros((B,) + w.b_g.shape)
+    g_head = np.zeros((B,) + w.W_head.shape)
+    g_head_b = np.zeros((B,) + w.b_head.shape)
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
     for tape, og in zip(reversed(tapes), reversed(out_grads)):
         og = np.asarray(og, dtype=float)
-        if og.shape != (B, 2 * N):
-            raise ValueError(f"out_grad shape {og.shape} != ({B}, {2 * N})")
+        if og.shape != g_head_b.shape:
+            raise ValueError(f"out_grad shape {og.shape} != {g_head_b.shape}")
         da_heads = og * tape.mu_raw * (1.0 - tape.mu_raw)
-        daF, daC = da_heads[:, :N], da_heads[:, N:]
-        g_heads += tape.h[:, :, None] * da_heads[:, None, :]
-        g_head_bias += da_heads
+        g_head += tape.h[:, :, None] * da_heads[:, None, :]
+        g_head_b += da_heads
 
-        dh = _stacked(w.W_F, daF) + _stacked(w.W_C, daC) + dh_next
+        dh = _stacked(w.W_head, da_heads) + dh_next
         do = dh * tape.tanh_c
         dao = do * tape.o * (1.0 - tape.o)
         dc = dh * tape.o * (1.0 - tape.tanh_c ** 2) + dc_next
@@ -298,21 +289,13 @@ def backward_through_time(w: ControllerWeights, tapes, out_grads) -> ControllerW
         dg = dc * tape.i
         dac = dg * (1.0 - tape.ctilde ** 2)
 
-        da_gates = np.concatenate([daf, dai, dac, dao], axis=1)
-        g_gates += np.multiply(da_gates[:, :, None], tape.z[:, None, :], out=outer)
-        g_gate_bias += da_gates
+        da_gates = np.concatenate([daf, dai, dao, dac], axis=1)
+        g_W += np.multiply(da_gates[:, :, None], tape.z[:, None, :], out=outer)
+        g_b += da_gates
 
-        dz = (_stacked(w.W_f.T, daf) + _stacked(w.W_i.T, dai)
-              + _stacked(w.W_c.T, dac) + _stacked(w.W_o.T, dao))
-        dh_next = dz[:, :H]
+        dh_next = _stacked(w.W_g.T, da_gates)[:, :H]
         dc_next = dc * tape.f
-    W_f, W_i, W_c, W_o = np.split(g_gates, 4, axis=1)
-    b_f, b_i, b_c, b_o = np.split(g_gate_bias, 4, axis=1)
-    return ControllerWeights(
-        W_f=W_f, W_i=W_i, W_c=W_c, W_o=W_o, b_f=b_f, b_i=b_i, b_c=b_c, b_o=b_o,
-        W_F=g_heads[:, :, :N], b_F=g_head_bias[:, :N],
-        W_C=g_heads[:, :, N:], b_C=g_head_bias[:, N:],
-    )
+    return ControllerWeights(W_g=g_W, b_g=g_b, W_head=g_head, b_head=g_head_b)
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +345,8 @@ class GradCheckReport:
 
 def run_gradcheck(hidden: int = 8, actions: int = 4, bins: int = 1, steps: int = 5,
                   eps: float = 1e-6, threshold: float = 1e-4, seed: int = 0,
-                  rng=None, corrupt: bool = False) -> GradCheckReport:
-    """Compare BPTT gradients against central differences on a seeded rollout.
-
-    ``corrupt`` deliberately damages one analytic entry first; it exists so
-    harnesses can prove the check actually detects wrong gradients.
-    """
+                  rng=None) -> GradCheckReport:
+    """Compare BPTT gradients against central differences on a seeded rollout."""
     if rng is None:
         from .rng import stream
         rng = stream(seed, "gradcheck")
@@ -382,8 +361,6 @@ def run_gradcheck(hidden: int = 8, actions: int = 4, bins: int = 1, steps: int =
         _, state, tape = forward_step(w, x[None], state)
         tapes.append(tape)
     analytic, = weights_rows(backward_through_time(w, tapes, [og[None] for og in out_grads]))
-    if corrupt:
-        analytic.W_f[0, 0] += 1.0
     numeric = fd_gradient(w, xs, out_grads, eps=eps)
 
     # relative error per parameter matrix: ||a - n|| / max(||a||, ||n||).
@@ -409,12 +386,8 @@ def run_gradcheck(hidden: int = 8, actions: int = 4, bins: int = 1, steps: int =
 # weight files
 
 def _shapes(hidden: int, input_size: int, actions: int):
-    z = hidden + input_size
-    return (
-        (hidden, z), (hidden, z), (hidden, z), (hidden, z),
-        (hidden,), (hidden,), (hidden,), (hidden,),
-        (hidden, actions), (actions,), (hidden, actions), (actions,),
-    )
+    return ((4 * hidden, hidden + input_size), (4 * hidden,),
+            (hidden, 2 * actions), (2 * actions,))
 
 
 def save_weights(w: ControllerWeights, path, *, seed: int, spec: PolicyConfig,

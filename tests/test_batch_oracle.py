@@ -19,7 +19,13 @@ import pytest
 from ldectl import cli
 from ldectl.benchfn import error_value, make_suite
 from ldectl.de_core import Population
-from ldectl.neural import FIELD_ORDER, flatten_weights, init_weights
+from ldectl.neural import (
+    FIELD_ORDER,
+    ControllerState,
+    flatten_weights,
+    forward_step,
+    init_weights,
+)
 from ldectl.rng import stream
 from ldectl.trainer import TrainConfig, epoch_gradient, sample_trajectory, train
 
@@ -36,15 +42,14 @@ def _sigmoid(z):
 
 def _forward(w, x, h, c):
     z = np.concatenate([h, x])
-    f = _sigmoid(w.W_f @ z + w.b_f)
-    i = _sigmoid(w.W_i @ z + w.b_i)
-    ct = np.tanh(w.W_c @ z + w.b_c)
-    o = _sigmoid(w.W_o @ z + w.b_o)
+    H = w.hidden
+    a = w.W_g @ z + w.b_g  # gate rows f, i, o, c
+    f, i, o = _sigmoid(a[:H]), _sigmoid(a[H:2 * H]), _sigmoid(a[2 * H:3 * H])
+    ct = np.tanh(a[3 * H:])
     c_new = f * c + i * ct
     tanh_c = np.tanh(c_new)
     h_new = o * tanh_c
-    mu_raw = np.concatenate([_sigmoid(w.W_F.T @ h_new + w.b_F),
-                             _sigmoid(w.W_C.T @ h_new + w.b_C)])
+    mu_raw = _sigmoid(w.W_head.T @ h_new + w.b_head)
     mu = np.clip(mu_raw, 1e-12, 1.0 - 1e-12)
     tape = dict(z=z, c_prev=c, f=f, i=i, ct=ct, o=o, tanh_c=tanh_c, h=h_new, mu_raw=mu_raw)
     return mu, h_new, c_new, tape
@@ -109,23 +114,19 @@ def _backward(w, tapes, out_grads):
     dh_next, dc_next = np.zeros(H), np.zeros(H)
     for t, og in zip(reversed(tapes), reversed(out_grads)):
         muF, muC = t["mu_raw"][:N], t["mu_raw"][N:]
-        daF = og[:N] * muF * (1.0 - muF)
-        daC = og[N:] * muC * (1.0 - muC)
-        g["W_F"] += np.outer(t["h"], daF)
-        g["b_F"] += daF
-        g["W_C"] += np.outer(t["h"], daC)
-        g["b_C"] += daC
-        dh = w.W_F @ daF + w.W_C @ daC + dh_next
+        da_heads = np.concatenate([og[:N] * muF * (1.0 - muF), og[N:] * muC * (1.0 - muC)])
+        g["W_head"] += np.outer(t["h"], da_heads)
+        g["b_head"] += da_heads
+        dh = w.W_head @ da_heads + dh_next
         dao = dh * t["tanh_c"] * t["o"] * (1.0 - t["o"])
         dc = dh * t["o"] * (1.0 - t["tanh_c"] ** 2) + dc_next
         daf = dc * t["c_prev"] * t["f"] * (1.0 - t["f"])
         dai = dc * t["ct"] * t["i"] * (1.0 - t["i"])
         dac = dc * t["i"] * (1.0 - t["ct"] ** 2)
-        for k, d in (("f", daf), ("i", dai), ("c", dac), ("o", dao)):
-            g["W_" + k] += np.outer(d, t["z"])
-            g["b_" + k] += d
-        dz = w.W_f.T @ daf + w.W_i.T @ dai + w.W_c.T @ dac + w.W_o.T @ dao
-        dh_next = dz[:H]
+        da = np.concatenate([daf, dai, dao, dac])
+        g["W_g"] += np.outer(da, t["z"])
+        g["b_g"] += da
+        dh_next = (w.W_g.T @ da)[:H]
         dc_next = dc * t["f"]
     return g
 
@@ -199,6 +200,32 @@ def test_batched_rollouts_match_the_per_rollout_oracle(rollouts):
     grad = epoch_gradient(w, batches, cfg)
     for k, want in _oracle_gradient(w, oracle, cfg).items():
         np.testing.assert_array_equal(getattr(grad, k), want, err_msg=k)
+
+
+def test_fused_products_keep_each_gates_bits_at_desk_scale():
+    # At desk scale the one 4H-row gate product and the one 2N-column head
+    # product give every gate and head the bits of its own product, so a
+    # controller runs as it did with one matrix per gate.  This holds
+    # where the BLAS kernel's row blocks fall on the gate boundaries: with
+    # OpenBLAS on x86-64 when H and N are multiples of 4 (desk: 32 and 20).
+    cfg = TrainConfig(**DESK)
+    H, N = cfg.hidden, cfg.pop_size
+    for seed in range(10):
+        rng = stream(seed, "per-gate")
+        w = init_weights(H, cfg.input_size, N, rng)
+        h, c = rng.uniform(-1, 1, (2, 10, H))
+        x = rng.uniform(0, 1, (10, cfg.input_size))
+        _, _, tape = forward_step(w, x, ControllerState(h, c))
+        for b in range(10):
+            z = np.concatenate([h[b], x[b]])
+            gates = [w.W_g[k * H:(k + 1) * H] @ z + w.b_g[k * H:(k + 1) * H] for k in range(4)]
+            np.testing.assert_array_equal(tape.f[b], _sigmoid(gates[0]))
+            np.testing.assert_array_equal(tape.i[b], _sigmoid(gates[1]))
+            np.testing.assert_array_equal(tape.o[b], _sigmoid(gates[2]))
+            np.testing.assert_array_equal(tape.ctilde[b], np.tanh(gates[3]))
+            heads = [w.W_head[:, k * N:(k + 1) * N].T @ tape.h[b] + w.b_head[k * N:(k + 1) * N]
+                     for k in range(2)]
+            np.testing.assert_array_equal(tape.mu_raw[b], _sigmoid(np.concatenate(heads)))
 
 
 def test_training_matches_the_per_rollout_oracle():

@@ -294,6 +294,17 @@ def test_compare_missing_results_file_is_io_failure(ws, capsys):
     assert "i/o failure" in capsys.readouterr().err
 
 
+def test_compare_short_row_is_usage_error_naming_the_line(ws, capsys):
+    lines = ["algorithm_id,function_id,seed,best_error,evals_used"]
+    lines += [f"{alg},fn-a,{seed},{seed + 1.0},100" for alg in ("a", "b") for seed in range(3)]
+    lines.insert(4, "b,fn-a,7")  # fewer fields than the header, on line 5
+    (ws / "results.csv").write_text("\n".join(lines) + "\n")
+    assert main(["compare", "--results", "results.csv"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "results.csv line 5" in err
+    assert "Traceback" not in err
+
+
 def test_compare_single_algorithm_is_usage_error(ws, capsys):
     _suite(ws)
     assert main(["run", "--algorithms", "ctpb_fixed", "--runs", "2",
@@ -316,8 +327,16 @@ def test_gradcheck_is_deterministic(ws, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_gradcheck_corrupt_hook_exits_numeric_failure(ws, capsys):
-    assert main(["gradcheck", "--corrupt"]) == 2
+def test_gradcheck_corrupt_hook_exits_numeric_failure(ws, capsys, monkeypatch):
+    real = neural.backward_through_time
+
+    def corrupted(*args):
+        g = real(*args)
+        g.W_g[0, 0, 0] += 1.0
+        return g
+
+    monkeypatch.setattr(neural, "backward_through_time", corrupted)
+    assert main(["gradcheck"]) == 2
     assert "numeric failure" in capsys.readouterr().err
 
 

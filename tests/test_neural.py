@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ldectl import cli, neural
 from ldectl.errors import NumericFailure
 from ldectl.neural import (
     FIELD_ORDER,
@@ -35,13 +36,8 @@ from ldectl.rng import stream
 
 
 def _zero_weights(H, D, N):
-    return ControllerWeights(
-        W_f=np.zeros((H, H + D)), W_i=np.zeros((H, H + D)),
-        W_c=np.zeros((H, H + D)), W_o=np.zeros((H, H + D)),
-        b_f=np.zeros(H), b_i=np.zeros(H), b_c=np.zeros(H), b_o=np.zeros(H),
-        W_F=np.zeros((H, N)), b_F=np.zeros(N),
-        W_C=np.zeros((H, N)), b_C=np.zeros(N),
-    )
+    return ControllerWeights(W_g=np.zeros((4 * H, H + D)), b_g=np.zeros(4 * H),
+                             W_head=np.zeros((H, 2 * N)), b_head=np.zeros(2 * N))
 
 
 # ---------------------------------------------------------------- forward
@@ -79,14 +75,19 @@ def test_forward_matches_straight_line_reimplementation():
                           np.random.default_rng(8).normal(size=H) * 0.3)
 
     z = list(st0.h) + list(x)
-    f = [sig(sum(w.W_f[r, k] * z[k] for k in range(H + D)) + w.b_f[r]) for r in range(H)]
-    i = [sig(sum(w.W_i[r, k] * z[k] for k in range(H + D)) + w.b_i[r]) for r in range(H)]
-    ct = [math.tanh(sum(w.W_c[r, k] * z[k] for k in range(H + D)) + w.b_c[r]) for r in range(H)]
-    o = [sig(sum(w.W_o[r, k] * z[k] for k in range(H + D)) + w.b_o[r]) for r in range(H)]
+
+    def gate(block, r):  # gate rows are stacked f, i, o, c
+        row = block * H + r
+        return sum(w.W_g[row, k] * z[k] for k in range(H + D)) + w.b_g[row]
+
+    f = [sig(gate(0, r)) for r in range(H)]
+    i = [sig(gate(1, r)) for r in range(H)]
+    o = [sig(gate(2, r)) for r in range(H)]
+    ct = [math.tanh(gate(3, r)) for r in range(H)]
     c = [f[r] * st0.c[r] + i[r] * ct[r] for r in range(H)]
     h = [o[r] * math.tanh(c[r]) for r in range(H)]
-    mu_f = [sig(sum(w.W_F[r, j] * h[r] for r in range(H)) + w.b_F[j]) for j in range(N)]
-    mu_c = [sig(sum(w.W_C[r, j] * h[r] for r in range(H)) + w.b_C[j]) for j in range(N)]
+    head = [sig(sum(w.W_head[r, j] * h[r] for r in range(H)) + w.b_head[j]) for j in range(2 * N)]
+    mu_f, mu_c = head[:N], head[N:]
 
     mu, state, _ = forward_step(w, x[None], ControllerState(st0.h[None], st0.c[None]))
     np.testing.assert_allclose(state.c[0], c, rtol=1e-12)
@@ -104,15 +105,15 @@ def test_forward_validates_input_shape():
 
 def test_forward_nonfinite_raises_numeric_failure():
     w = init_weights(4, 3, 2, np.random.default_rng(0))
-    w.W_f[0, 0] = np.inf
+    w.W_g[0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericFailure):
         forward_step(w, np.ones((1, 3)), zero_state(4, 1))
 
 
 def test_forward_outputs_clamped_inside_open_interval():
     w = init_weights(4, 3, 2, np.random.default_rng(0))
-    w.b_F[:] = 1e9   # saturate the scale-factor head
-    w.b_C[:] = -1e9
+    w.b_head[:2] = 1e9   # saturate the scale-factor head
+    w.b_head[2:] = -1e9
     mu, _, _ = forward_step(w, np.ones((1, 3)), zero_state(4, 1))
     assert np.all(mu > 0.0) and np.all(mu < 1.0)
 
@@ -131,6 +132,23 @@ def test_init_weights_bounds_and_determinism():
     assert not np.array_equal(flatten_weights(w), flatten_weights(other))
 
 
+def test_init_weights_stacks_the_per_gate_draws():
+    # the draws of the one-matrix-per-gate layout, in its order, stacked
+    H, D, N = 5, 3, 2
+    w = init_weights(H, D, N, stream(4, "weights"))
+    rng = stream(4, "weights")
+    lim = 1.0 / math.sqrt(H)
+    W_f, W_i, W_c, W_o = (rng.uniform(-lim, lim, size=(H, H + D)) for _ in range(4))
+    b_f, b_i, b_c, b_o = (rng.uniform(-lim, lim, size=H) for _ in range(4))
+    W_F, b_F = rng.uniform(-lim, lim, size=(H, N)), rng.uniform(-lim, lim, size=N)
+    W_C, b_C = rng.uniform(-lim, lim, size=(H, N)), rng.uniform(-lim, lim, size=N)
+    np.testing.assert_array_equal(w.W_g, np.vstack([W_f, W_i, W_o, W_c]))
+    np.testing.assert_array_equal(w.b_g, np.concatenate([b_f, b_i, b_o, b_c]))
+    np.testing.assert_array_equal(w.W_head, np.hstack([W_F, W_C]))
+    np.testing.assert_array_equal(w.b_head, np.concatenate([b_F, b_C]))
+    assert (w.hidden, w.input_size, w.actions) == (H, D, N)
+
+
 def test_init_weights_validates_dims():
     with pytest.raises(ValueError):
         init_weights(0, 3, 2, np.random.default_rng(0))
@@ -139,14 +157,14 @@ def test_init_weights_validates_dims():
 def test_sgd_ascent_scalar_example_and_trivials():
     w = _zero_weights(1, 1, 1)
     g = _zero_weights(1, 1, 1)
-    w.W_f[0, 0] = 1.0
-    g.W_f[0, 0] = 2.0
+    w.W_g[0, 0] = 1.0
+    g.W_g[0, 0] = 2.0
     out = sgd_ascent(w, g, 0.005)
-    assert out.W_f[0, 0] == 1.01
-    assert w.W_f[0, 0] == 1.0  # input untouched
-    np.testing.assert_array_equal(sgd_ascent(w, g, 0.0).W_f, w.W_f)
+    assert out.W_g[0, 0] == 1.01
+    assert w.W_g[0, 0] == 1.0  # input untouched
+    np.testing.assert_array_equal(sgd_ascent(w, g, 0.0).W_g, w.W_g)
     np.testing.assert_array_equal(
-        sgd_ascent(w, _zero_weights(1, 1, 1), 0.1).W_f, w.W_f)
+        sgd_ascent(w, _zero_weights(1, 1, 1), 0.1).W_g, w.W_g)
 
 
 def test_weight_arithmetic_helpers():
@@ -230,9 +248,27 @@ def test_run_gradcheck_passes_and_reports():
     assert report.worst_field in FIELD_ORDER
 
 
-def test_run_gradcheck_detects_corruption():
-    report = run_gradcheck(corrupt=True)
-    assert not report.passed
+def test_run_gradcheck_detects_corruption(monkeypatch):
+    # one wrong entry in each gate block of W_g, in b_g, in each head's
+    # half of W_head and in b_head must fail the check on its own
+    H = 8  # run_gradcheck's default width, with N = 4 columns per head
+    real = neural.backward_through_time
+    for field, ix in [("W_g", (0 * H + 1, 2)),    # forget gate
+                      ("W_g", (1 * H + 3, 0)),    # input gate
+                      ("W_g", (2 * H + 5, 9)),    # output gate
+                      ("W_g", (3 * H + 7, 4)),    # cell candidate
+                      ("b_g", (3 * H,)),
+                      ("W_head", (2, 1)),         # scale-factor head
+                      ("W_head", (6, 4 + 3)),     # crossover-rate head
+                      ("b_head", (5,))]:
+        def corrupted(*args, field=field, ix=ix):
+            g = real(*args)
+            getattr(g, field)[(0,) + ix] += 1.0
+            return g
+
+        monkeypatch.setattr(neural, "backward_through_time", corrupted)
+        report = run_gradcheck()
+        assert not report.passed and report.worst_field == field, (field, ix)
 
 
 def test_run_gradcheck_deterministic():
@@ -287,12 +323,22 @@ def test_save_load_round_trip(tmp_path):
     save_weights(w, path, seed=17, spec=SPEC, training_metadata={"epochs_done": 3})
     back, manifest = load_weights(path)
     np.testing.assert_array_equal(flatten_weights(back), flatten_weights(w))
-    assert manifest["format_version"] == 2
+    assert manifest["format_version"] == 3
     assert manifest["H"] == 8 and manifest["seed"] == 17
     assert manifest["spec"] == {"pop_size": 4, "bins": 1, "window": 5, "sigma": 0.3,
                                 "p_best": 0.05, "f_min": 1e-3}
     assert "D" not in manifest and "N" not in manifest  # both follow from the spec
     assert manifest["training_metadata"]["epochs_done"] == 3
+
+
+def test_blob_holds_the_four_fused_arrays(tmp_path):
+    H, N = 8, 4
+    D = SPEC.input_size
+    w = init_weights(H, D, N, np.random.default_rng(1))
+    path = tmp_path / "w.bin"
+    save_weights(w, path, seed=0, spec=SPEC)
+    _, manifest = load_weights(path)
+    assert manifest["blob_bytes"] == 8 * (4 * H * (H + D) + 4 * H + 2 * N * H + 2 * N)
 
 
 def test_load_rejects_flipped_blob_byte(tmp_path):
@@ -328,13 +374,18 @@ def test_load_rejects_wrong_version_and_bad_dims(tmp_path):
     nl = raw.index(b"\n")
     manifest = json.loads(raw[:nl])
 
-    for version in (99, 1):
+    assert cli.main(["suite", "--dim", "2", "--train", "1", "--test", "1",
+                     "--out", str(tmp_path / "suite")]) == 0
+    for version in (99, 1, 2):
         manifest["format_version"] = version
         path.write_bytes(json.dumps(manifest).encode() + raw[nl:])
         with pytest.raises(WeightFileError):
             load_weights(path)
+        assert cli.main(["run", "--weights", str(path), "--instances", str(tmp_path / "suite"),
+                         "--algorithms", "lde,ctpb_fixed", "--runs", "1", "--budget", "40",
+                         "--out", str(tmp_path / "runs")]) == 3
 
-    manifest["format_version"] = 2
+    manifest["format_version"] = 3
     manifest["spec"]["bins"] = 3  # the spec now implies D = 10; the blob holds D = 6
     path.write_bytes(json.dumps(manifest).encode() + raw[nl:])
     with pytest.raises(WeightFileError):

@@ -204,10 +204,10 @@ def _random_rotation(rng, n):
             return Q
 
 
-def _make_instance(seed: int, role: str, index: int, dim: int, bounds) -> FunctionInstance:
+def _make_instance(seed: int, role: str, index: int, dim: int) -> FunctionInstance:
     family = FAMILY_CYCLE[index % len(FAMILY_CYCLE)]
     rng = stream(seed, "suite", role, index)
-    lo, hi = bounds
+    lo, hi = DEFAULT_BOUNDS
     shift = rng.uniform(0.8 * lo, 0.8 * hi, size=dim)
     f_star = 100.0 * float(rng.integers(-10, 11))
     rotation = None if family == "sphere" else _random_rotation(rng, dim)
@@ -218,7 +218,6 @@ def _make_instance(seed: int, role: str, index: int, dim: int, bounds) -> Functi
         f_star=f_star,
         shift=shift,
         rotation=rotation,
-        bounds=(float(lo), float(hi)),
     )
 
 
@@ -230,13 +229,12 @@ class Suite:
     test: list = field(default_factory=list)
 
 
-def make_suite(seed: int, dim: int, count_train: int, count_test: int,
-               bounds=DEFAULT_BOUNDS) -> Suite:
+def make_suite(seed: int, dim: int, count_train: int, count_test: int) -> Suite:
     """Build disjoint train/test instances cycling through the base families."""
     if count_train < 0 or count_test < 0:
         raise ValueError("instance counts must be non-negative")
-    train = [_make_instance(seed, "train", i, dim, bounds) for i in range(count_train)]
-    test = [_make_instance(seed, "test", i, dim, bounds) for i in range(count_test)]
+    train = [_make_instance(seed, "train", i, dim) for i in range(count_train)]
+    test = [_make_instance(seed, "test", i, dim) for i in range(count_test)]
     return Suite(train=train, test=test)
 
 
@@ -250,7 +248,7 @@ def format_instance(inst: FunctionInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_instance(text: str, bounds=DEFAULT_BOUNDS) -> FunctionInstance:
+def parse_instance(text: str) -> FunctionInstance:
     """Inverse of :func:`format_instance`; absent rotation rows mean identity."""
     rows = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
     if not rows:
@@ -273,7 +271,7 @@ def parse_instance(text: str, bounds=DEFAULT_BOUNDS) -> FunctionInstance:
             raise ValueError("rotation block has wrong arity")
     return FunctionInstance(
         id=inst_id, dim=dim, base=base, f_star=float(fstar_s),
-        shift=shift, rotation=rotation, bounds=bounds,
+        shift=shift, rotation=rotation,
     )
 
 

@@ -33,12 +33,10 @@ class Population:
     ----------
     members : ndarray, shape (B, N, n)
     fitness : ndarray, shape (B, N)
-    generation : int
     """
 
     members: np.ndarray
     fitness: np.ndarray
-    generation: int = 0
 
     def __post_init__(self):
         self.members = np.asarray(self.members, dtype=float)
@@ -80,7 +78,7 @@ def init_population(objective, size: int, rng) -> Population:
     """Uniform draw inside the objective's bounds, evaluated; a batch of one."""
     lo, hi = objective.bounds
     members = rng.uniform(lo, hi, size=(size, objective.dim))
-    return Population(members[None], objective.evaluate_batch(members)[None], generation=0)
+    return Population(members[None], objective.evaluate_batch(members)[None])
 
 
 def _check_rngs(rngs, batch: int) -> None:
@@ -204,7 +202,6 @@ def select(pop: Population, trials, trial_fitness) -> Population:
     return Population(
         np.where(win[:, :, None], trials, pop.members),
         np.where(win, trial_fitness, pop.fitness),
-        generation=pop.generation + 1,
     )
 
 

@@ -16,20 +16,24 @@ sum_t <out_grad_t, mu_t> with respect to every weight; nothing is
 truncated.  A central finite-difference checker covers the whole
 parameter vector.
 
+The parameters are one float64 vector theta: W_g, b_g, W_head and b_head
+laid end to end, row-major, in FIELD_ORDER.  The steps read them as views
+into theta; the ascent step, the checker and the weight file use theta,
+which a weight file holds as raw little-endian float64 after a JSON
+manifest line and before a CRC32 of it, so a save/load round trip is
+bit-exact.
+
 Forward and backward advance a batch of B independent rollouts: inputs,
 states, tapes and output gradients carry a leading batch axis, and
 backward returns one gradient per rollout.  Every matrix-vector product
 is one stacked product (B, 1, K) @ (K, M), which gives each row the bits
 of its own W @ v whatever B is; a plain (B, K) @ (K, M) gemm does not.
-
-Weight files are a single JSON manifest line followed by the raw
-matrices (row-major little-endian float64, in FIELD_ORDER) and a CRC32
-of that blob, so a save/load round trip is bit-exact.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from contextlib import contextmanager
@@ -40,6 +44,7 @@ import numpy as np
 
 from .errors import NumericFailure
 from .policy import PolicyConfig
+from .rng import stream
 
 FIELD_ORDER = ("W_g", "b_g", "W_head", "b_head")
 
@@ -53,27 +58,44 @@ class WeightFileError(OSError):
     """Unknown version, malformed manifest, bad sizes, or checksum mismatch."""
 
 
-@dataclass
+def _shapes(hidden: int, input_size: int, actions: int):
+    """Shapes of the FIELD_ORDER blocks of theta."""
+    return ((4 * hidden, hidden + input_size), (4 * hidden,),
+            (hidden, 2 * actions), (2 * actions,))
+
+
+@dataclass(eq=False)
 class ControllerWeights:
-    """All trainable parameters: the stacked gates act on [h_prev; x]."""
+    """All trainable parameters as one vector theta, with the blocks as views.
 
-    W_g: np.ndarray     # (4H, H + D), gate rows f, i, o, c
-    b_g: np.ndarray     # (4H,)
-    W_head: np.ndarray  # (H, 2N), scale-factor columns first
-    b_head: np.ndarray  # (2N,)
+    theta has shape (P,) for weights, or (B, P) for one gradient per
+    rollout.  The views, with the same leading axis, are W_g (4H, H + D)
+    with gate rows f, i, o, c acting on [h_prev; x], b_g (4H,), W_head
+    (H, 2N) with the scale-factor columns first, and b_head (2N,).  A
+    write through a view changes theta.
+    """
 
-    @property
-    def hidden(self) -> int:
-        return self.W_head.shape[0]
+    theta: np.ndarray
+    hidden: int      # H
+    input_size: int  # D
+    actions: int     # individuals controlled, N; the policy emits 2N means
 
-    @property
-    def input_size(self) -> int:
-        return self.W_g.shape[1] - self.hidden
+    def __post_init__(self):
+        lead, off = self.theta.shape[:-1], 0
+        for k, shape in zip(FIELD_ORDER, _shapes(self.hidden, self.input_size, self.actions)):
+            size = math.prod(shape)
+            setattr(self, k, self.theta[..., off:off + size].reshape(lead + shape))
+            off += size
+        if off != self.theta.shape[-1]:
+            raise ValueError(f"theta has {self.theta.shape[-1]} entries, not {off}")
 
-    @property
-    def actions(self) -> int:
-        # individuals controlled, i.e. N; the policy emits 2N means
-        return self.b_head.shape[0] // 2
+    def __reduce__(self):
+        # pickle theta alone, so the unpickled views share the unpickled vector
+        return ControllerWeights, (self.theta, self.hidden, self.input_size, self.actions)
+
+    def like(self, theta) -> "ControllerWeights":
+        """Weights of the same sizes holding ``theta``."""
+        return ControllerWeights(theta, self.hidden, self.input_size, self.actions)
 
 
 @dataclass
@@ -120,10 +142,10 @@ def init_weights(hidden: int, input_size: int, actions: int, rng) -> ControllerW
     b_f, b_i, b_c, b_o = (u(hidden) for _ in range(4))
     W_F, b_F = u(hidden, actions), u(actions)
     W_C, b_C = u(hidden, actions), u(actions)
-    return ControllerWeights(
-        W_g=np.concatenate([W_f, W_i, W_o, W_c]), b_g=np.concatenate([b_f, b_i, b_o, b_c]),
-        W_head=np.concatenate([W_F, W_C], axis=1), b_head=np.concatenate([b_F, b_C]),
-    )
+    # W_g, b_g, W_head, b_head: each flattened row-major, laid end to end
+    theta = np.concatenate([W_f, W_i, W_o, W_c, b_f, b_i, b_o, b_c,
+                            np.hstack([W_F, W_C]), b_F, b_C], axis=None)
+    return ControllerWeights(theta, hidden, input_size, actions)
 
 
 def _sigmoid(z):
@@ -213,34 +235,13 @@ def forward_step(w: ControllerWeights, x, state: ControllerState):
     return mu, ControllerState(h, c), tape
 
 
-def weights_zeros_like(w: ControllerWeights) -> ControllerWeights:
-    return ControllerWeights(**{k: np.zeros_like(getattr(w, k)) for k in FIELD_ORDER})
-
-
-def weights_add_scaled(acc: ControllerWeights, g: ControllerWeights, scale: float) -> None:
-    """In-place acc += scale * g, field by field."""
-    for k in FIELD_ORDER:
-        getattr(acc, k).__iadd__(scale * getattr(g, k))
-
-
 def sgd_ascent(w: ControllerWeights, grad: ControllerWeights, alpha: float) -> ControllerWeights:
-    """Plain gradient ascent step, returning fresh arrays."""
-    return ControllerWeights(
-        **{k: getattr(w, k) + alpha * getattr(grad, k) for k in FIELD_ORDER}
-    )
-
-
-def weights_rows(g: ControllerWeights) -> list:
-    """Split weights stacked along a leading batch axis into one per row."""
-    return [ControllerWeights(**{k: getattr(g, k)[b] for k in FIELD_ORDER})
-            for b in range(g.b_g.shape[0])]
-
-
-def flatten_weights(w: ControllerWeights) -> np.ndarray:
-    return np.concatenate([getattr(w, k).ravel() for k in FIELD_ORDER])
+    """Plain gradient ascent step theta + alpha * grad, in a fresh vector."""
+    return w.like(w.theta + alpha * grad.theta)
 
 
 def grad_norm(g: ControllerWeights) -> float:
+    # summed block by block: one sum over theta would move the low bits
     return float(np.sqrt(sum(float(np.sum(getattr(g, k) ** 2)) for k in FIELD_ORDER)))
 
 
@@ -255,16 +256,19 @@ def backward_through_time(w: ControllerWeights, tapes, out_grads) -> ControllerW
 
     Returns
     -------
-    ControllerWeights whose fields carry a leading batch axis: row b is
-    the gradient of rollout b alone, summed over its steps newest first.
+    ControllerWeights with theta of shape (B, P): row b is the gradient
+    of rollout b alone, summed over its steps newest first.
     """
     if len(tapes) != len(out_grads):
         raise ValueError("tapes and out_grads must have equal length")
     H = w.hidden
     B = len(out_grads[0]) if out_grads else 0
-    # each entry sums its own outer-product terms over the steps, newest first
+    grad = w.like(np.empty((B, w.theta.size)))
+    # each entry sums its own outer-product terms over the steps, newest first,
+    # in contiguous arrays (faster than grad's strided views); outer, the reused
+    # per-step scratch, is the front of grad's buffer until the result fills it
     g_W = np.zeros((B,) + w.W_g.shape)
-    outer = np.empty_like(g_W)  # reused: a fresh (B, 4H, H + D) temporary per step is slower
+    outer = grad.theta.reshape(-1)[:g_W.size].reshape(g_W.shape)
     g_b = np.zeros((B,) + w.b_g.shape)
     g_head = np.zeros((B,) + w.W_head.shape)
     g_head_b = np.zeros((B,) + w.b_head.shape)
@@ -293,9 +297,10 @@ def backward_through_time(w: ControllerWeights, tapes, out_grads) -> ControllerW
         g_W += np.multiply(da_gates[:, :, None], tape.z[:, None, :], out=outer)
         g_b += da_gates
 
-        dh_next = _stacked(w.W_g.T, da_gates)[:, :H]
+        dh_next = _stacked(w.W_g[:, :H].T, da_gates)
         dc_next = dc * tape.f
-    return ControllerWeights(W_g=g_W, b_g=g_b, W_head=g_head, b_head=g_head_b)
+    grad.W_g[...], grad.b_g[...], grad.W_head[...], grad.b_head[...] = g_W, g_b, g_head, g_head_b
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -313,22 +318,18 @@ def rollout_objective(w: ControllerWeights, xs, out_grads) -> float:
 
 
 def fd_gradient(w: ControllerWeights, xs, out_grads, eps: float = 1e-6) -> ControllerWeights:
-    """Central finite differences of :func:`rollout_objective` over every entry."""
-    g = weights_zeros_like(w)
-    for k in FIELD_ORDER:
-        arr = getattr(w, k)
-        out = getattr(g, k)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            ix = it.multi_index
-            orig = arr[ix]
-            arr[ix] = orig + eps
-            hi = rollout_objective(w, xs, out_grads)
-            arr[ix] = orig - eps
-            lo = rollout_objective(w, xs, out_grads)
-            arr[ix] = orig
-            out[ix] = (hi - lo) / (2.0 * eps)
-    return g
+    """Central finite differences of :func:`rollout_objective` over every entry of theta."""
+    theta = w.theta
+    g = np.empty_like(theta)
+    for j in range(theta.size):
+        orig = theta[j]
+        theta[j] = orig + eps
+        hi = rollout_objective(w, xs, out_grads)
+        theta[j] = orig - eps
+        lo = rollout_objective(w, xs, out_grads)
+        theta[j] = orig
+        g[j] = (hi - lo) / (2.0 * eps)
+    return w.like(g)
 
 
 @dataclass
@@ -344,12 +345,9 @@ class GradCheckReport:
 
 
 def run_gradcheck(hidden: int = 8, actions: int = 4, bins: int = 1, steps: int = 5,
-                  eps: float = 1e-6, threshold: float = 1e-4, seed: int = 0,
-                  rng=None) -> GradCheckReport:
+                  eps: float = 1e-6, threshold: float = 1e-4, seed: int = 0) -> GradCheckReport:
     """Compare BPTT gradients against central differences on a seeded rollout."""
-    if rng is None:
-        from .rng import stream
-        rng = stream(seed, "gradcheck")
+    rng = stream(seed, "gradcheck")
     input_size = actions + 2 * bins
     w = init_weights(hidden, input_size, actions, rng)
     xs = rng.uniform(0.0, 1.0, size=(steps, input_size))
@@ -360,7 +358,7 @@ def run_gradcheck(hidden: int = 8, actions: int = 4, bins: int = 1, steps: int =
     for x in xs:
         _, state, tape = forward_step(w, x[None], state)
         tapes.append(tape)
-    analytic, = weights_rows(backward_through_time(w, tapes, [og[None] for og in out_grads]))
+    analytic = w.like(backward_through_time(w, tapes, [og[None] for og in out_grads]).theta[0])
     numeric = fd_gradient(w, xs, out_grads, eps=eps)
 
     # relative error per parameter matrix: ||a - n|| / max(||a||, ||n||).
@@ -385,21 +383,14 @@ def run_gradcheck(hidden: int = 8, actions: int = 4, bins: int = 1, steps: int =
 # ---------------------------------------------------------------------------
 # weight files
 
-def _shapes(hidden: int, input_size: int, actions: int):
-    return ((4 * hidden, hidden + input_size), (4 * hidden,),
-            (hidden, 2 * actions), (2 * actions,))
-
-
 def save_weights(w: ControllerWeights, path, *, seed: int, spec: PolicyConfig,
                  training_metadata: dict | None = None) -> None:
-    """Write manifest line, matrix blob, and trailing CRC32.
+    """Write manifest line, theta as the blob, and trailing CRC32.
 
     The manifest records the controller spec once; D and N follow from it.
     """
     spec.check_weights(w)
-    blob = b"".join(
-        np.ascontiguousarray(getattr(w, k), dtype="<f8").tobytes() for k in FIELD_ORDER
-    )
+    blob = w.theta.astype("<f8", copy=False).tobytes()
     manifest = {
         "format_version": FORMAT_VERSION,
         "H": w.hidden,
@@ -442,8 +433,7 @@ def load_weights(path):
         hidden = int(manifest["H"])
     except (TypeError, ValueError) as exc:
         raise WeightFileError(f"{path}: bad spec or H ({exc})") from None
-    shapes = _shapes(hidden, spec.input_size, spec.pop_size)
-    want = sum(int(np.prod(s)) for s in shapes) * 8
+    want = sum(math.prod(s) for s in _shapes(hidden, spec.input_size, spec.pop_size)) * 8
     if manifest["blob_bytes"] != want:
         raise WeightFileError(f"{path}: blob_bytes {manifest['blob_bytes']} != expected {want}")
     blob = raw[nl + 1: nl + 1 + want]
@@ -452,10 +442,5 @@ def load_weights(path):
         raise WeightFileError(f"{path}: truncated blob or checksum")
     if struct.unpack("<I", tail)[0] != zlib.crc32(blob):
         raise WeightFileError(f"{path}: checksum mismatch")
-    vals = {}
-    off = 0
-    for k, shape in zip(FIELD_ORDER, shapes):
-        cnt = int(np.prod(shape))
-        vals[k] = np.frombuffer(blob, dtype="<f8", count=cnt, offset=off).reshape(shape).copy()
-        off += cnt * 8
-    return ControllerWeights(**vals), manifest
+    theta = np.frombuffer(blob, dtype="<f8").astype(float)
+    return ControllerWeights(theta, hidden, spec.input_size, spec.pop_size), manifest

@@ -47,7 +47,6 @@ class HistRing:
     def __init__(self, window: int):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
         self._buf = deque(maxlen=window)
 
     def __len__(self):

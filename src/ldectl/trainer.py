@@ -39,17 +39,12 @@ from .benchfn import error_value
 from .de_core import Population, evolve
 from .errors import NumericFailure
 from .neural import (
-    FIELD_ORDER,
     ControllerWeights,
     backward_through_time,
-    flatten_weights,
     forward_step,
     grad_norm,
     init_weights,
     sgd_ascent,
-    weights_add_scaled,
-    weights_rows,
-    weights_zeros_like,
     zero_state,
 )
 from .policy import (
@@ -74,7 +69,6 @@ class TrainConfig(PolicyConfig):
     hidden: int = 32
     alpha: float = 0.2       # tuned on the paired return of seeds 5-9; see README
     seed: int = 0
-    n_functions: Optional[int] = None  # validated against the suite when set
 
     def __post_init__(self):
         super().__post_init__()
@@ -86,8 +80,6 @@ class TrainConfig(PolicyConfig):
             raise ValueError("hidden must be >= 1")
         if self.alpha < 0.0:
             raise ValueError("alpha must be non-negative")
-        if self.n_functions is not None and self.n_functions < 1:
-            raise ValueError("n_functions must be >= 1 when set")
 
 
 @dataclass
@@ -192,28 +184,26 @@ def epoch_gradient(w: ControllerWeights, batches, cfg: TrainConfig) -> Controlle
 
     Each batch holds one function's rollouts from one start population;
     its per-step advantages come from step_advantages and its rollouts
-    are back-propagated together.  The per-rollout gradients are added
-    in list order, so the result does not depend on how the rollouts
-    were scheduled.
+    are back-propagated together.  The per-rollout gradient rows are
+    added into one vector in list order, so the result does not depend
+    on how the rollouts were scheduled.
     """
     if not batches:
         raise ValueError("epoch_gradient needs at least one rollout batch")
     fids = [batch.function_id for batch in batches]
     if len(set(fids)) < len(fids):  # their baseline would not pool them
         raise ValueError("each function's rollouts must form one batch")
-    acc = weights_zeros_like(w)
+    acc = np.zeros_like(w.theta)
     count = 0
     for batch in batches:
         adv = step_advantages(batch)
         out_grads = [adv[:, t, None] * logprob_grad_mu(s.action, s.mu, cfg)
                      for t, s in enumerate(batch.steps)]
-        grads = backward_through_time(w, [s.tape for s in batch.steps], out_grads)
-        for g in weights_rows(grads):
-            weights_add_scaled(acc, g, 1.0)
+        for row in backward_through_time(w, [s.tape for s in batch.steps], out_grads).theta:
+            acc += row
         count += batch.size
-    for k in FIELD_ORDER:
-        getattr(acc, k).__imul__(1.0 / count)
-    return acc
+    acc *= 1.0 / count
+    return w.like(acc)
 
 
 def _rollout_task(payload):
@@ -236,10 +226,6 @@ def train(functions, cfg: TrainConfig, jobs: int = 1,
     """
     if not functions:
         raise ValueError("training needs at least one function")
-    if cfg.n_functions is not None and cfg.n_functions != len(functions):
-        raise ValueError(
-            f"config expects {cfg.n_functions} functions, suite has {len(functions)}"
-        )
     dim = functions[0].dim
     bounds = functions[0].bounds
     for f in functions:
@@ -268,7 +254,7 @@ def train(functions, cfg: TrainConfig, jobs: int = 1,
             grad = epoch_gradient(w, batches, cfg)
             gnorm = grad_norm(grad)
             new_w = sgd_ascent(w, grad, cfg.alpha)
-            if not np.all(np.isfinite(flatten_weights(new_w))):
+            if not np.all(np.isfinite(new_w.theta)):
                 raise NumericFailure(
                     f"weights diverged at epoch {epoch}",
                     last_good={"weights": w, "epochs_done": epoch, "log_rows": log_rows},

@@ -106,7 +106,7 @@ def _eval_return(w, functions, cfg):
         members = stream(cfg.seed, "eval", e, "init").uniform(
             lo, hi, size=(cfg.pop_size, functions[0].dim))
         for k, f in enumerate(functions):
-            pop0 = Population(members[None], f.evaluate_batch(members)[None], 0)
+            pop0 = Population(members[None], f.evaluate_batch(members)[None])
             returns.extend(sample_trajectory(
                 w, f, pop0, cfg,
                 [stream(cfg.seed, "eval", e, "traj", k, l) for l in range(cfg.rollouts)],
@@ -122,7 +122,7 @@ def desk_training():
     t0 = time.perf_counter()
     for seed in range(DESK_SEEDS):
         suite = make_suite(seed, DESK_DIM, DESK_TRAIN_FNS, DESK_TEST_FNS)
-        cfg = TrainConfig(seed=seed, n_functions=DESK_TRAIN_FNS)
+        cfg = TrainConfig(seed=seed)
         w0, _ = train(suite.train, dataclasses.replace(cfg, epochs=0))
         w, rows = train(suite.train, cfg)
         per_epoch = np.asarray(

@@ -22,7 +22,7 @@ from ldectl.de_core import Population
 from ldectl.neural import (
     FIELD_ORDER,
     ControllerState,
-    flatten_weights,
+    _stacked,
     forward_step,
     init_weights,
 )
@@ -126,7 +126,7 @@ def _backward(w, tapes, out_grads):
         da = np.concatenate([daf, dai, dao, dac])
         g["W_g"] += np.outer(da, t["z"])
         g["b_g"] += da
-        dh_next = (w.W_g.T @ da)[:H]
+        dh_next = w.W_g[:, :H].T @ da
         dc_next = dc * t["f"]
     return g
 
@@ -167,7 +167,8 @@ def _oracle_train(functions, cfg):
                     for steps in per_fn]
             rows.append((float(np.mean(rets)), float(np.std(rets))))
         grad = _oracle_gradient(w, rollouts, cfg)
-        w = type(w)(**{k: getattr(w, k) + cfg.alpha * grad[k] for k in FIELD_ORDER})
+        w = w.like(np.concatenate([(getattr(w, k) + cfg.alpha * grad[k]).ravel()
+                                   for k in FIELD_ORDER]))
     return w, rows
 
 
@@ -228,13 +229,28 @@ def test_fused_products_keep_each_gates_bits_at_desk_scale():
             np.testing.assert_array_equal(tape.mu_raw[b], _sigmoid(np.concatenate(heads)))
 
 
+def test_sliced_dz_product_keeps_the_full_products_bits_at_desk_scale():
+    # Backward forms dh_prev from the first H columns of W_g alone.  At
+    # desk scale that gives the bits of the whole (H + D)-column product
+    # cut to its first H entries, so desk training output is unchanged;
+    # with OpenBLAS on x86-64 this holds when H is a multiple of 4.
+    cfg = TrainConfig(**DESK)
+    H = cfg.hidden
+    for seed in range(10):
+        rng = stream(seed, "dz")
+        w = init_weights(H, cfg.input_size, cfg.pop_size, rng)
+        da = rng.normal(0.0, 1.0, (10, 4 * H))
+        np.testing.assert_array_equal(_stacked(w.W_g[:, :H].T, da),
+                                      _stacked(w.W_g.T, da)[:, :H])
+
+
 def test_training_matches_the_per_rollout_oracle():
     cfg = TrainConfig(epochs=2, rollouts=3, horizon=6, pop_size=6, bins=2, window=3,
                       hidden=5, seed=11)
     functions = make_suite(cfg.seed, 3, 4, 0).train
     w, rows = train(functions, cfg)
     w_oracle, rows_oracle = _oracle_train(functions, cfg)
-    np.testing.assert_array_equal(flatten_weights(w), flatten_weights(w_oracle))
+    np.testing.assert_array_equal(w.theta, w_oracle.theta)
     assert [(r["mean_return"], r["return_std"]) for r in rows] == rows_oracle
 
 

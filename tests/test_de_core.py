@@ -25,10 +25,10 @@ def _sheet(n, f=0.5, cr=0.5, batch=1):
     return ParamSheet(np.full((batch, n), float(f)), np.full((batch, n), float(cr)))
 
 
-def _pop(members, fitness, generation=0):
+def _pop(members, fitness):
     # a batch of one
     return Population(np.asarray(members, dtype=float)[None],
-                      np.asarray(fitness, dtype=float)[None], generation)
+                      np.asarray(fitness, dtype=float)[None])
 
 
 # ---------------------------------------------------------------- mutation
@@ -227,11 +227,11 @@ def test_select_elementwise_example():
     np.testing.assert_array_equal(out.fitness[0], [3.0, 1.0])
 
 
-def test_select_all_worse_keeps_population_and_bumps_generation():
-    pop = _pop(np.arange(4.0).reshape(2, 2), np.array([1.0, 2.0]), generation=7)
+def test_select_all_worse_keeps_population():
+    pop = _pop(np.arange(4.0).reshape(2, 2), np.array([1.0, 2.0]))
     out = select(pop, np.zeros((1, 2, 2)), np.array([[9.0, 9.0]]))
     np.testing.assert_array_equal(out.members, pop.members)
-    assert out.generation == 8
+    np.testing.assert_array_equal(out.fitness, pop.fitness)
 
 
 @given(st.integers(0, 1000))
@@ -258,7 +258,6 @@ def test_evolve_accounting_and_monotonicity():
     for g in range(1, 6):
         pop = evolve(pop, inst, _sheet(10), 0.2, [rng])
         assert inst.count == 10 * (g + 1)
-        assert pop.generation == g
         assert pop.fitness.min() <= best
         best = pop.fitness.min()
     np.testing.assert_array_equal(pop.fitness[0], inst.evaluate_batch(pop.members[0]))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from ldectl.neural import (
     backward_through_time,
     count_macs,
     fd_gradient,
-    flatten_weights,
     forward_step,
     grad_norm,
     init_weights,
@@ -26,9 +26,6 @@ from ldectl.neural import (
     run_gradcheck,
     save_weights,
     sgd_ascent,
-    weights_add_scaled,
-    weights_rows,
-    weights_zeros_like,
     zero_state,
 )
 from ldectl.policy import PolicyConfig
@@ -36,8 +33,7 @@ from ldectl.rng import stream
 
 
 def _zero_weights(H, D, N):
-    return ControllerWeights(W_g=np.zeros((4 * H, H + D)), b_g=np.zeros(4 * H),
-                             W_head=np.zeros((H, 2 * N)), b_head=np.zeros(2 * N))
+    return ControllerWeights(np.zeros(4 * H * (H + D) + 4 * H + 2 * N * H + 2 * N), H, D, N)
 
 
 # ---------------------------------------------------------------- forward
@@ -127,9 +123,9 @@ def test_init_weights_bounds_and_determinism():
         assert np.all(np.abs(arr) <= lim)
         assert np.ptp(arr) > 0  # actually random, not constant
     again = init_weights(100, 7, 3, stream(0, "weights"))
-    np.testing.assert_array_equal(flatten_weights(w), flatten_weights(again))
+    np.testing.assert_array_equal(w.theta, again.theta)
     other = init_weights(100, 7, 3, stream(1, "weights"))
-    assert not np.array_equal(flatten_weights(w), flatten_weights(other))
+    assert not np.array_equal(w.theta, other.theta)
 
 
 def test_init_weights_stacks_the_per_gate_draws():
@@ -167,13 +163,58 @@ def test_sgd_ascent_scalar_example_and_trivials():
         sgd_ascent(w, _zero_weights(1, 1, 1), 0.1).W_g, w.W_g)
 
 
-def test_weight_arithmetic_helpers():
+def test_theta_arithmetic_and_grad_norm():
     w = init_weights(3, 2, 2, np.random.default_rng(1))
-    z = weights_zeros_like(w)
+    z = w.like(np.zeros_like(w.theta))
     assert grad_norm(z) == 0.0
-    weights_add_scaled(z, w, 2.0)
-    np.testing.assert_allclose(flatten_weights(z), 2.0 * flatten_weights(w))
-    assert np.isclose(grad_norm(w), np.linalg.norm(flatten_weights(w)))
+    z.theta += 2.0 * w.theta
+    np.testing.assert_array_equal(z.W_g, 2.0 * w.W_g)  # the views see the vector
+    np.testing.assert_array_equal(z.b_head, 2.0 * w.b_head)
+    assert np.isclose(grad_norm(w), np.linalg.norm(w.theta))
+
+
+def test_views_tile_theta_in_field_order():
+    H, D, N = 5, 3, 2
+    w = init_weights(H, D, N, np.random.default_rng(2))
+    assert w.theta.shape == (4 * H * (H + D) + 4 * H + 2 * N * H + 2 * N,)
+    np.testing.assert_array_equal(
+        np.concatenate([getattr(w, k).ravel() for k in FIELD_ORDER]), w.theta)
+    for k in FIELD_ORDER:
+        assert np.shares_memory(getattr(w, k), w.theta), k
+    with pytest.raises(ValueError):  # one entry short
+        ControllerWeights(w.theta[:-1], H, D, N)
+
+
+def test_write_through_a_view_shows_in_theta():
+    H, D, N = 4, 3, 2
+    w = init_weights(H, D, N, np.random.default_rng(0))
+    w.W_g[H + 1, 2] = 7.5  # input gate, row 1, column 2
+    assert w.theta[(H + 1) * (H + D) + 2] == 7.5
+    w.b_head[-1] = -3.0
+    assert w.theta[-1] == -3.0
+
+
+def test_unpickled_views_share_the_unpickled_theta():
+    # how --jobs workers receive the weights
+    w = init_weights(4, 3, 2, np.random.default_rng(0))
+    back = pickle.loads(pickle.dumps(w))
+    np.testing.assert_array_equal(back.theta, w.theta)
+    for k in FIELD_ORDER:
+        assert np.shares_memory(getattr(back, k), back.theta), k
+        np.testing.assert_array_equal(getattr(back, k), getattr(w, k))
+    back.W_head[0, 0] = 9.0
+    assert back.theta[4 * 4 * 7 + 4 * 4] == 9.0
+
+
+def test_batched_gradient_views_are_per_row():
+    H, D, N, B = 4, 3, 2, 3
+    w = init_weights(H, D, N, np.random.default_rng(0))
+    g = w.like(np.arange(B * w.theta.size, dtype=float).reshape(B, -1))
+    assert g.W_g.shape == (B, 4 * H, H + D) and g.b_head.shape == (B, 2 * N)
+    for b in range(B):
+        row = w.like(g.theta[b])
+        for k in FIELD_ORDER:
+            np.testing.assert_array_equal(getattr(g, k)[b], getattr(row, k))
 
 
 # ---------------------------------------------------------------- gradients
@@ -189,7 +230,7 @@ def test_bptt_matches_finite_differences_everywhere():
     for x in xs:
         _, state, tape = forward_step(w, x[None], state)
         tapes.append(tape)
-    analytic, = weights_rows(backward_through_time(w, tapes, [g[None] for g in out_grads]))
+    analytic = w.like(backward_through_time(w, tapes, [g[None] for g in out_grads]).theta[0])
     numeric = fd_gradient(w, xs, out_grads, eps=1e-6)
 
     for k in FIELD_ORDER:
@@ -231,7 +272,7 @@ def test_single_step_head_only_gradient():
     x = rng.uniform(0, 1, D)
     _, _, tape = forward_step(w, x[None], zero_state(H, 1))
     og = [rng.normal(size=2 * N)]
-    analytic, = weights_rows(backward_through_time(w, [tape], [og[0][None]]))
+    analytic = w.like(backward_through_time(w, [tape], [og[0][None]]).theta[0])
     numeric = fd_gradient(w, [x], og, eps=1e-6)
     assert grad_norm(analytic) > 0
     for k in FIELD_ORDER:
@@ -322,7 +363,7 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "w.bin"
     save_weights(w, path, seed=17, spec=SPEC, training_metadata={"epochs_done": 3})
     back, manifest = load_weights(path)
-    np.testing.assert_array_equal(flatten_weights(back), flatten_weights(w))
+    np.testing.assert_array_equal(back.theta, w.theta)
     assert manifest["format_version"] == 3
     assert manifest["H"] == 8 and manifest["seed"] == 17
     assert manifest["spec"] == {"pop_size": 4, "bins": 1, "window": 5, "sigma": 0.3,
@@ -339,6 +380,9 @@ def test_blob_holds_the_four_fused_arrays(tmp_path):
     save_weights(w, path, seed=0, spec=SPEC)
     _, manifest = load_weights(path)
     assert manifest["blob_bytes"] == 8 * (4 * H * (H + D) + 4 * H + 2 * N * H + 2 * N)
+    raw = path.read_bytes()
+    nl = raw.index(b"\n")
+    assert raw[nl + 1:-4] == w.theta.tobytes()  # the blob is theta, little-endian float64
 
 
 def test_load_rejects_flipped_blob_byte(tmp_path):

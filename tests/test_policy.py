@@ -89,7 +89,7 @@ SPEC_REJECTS = [dict(pop_size=3), dict(bins=0), dict(window=0), dict(sigma=0.0),
                 dict(p_best=0.0), dict(p_best=1.5), dict(f_min=0.0), dict(f_min=1.0)]
 OWN_REJECTS = {
     TrainConfig: [dict(epochs=-1), dict(horizon=-1), dict(rollouts=0), dict(hidden=0),
-                  dict(alpha=-0.1), dict(n_functions=0)],
+                  dict(alpha=-0.1)],
 }
 
 

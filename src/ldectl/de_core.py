@@ -9,11 +9,26 @@ one generator per batch row (``rngs``), and each row draws from its own
 generator in a fixed order, so a row's result does not depend on which
 rows share its batch.
 
-All operators are pure (inputs never mutated).  Draw order is part of
-the contract; per row it is: mutation consumes three integer batches of
-N (pbest picks, then the r1 and r2 offsets), crossover consumes the N
-forced coordinates, then one uniform per remaining coordinate, member by
-member.
+All operators are pure (inputs never mutated); mutation and crossover
+take their random draws as arrays.  Draw order is part of the contract.
+A generation draws one block per row (``draw_generation``): N integers
+from [0, h) for each bound h in turn -- in ``evolve`` the pbest picks,
+then the r1 and r2 offsets, then the crossover's forced coordinates --
+then one uniform per remaining coordinate, member by member.  These are
+the bits the generator's own ``integers(0, h, size=N)`` and
+``random((N, n - 1))`` calls would consume in that order; a bound of 1
+consumes none.
+
+For numpy's default bit generator, PCG64, the block comes from one
+``random_raw`` call per row.  numpy's bounded integers are Lemire's
+multiply-shift on 32-bit words, the low half of each 64-bit output
+first, redrawing a word whose low product half falls below
+(2^32 - h) mod h; its uniforms are (raw >> 11) * 2^-53.  Both are
+computed over all rows at once.  A row takes the generator's own
+``integers``/``random`` calls instead, in the order above, when its bit
+generator is not PCG64, when it holds a pending 32-bit half-word, when
+the block's integer draws use an odd number of words, or when any word
+would be redrawn; such a row is first rewound to where it started.
 """
 
 from __future__ import annotations
@@ -81,11 +96,6 @@ def init_population(objective, size: int, rng) -> Population:
     return Population(members[None], objective.evaluate_batch(members)[None])
 
 
-def _check_rngs(rngs, batch: int) -> None:
-    if len(rngs) != batch:
-        raise ValueError(f"need one generator per batch row: {len(rngs)} for {batch} rows")
-
-
 @lru_cache(maxsize=16)
 def batch_rows(batch: int) -> np.ndarray:
     """Row index column (B, 1) that pairs with a (B, N) index array."""
@@ -102,26 +112,76 @@ def _member_index(batch: int, N: int) -> np.ndarray:
     return i
 
 
-def per_row(draws) -> np.ndarray:
-    """Stack one draw per batch row along a new leading axis."""
-    return draws[0][None] if len(draws) == 1 else np.array(draws)
+@lru_cache(maxsize=16)
+def _lemire_bounds(live: tuple, N: int):
+    """Per 32-bit word of a block: its bound h, and the low product half
+    below which numpy redraws the word, (2^32 - h) mod h."""
+    h = np.repeat(np.array(live, dtype=np.uint64), N)
+    threshold = ((2 ** 32 - h) % h).astype(np.uint32)
+    h.flags.writeable = threshold.flags.writeable = False
+    return h, threshold
 
 
-def draw_offsets(rngs, highs, N: int) -> list:
-    """Per generator, one batch of N integers from [0, h) for each h in
-    highs, in that order; one (B, N) array per h."""
-    if len(rngs) == 1:  # a batch of one: no stacking
-        return [rngs[0].integers(0, h, size=N)[None] for h in highs]
-    return [np.array([rng.integers(0, h, size=N) for rng in rngs]) for h in highs]
+def draw_generation(rngs, highs, N: int, n: int) -> list:
+    """One generation's draws for every batch row, in the documented order.
+
+    Per row: N integers from [0, h) for each h in highs, in that order,
+    then N * (n - 1) uniforms from [0, 1), bit for bit the draws of the
+    row's own ``integers`` and ``random`` calls (see the module notes).
+    Returns one (B, N) integer array per h, then the uniforms, shape
+    (B, N, n - 1).
+    """
+    if min(highs) < 1 or max(highs) > 2 ** 32:
+        raise ValueError(f"integer bounds must lie in [1, 2^32], got {highs}")
+    B = len(rngs)
+    # a bound of 1 draws nothing; built from a list, because tuple() of a
+    # generator shrinks a 10-slot tuple, which moves one tuple per call into
+    # CPython's free list for the smaller size (up to 2,000 kept)
+    live = tuple([h for h in highs if h > 1])
+    k = N * len(live)  # 32-bit words of the integer draws
+    width = k // 2 + N * (n - 1)
+    blocks, own = [], []  # own: rows that make the generator's own calls
+    for b, rng in enumerate(rngs):
+        bits = getattr(rng, "bit_generator", None)
+        if k % 2 == 0 and type(bits) is np.random.PCG64 and not bits.state["has_uint32"]:
+            blocks.append(bits.random_raw(width))
+        else:
+            blocks.append(np.zeros(width, dtype=np.uint64))
+            own.append(b)
+    if len(own) < B:
+        # little-endian views put each output's low 32-bit half first
+        raw = (blocks[0][None] if B == 1 else np.array(blocks)).astype("<u8", copy=False)
+        h, threshold = _lemire_bounds(live, N)
+        m = (raw[:, :k // 2].view("<u4") * h).astype("<u8", copy=False).view("<u4")
+        ints = m[:, 1::2].astype(np.int64).reshape(B, len(live), N)  # (u * h) >> 32
+        redrawn = m[:, 0::2] < threshold
+        if redrawn.any():
+            for b in np.flatnonzero(redrawn.any(axis=1)):
+                if b not in own:  # rewind the row to where it started
+                    rngs[b].bit_generator.advance(-width)
+                    own.append(b)
+        uniforms = ((raw[:, k // 2:] >> 11) * 2.0 ** -53).reshape(B, N, n - 1)
+    else:
+        ints = np.empty((B, len(live), N), dtype=np.int64)
+        uniforms = np.empty((B, N, n - 1))
+    for b in own:
+        rng = rngs[b]
+        drawn = [rng.integers(0, h, size=N) for h in highs]
+        if live:
+            ints[b] = [d for d, h in zip(drawn, highs) if h > 1]
+        if n > 1:
+            uniforms[b] = rng.random((N, n - 1))
+    per_bound = iter(ints.transpose(1, 0, 2))
+    return [next(per_bound) if h > 1 else np.zeros((B, N), dtype=np.int64)
+            for h in highs] + [uniforms]
 
 
 def distinct_indices(offsets) -> list:
     """Index arrays r_1..r_k, each (B, N), with i, r_1, ..., r_k pairwise
     distinct in every column.
 
-    ``offsets[j - 1]`` holds draws from [0, N - j) (see draw_offsets);
-    each is shifted past i and r_1..r_{j-1}, so r_j is uniform over the
-    indices left.
+    ``offsets[j - 1]`` holds draws from [0, N - j); each is shifted past
+    i and r_1..r_{j-1}, so r_j is uniform over the indices left.
     """
     taken = [_member_index(*offsets[0].shape)]  # i and the picks so far, ascending in every column
     picks = []
@@ -138,12 +198,14 @@ def distinct_indices(offsets) -> list:
     return picks
 
 
-def mutate_current_to_pbest(pop: Population, sheet: ParamSheet, p: float, rngs) -> np.ndarray:
+def mutate_current_to_pbest(pop: Population, sheet: ParamSheet, p: float,
+                            picks, offsets) -> np.ndarray:
     """Mutant array v_i = x_i + F_i (x_pbest - x_i) + F_i (x_r1 - x_r2), per row.
 
-    pbest is drawn per individual from the ceil(N*p) fittest members of
-    its own row; r1 and r2 are uniform without replacement over indices
-    distinct from each other and from i.
+    pbest is member ``picks`` (B, N), drawn from [0, ceil(N*p)), of the
+    ceil(N*p) fittest members of its own row; r1 and r2 come from the
+    ``offsets`` pair, draws from [0, N - 1) and [0, N - 2), shifted to
+    be distinct from each other and from i (see distinct_indices).
     """
     B, N = pop.fitness.shape
     if N < 4:
@@ -152,10 +214,8 @@ def mutate_current_to_pbest(pop: Population, sheet: ParamSheet, p: float, rngs) 
         raise ValueError(f"p must lie in (0, 1], got {p}")
     if sheet.F.shape != (B, N):
         raise ValueError("sheet shape must equal the population's (batch, members)")
-    _check_rngs(rngs, B)
     n_pool = math.ceil(N * p)
     pool = np.argsort(pop.fitness, axis=1, kind="stable")[:, :n_pool]
-    picks, *offsets = draw_offsets(rngs, (n_pool, N - 1, N - 2), N)
     rows = batch_rows(B)
     X = pop.members
     X_pbest, X_r1, X_r2 = X[rows, np.array([pool[rows, picks], *distinct_indices(offsets)])]
@@ -163,24 +223,25 @@ def mutate_current_to_pbest(pop: Population, sheet: ParamSheet, p: float, rngs) 
     return X + F * (X_pbest - X) + F * (X_r1 - X_r2)
 
 
-def binomial_crossover_batch(targets, mutants, cr, rngs) -> np.ndarray:
+def binomial_crossover_batch(targets, mutants, cr, j_rand, u) -> np.ndarray:
     """Member-wise binomial crossover of (B, N, n) arrays; cr holds one rate
-    per member, shape (B, N)."""
+    per member, shape (B, N).
+
+    Each member takes the mutant at its forced coordinate ``j_rand``
+    (B, N) and at each other coordinate, in order, where its uniform in
+    ``u`` (B, N, n - 1) is at most its rate.
+    """
     T = np.asarray(targets, dtype=float)
     M = np.asarray(mutants, dtype=float)
     cr = np.asarray(cr, dtype=float)
     if T.shape != M.shape or T.ndim != 3 or cr.shape != T.shape[:2]:
         raise ValueError("targets, mutants, and cr have incompatible shapes")
     B, N, n = T.shape
-    _check_rngs(rngs, B)
-    # every generator draws its forced coordinates before its uniforms;
-    # members of all rows are then crossed as one (B * N, n) block
-    j_rand = per_row([rng.integers(0, n, size=N) for rng in rngs]).reshape(B * N)
-    off = np.arange(n) != j_rand[:, None]
+    # members of all rows are crossed as one (B * N, n) block
+    off = np.arange(n) != j_rand.reshape(B * N, 1)
     take = ~off  # the forced coordinates
-    if n > 1:  # one uniform per non-forced coordinate, member by member
-        u = per_row([rng.random((N, n - 1)) for rng in rngs]).reshape(B * N, n - 1)
-        take[off] = (u <= cr.reshape(B * N, 1)).ravel()
+    if n > 1:
+        take[off] = (u.reshape(B * N, n - 1) <= cr.reshape(B * N, 1)).ravel()
     return np.where(take.reshape(B, N, n), M, T)
 
 
@@ -206,11 +267,14 @@ def select(pop: Population, trials, trial_fitness) -> Population:
 
 
 def evolve(pop: Population, objective, sheet: ParamSheet, p: float, rngs) -> Population:
-    """One full generation of every row: mutate, cross over, repair,
+    """One full generation of every row: draw, mutate, cross over, repair,
     evaluate all B * N trials in one call, select."""
-    mutants = mutate_current_to_pbest(pop, sheet, p, rngs)
-    trials = binomial_crossover_batch(pop.members, mutants, sheet.CR, rngs)
+    B, N, n = pop.members.shape
+    if len(rngs) != B:
+        raise ValueError(f"need one generator per batch row: {len(rngs)} for {B} rows")
+    picks, r1, r2, j_rand, u = draw_generation(rngs, (math.ceil(N * p), N - 1, N - 2, n), N, n)
+    mutants = mutate_current_to_pbest(pop, sheet, p, picks, (r1, r2))
+    trials = binomial_crossover_batch(pop.members, mutants, sheet.CR, j_rand, u)
     trials = repair_bounds(trials, objective.bounds)
-    B, N, n = trials.shape
     fitness = objective.evaluate_batch(trials.reshape(B * N, n)).reshape(B, N)
     return select(pop, trials, fitness)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .de_core import ParamSheet, per_row
+from .de_core import ParamSheet
 from .errors import ConsistencyError
 
 
@@ -96,7 +96,8 @@ def sample_action(mu, cfg: PolicyConfig, rngs) -> Action:
         raise ValueError(f"mu must be 2-D with even row length, got shape {mu.shape}")
     if len(rngs) != mu.shape[0]:
         raise ValueError(f"need one generator per row: {len(rngs)} for {mu.shape[0]} rows")
-    z = per_row([rng.standard_normal(mu.shape[1]) for rng in rngs])
+    z = [rng.standard_normal(mu.shape[1]) for rng in rngs]
+    z = z[0][None] if len(z) == 1 else np.array(z)  # a batch of one needs no stacking
     return clip_action(mu + cfg.sigma * z, cfg)
 
 

@@ -37,7 +37,7 @@ from .de_core import (
     batch_rows,
     binomial_crossover_batch,
     distinct_indices,
-    draw_offsets,
+    draw_generation,
     evolve,
     init_population,
     repair_bounds,
@@ -135,13 +135,13 @@ def run_lde(w: ControllerWeights, objective, term: Termination, cfg: RunConfig,
     return _drive(LEARNED, objective, term, cfg, rng, gen_step, run_seed)
 
 
-def _mutate_rand1(pop: Population, F: float, rngs) -> np.ndarray:
-    # v_i = x_r1 + F (x_r2 - x_r3), r1, r2, r3, i pairwise distinct
+def _mutate_rand1(pop: Population, F: float, offsets) -> np.ndarray:
+    # v_i = x_r1 + F (x_r2 - x_r3), r1, r2, r3, i pairwise distinct; offsets
+    # are the draws from [0, N - 1), [0, N - 2) and [0, N - 3)
     B, N = pop.fitness.shape
     if N < 4:
         raise ValueError(f"population must hold at least 4 members, got {N}")
-    X_r1, X_r2, X_r3 = pop.members[batch_rows(B), np.array(distinct_indices(
-        draw_offsets(rngs, (N - 1, N - 2, N - 3), N)))]
+    X_r1, X_r2, X_r3 = pop.members[batch_rows(B), np.array(distinct_indices(offsets))]
     return X_r1 + F * (X_r2 - X_r3)
 
 
@@ -154,8 +154,10 @@ def run_baseline(kind: str, objective, term: Termination, cfg: RunConfig,
         sheet = ParamSheet(np.full((1, n), 0.5), np.full((1, n), 0.8))
 
         def gen_step(pop, rngs):
-            mutants = _mutate_rand1(pop, 0.5, rngs)
-            trials = binomial_crossover_batch(pop.members, mutants, sheet.CR, rngs)
+            _, N, dim = pop.members.shape
+            r1, r2, r3, j_rand, u = draw_generation(rngs, (N - 1, N - 2, N - 3, dim), N, dim)
+            mutants = _mutate_rand1(pop, 0.5, (r1, r2, r3))
+            trials = binomial_crossover_batch(pop.members, mutants, sheet.CR, j_rand, u)
             trials = repair_bounds(trials, objective.bounds)
             return select(pop, trials, objective.evaluate_batch(trials[0])[None]), sheet
 

@@ -141,7 +141,13 @@ class ControllerStep:
 
 
 def _best_errors(objective, pop: Population) -> np.ndarray:
-    return np.array([error_value(objective, f) for f in pop.fitness.min(axis=1)])
+    """error_value of each row's best fitness, over all rows at once."""
+    best = pop.fitness.min(axis=1)
+    err = best - objective.f_star
+    undercut = err <= -1e-12
+    if undercut.any():  # error_value raises, naming the first such row
+        error_value(objective, best[undercut.argmax()])
+    return np.where(err < 0.0, 0.0, err)
 
 
 def sample_trajectory(w: ControllerWeights, objective, pop0: Population,

@@ -7,6 +7,7 @@ one core); the README says what they measure and what they last read.
 
 import dataclasses
 import itertools
+import math
 import time
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from ldectl.de_core import (
     ParamSheet,
     Population,
     binomial_crossover_batch,
+    draw_generation,
     mutate_current_to_pbest,
     repair_bounds,
     select,
@@ -203,9 +205,12 @@ def _de_core_cases():
         sheet = ParamSheet(rng.uniform(0.05, 1.0, (1, pop.size)),
                            rng.uniform(0.0, 1.0, (1, pop.size)))
         check_sheet_ranges(sheet)
-        mut = mutate_current_to_pbest(pop, sheet, 0.11, [rng])
+        N, n = pop.members.shape[1:]
+        picks, r1, r2, j_rand, u = draw_generation(
+            [rng], (math.ceil(N * 0.11), N - 1, N - 2, n), N, n)
+        mut = mutate_current_to_pbest(pop, sheet, 0.11, picks, (r1, r2))
         assert np.all(np.isfinite(mut))
-        trials = binomial_crossover_batch(pop.members, mut, sheet.CR, [rng])
+        trials = binomial_crossover_batch(pop.members, mut, sheet.CR, j_rand, u)
         from_target = trials == pop.members
         from_mutant = trials == mut
         assert np.all(from_target | from_mutant)

@@ -110,13 +110,11 @@ def _rollout(w, f, members, fitness, cfg, rng):
 
 def _backward(w, tapes, out_grads):
     H, N = w.hidden, w.actions
-    g = {k: np.zeros_like(getattr(w, k)) for k in FIELD_ORDER}
+    das, das_heads = [], []
     dh_next, dc_next = np.zeros(H), np.zeros(H)
     for t, og in zip(reversed(tapes), reversed(out_grads)):
         muF, muC = t["mu_raw"][:N], t["mu_raw"][N:]
         da_heads = np.concatenate([og[:N] * muF * (1.0 - muF), og[N:] * muC * (1.0 - muC)])
-        g["W_head"] += np.outer(t["h"], da_heads)
-        g["b_head"] += da_heads
         dh = w.W_head @ da_heads + dh_next
         dao = dh * t["tanh_c"] * t["o"] * (1.0 - t["o"])
         dc = dh * t["o"] * (1.0 - t["tanh_c"] ** 2) + dc_next
@@ -124,11 +122,15 @@ def _backward(w, tapes, out_grads):
         dai = dc * t["ct"] * t["i"] * (1.0 - t["i"])
         dac = dc * t["i"] * (1.0 - t["ct"] ** 2)
         da = np.concatenate([daf, dai, dao, dac])
-        g["W_g"] += np.outer(da, t["z"])
-        g["b_g"] += da
         dh_next = w.W_g[:, :H].T @ da
         dc_next = dc * t["f"]
-    return g
+        das.append(da)
+        das_heads.append(da_heads)
+    # weight gradients as one product over the steps, biases summed oldest first
+    DA, DA_heads = np.array(das[::-1]), np.array(das_heads[::-1])
+    Z, Hs = np.array([t["z"] for t in tapes]), np.array([t["h"] for t in tapes])
+    return {"W_g": DA.T @ Z, "b_g": DA.sum(axis=0),
+            "W_head": Hs.T @ DA_heads, "b_head": DA_heads.sum(axis=0)}
 
 
 def _oracle_gradient(w, rollouts, cfg):

@@ -340,6 +340,21 @@ def test_gradcheck_corrupt_hook_exits_numeric_failure(ws, capsys, monkeypatch):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_gradcheck_nan_gradient_exits_numeric_failure(ws, capsys, monkeypatch):
+    real = neural.backward_through_time
+
+    def nan_entry(*args):
+        g = real(*args)
+        g.b_head[0, 5] = np.nan
+        return g
+
+    monkeypatch.setattr(neural, "backward_through_time", nan_entry)
+    assert main(["gradcheck"]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL: max rel err nan (worst b_head" in captured.out
+    assert "numeric failure" in captured.err
+
+
 # ---------------------------------------------------------------- config file
 def test_config_precedence_flag_beats_file_beats_default(ws):
     (ws / "opts.cfg").write_text("dim = 4\ntrain = 1\ntest = 0\n")

@@ -13,6 +13,7 @@ from ldectl.de_core import (
     ParamSheet,
     Population,
     binomial_crossover_batch,
+    draw_generation,
     evolve,
     init_population,
     mutate_current_to_pbest,
@@ -31,53 +32,167 @@ def _pop(members, fitness):
                       np.asarray(fitness, dtype=float)[None])
 
 
+# ---------------------------------------------------------------- sampler
+def _per_call(rng, highs, N, n):
+    """The generator's own calls in the documented order: the reference."""
+    ints = [rng.integers(0, h, size=N) for h in highs]
+    return ints, (rng.random((N, n - 1)) if n > 1 else np.empty((N, 0)))
+
+
+def _state(rng):
+    st = rng.bit_generator.state
+    return {k: np.asarray(v).tolist() for k, v in st["state"].items()}, st.get("has_uint32")
+
+
+def _check_against_per_call(make_rng, highs, N, n, batch, generations=3, seeds=range(8)):
+    for seed in seeds:
+        rngs = [make_rng(seed, b) for b in range(batch)]
+        refs = [make_rng(seed, b) for b in range(batch)]
+        for _ in range(generations):
+            *ints, u = draw_generation(rngs, highs, N, n)
+            assert len(ints) == len(highs) and u.shape == (batch, N, n - 1)
+            for b, ref in enumerate(refs):
+                want_ints, want_u = _per_call(ref, highs, N, n)
+                for got, want in zip(ints, want_ints):
+                    assert got.shape == (batch, N)
+                    np.testing.assert_array_equal(got[b], want)
+                np.testing.assert_array_equal(u[b], want_u)
+        assert [_state(r) for r in rngs] == [_state(r) for r in refs]
+
+
+def _pcg(seed, b):
+    return np.random.default_rng([seed, b])
+
+
+def _pending_half_word(seed, b):
+    rng = _pcg(seed, b)
+    rng.integers(0, 5)  # one 32-bit word: the other half waits in the generator
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def _mt19937(seed, b):
+    return np.random.Generator(np.random.MT19937([seed, b]))
+
+
+def _mixed(seed, b):
+    return (_pcg, _pending_half_word, _mt19937)[b % 3](seed, b)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 10])
+@pytest.mark.parametrize("make_rng, highs, N, n", [
+    (_pcg, (1, 19, 18, 10), 20, 10),             # desk evolve: n_pool = 1 draws nothing
+    (_pcg, (19, 18, 17, 10), 20, 10),            # desk rand/1
+    (_pcg, (1,), 20, 1),                         # no bits at all
+    (_pcg, (7, 6, 5, 4), 7, 4),                  # odd N, even word count
+    (_pcg, (1, 4, 3, 3), 5, 3),                  # odd word count: the generator's own calls
+    (_pending_half_word, (1, 19, 18, 10), 20, 10),
+    (_pcg, (2 ** 31 + 1, 2 ** 31 + 1), 4, 3),    # about half the words redrawn
+    (_pcg, (3, 2, 1, 1), 6, 1),                  # n = 1: no uniforms
+    (_mt19937, (1, 19, 18, 10), 20, 10),         # not PCG64
+    (_mixed, (2 ** 31 + 1, 4, 3, 5), 6, 5),      # every branch in one batch
+])
+def test_draw_generation_equals_the_generators_own_calls(make_rng, highs, N, n, batch):
+    _check_against_per_call(make_rng, highs, N, n, batch)
+
+
+def test_draw_generation_takes_one_raw_block_at_desk_size():
+    class RawOnly:  # a PCG64 generator whose own draw calls must not be used
+        def __init__(self, seed):
+            self.bit_generator = np.random.PCG64(seed)
+
+        def integers(self, *args, **kwargs):
+            raise AssertionError("per-call draw at a size the raw block covers")
+
+        random = integers
+
+    rngs = [RawOnly(s) for s in range(10)]
+    *ints, u = draw_generation(rngs, (1, 19, 18, 10), 20, 10)
+    for s, (picks, r1, r2, j_rand) in enumerate(zip(*ints)):
+        want_ints, want_u = _per_call(np.random.Generator(np.random.PCG64(s)),
+                                      (1, 19, 18, 10), 20, 10)
+        for got, want in zip((picks, r1, r2, j_rand), want_ints):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(u[s], want_u)
+
+
+def test_draw_generation_own_call_order_is_pinned():
+    # a generator without a PCG64 bit generator makes its own calls: one
+    # integers call of N per bound, a bound of 1 included, then one random
+    # call of (N, n - 1)
+    rng = ScriptedRng(ints=[[0, 0, 0], [2, 0, 1], [1, 1, 0]],
+                      uniforms=[[[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]])
+    picks, r1, j_rand, u = draw_generation([rng], (1, 3, 2), 3, 3)
+    assert rng.exhausted()
+    np.testing.assert_array_equal(picks, [[0, 0, 0]])
+    np.testing.assert_array_equal(r1, [[2, 0, 1]])
+    np.testing.assert_array_equal(j_rand, [[1, 1, 0]])
+    np.testing.assert_array_equal(u, [[[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]])
+
+
+def test_draw_generation_rejects_empty_bounds():
+    with pytest.raises(ValueError):
+        draw_generation([np.random.default_rng(0)], (0, 3), 4, 2)
+
+
 # ---------------------------------------------------------------- mutation
+def _mutation_draws(rng, N, n_pool):
+    """picks and the (r1, r2) offsets, drawn as evolve draws them."""
+    picks, r1, r2, _ = draw_generation([rng], (n_pool, N - 1, N - 2), N, 1)
+    return picks, (r1, r2)
+
+
+def _ints(*rows):
+    return [np.array([row]) for row in rows]  # a batch of one
+
+
 def test_mutation_pinned_hand_case():
     # members (0,1,2,3) on a line, fitness equal to position, p=0.25 forces
-    # the pbest pool to {0}; scripted offsets make r1=2, r2=3 for i=1, so
+    # the pbest pool to {0}; the offsets make r1=2, r2=3 for i=1, so
     # v_1 = 1 + 0.5*(0-1) + 0.5*(2-3) = 0.
     pop = _pop([[0.0], [1.0], [2.0], [3.0]], [0.0, 1.0, 2.0, 3.0])
-    rng = ScriptedRng(ints=[
+    picks, r1, r2 = _ints(
         [0, 0, 0, 0],  # pbest picks within the pool
         [0, 1, 0, 0],  # r1 offsets: i=1 -> draw 1 -> r1=2
         [0, 1, 0, 0],  # r2 offsets: i=1 -> draw 1 shifts past {1,2} -> r2=3
-    ])
-    v = mutate_current_to_pbest(pop, _sheet(4, f=0.5), 0.25, [rng])[0]
+    )
+    v = mutate_current_to_pbest(pop, _sheet(4, f=0.5), 0.25, picks, (r1, r2))[0]
     assert v[1, 0] == 0.0
-    assert rng.exhausted()
 
 
 def test_mutation_f_zero_returns_members():
     rng = np.random.default_rng(0)
     pop = _pop(rng.normal(size=(6, 3)), rng.normal(size=6))
-    v = mutate_current_to_pbest(pop, _sheet(6, f=0.0), 0.3, [np.random.default_rng(1)])
+    v = mutate_current_to_pbest(pop, _sheet(6, f=0.0), 0.3,
+                                *_mutation_draws(np.random.default_rng(1), 6, 2))
     np.testing.assert_array_equal(v, pop.members)
 
 
 def test_mutation_identical_members_fixed_point():
     pop = _pop(np.ones((5, 2)) * 3.25, np.arange(5.0))
-    v = mutate_current_to_pbest(pop, _sheet(5, f=0.9), 0.4, [np.random.default_rng(2)])
+    v = mutate_current_to_pbest(pop, _sheet(5, f=0.9), 0.4,
+                                *_mutation_draws(np.random.default_rng(2), 5, 2))
     np.testing.assert_array_equal(v, pop.members)
 
 
 def test_mutation_small_population_rejected():
     pop = _pop(np.zeros((3, 2)), np.zeros(3))
+    picks, r1, r2 = _ints([0, 0, 0], [0, 0, 0], [0, 0, 0])
     with pytest.raises(ValueError):
-        mutate_current_to_pbest(pop, _sheet(3), 0.5, [np.random.default_rng(0)])
+        mutate_current_to_pbest(pop, _sheet(3), 0.5, picks, (r1, r2))
 
 
 def test_mutation_validates_p_and_sheet():
     pop = _pop(np.zeros((4, 2)), np.zeros(4))
+    draws = _mutation_draws(np.random.default_rng(0), 4, 1)
     with pytest.raises(ValueError):
-        mutate_current_to_pbest(pop, _sheet(4), 0.0, [np.random.default_rng(0)])
+        mutate_current_to_pbest(pop, _sheet(4), 0.0, *draws)
     with pytest.raises(ValueError):
-        mutate_current_to_pbest(pop, _sheet(5), 0.5, [np.random.default_rng(0)])
-    with pytest.raises(ValueError):  # one generator per batch row
-        mutate_current_to_pbest(pop, _sheet(4), 0.5, [np.random.default_rng(0)] * 2)
+        mutate_current_to_pbest(pop, _sheet(5), 0.5, *draws)
 
 
 def test_index_sampler_covers_exactly_the_distinct_pairs():
-    # Enumerating every (d1, d2) script must hit every ordered pair
+    # Enumerating every (d1, d2) offset pair must hit every ordered pair
     # (r1, r2) with r1, r2, i pairwise distinct exactly once: the shifted
     # draws are a bijection onto the admissible pairs.
     N = 6
@@ -88,9 +203,9 @@ def test_index_sampler_covers_exactly_the_distinct_pairs():
     for i in range(N):
         seen = set()
         for d1, d2 in itertools.product(range(N - 1), range(N - 2)):
-            pbest_draw = [i] * N  # pool is the whole population at p=1
-            rng = ScriptedRng(ints=[pbest_draw, [d1] * N, [d2] * N])
-            v = mutate_current_to_pbest(pop, _sheet(N, f=1.0), 1.0, [rng])[0]
+            # the pool is the whole population at p=1
+            picks, r1, r2 = _ints([i] * N, [d1] * N, [d2] * N)
+            v = mutate_current_to_pbest(pop, _sheet(N, f=1.0), 1.0, picks, (r1, r2))[0]
             # with pbest=i: v_i = x_i + (x_r1 - x_r2); one-hot rows make
             # the added/subtracted rows readable off the sign pattern
             delta = v[i] - members[i]
@@ -114,8 +229,8 @@ def test_pbest_pool_is_the_fittest_ceil_fraction():
         members = np.zeros((N, 1))
         members[:, 0] = np.arange(N)
         pop = _pop(members, fitness)
-        rng = ScriptedRng(ints=[[pick] * N, [0] * N, [0] * N])
-        v = mutate_current_to_pbest(pop, _sheet(N, f=1.0), 0.5, [rng])[0]
+        picks, r1, r2 = _ints([pick] * N, [0] * N, [0] * N)
+        v = mutate_current_to_pbest(pop, _sheet(N, f=1.0), 0.5, picks, (r1, r2))[0]
         # fittest rows are at the END here; stable argsort maps pick k to
         # row N-1-k
         expect_pbest = N - 1 - pick
@@ -129,21 +244,25 @@ def test_mutation_pure_and_seed_deterministic():
     rng = np.random.default_rng(3)
     pop = _pop(rng.normal(size=(8, 4)), rng.normal(size=8))
     before = pop.members.copy()
-    a = mutate_current_to_pbest(pop, _sheet(8), 0.2, [np.random.default_rng(9)])
-    b = mutate_current_to_pbest(pop, _sheet(8), 0.2, [np.random.default_rng(9)])
+    a = mutate_current_to_pbest(pop, _sheet(8), 0.2,
+                                *_mutation_draws(np.random.default_rng(9), 8, 2))
+    b = mutate_current_to_pbest(pop, _sheet(8), 0.2,
+                                *_mutation_draws(np.random.default_rng(9), 8, 2))
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(pop.members, before)
 
 
 # ---------------------------------------------------------------- crossover
+def _crossover_draws(rng, N, n):
+    return draw_generation([rng], (n,), N, n)  # j_rand, then the uniforms
+
+
 def test_crossover_pinned_hand_case():
-    # forced coordinate drawn as index 1; uniforms 0.2 (take) and 0.8 (keep)
-    # fall on the remaining coordinates in order -> trial (9, 9, 1)
-    rng = ScriptedRng(ints=[[1]], uniforms=[[[0.2, 0.8]]])
+    # forced coordinate 1; uniforms 0.2 (take) and 0.8 (keep) fall on the
+    # remaining coordinates in order -> trial (9, 9, 1)
     trial = binomial_crossover_batch(np.ones((1, 1, 3)), np.full((1, 1, 3), 9.0), [[0.5]],
-                                     [rng])[0]
+                                     np.array([[1]]), np.array([[[0.2, 0.8]]]))[0]
     np.testing.assert_array_equal(trial, [[9.0, 9.0, 1.0]])
-    assert rng.exhausted()
 
 
 def test_crossover_cr_one_gives_mutant():
@@ -151,7 +270,8 @@ def test_crossover_cr_one_gives_mutant():
     for _ in range(20):
         t = rng.normal(size=(1, 1, 6))
         m = rng.normal(size=(1, 1, 6))
-        np.testing.assert_array_equal(binomial_crossover_batch(t, m, [[1.0]], [rng]), m)
+        np.testing.assert_array_equal(
+            binomial_crossover_batch(t, m, [[1.0]], *_crossover_draws(rng, 1, 6)), m)
 
 
 def test_crossover_cr_zero_changes_exactly_forced_coordinate():
@@ -159,7 +279,8 @@ def test_crossover_cr_zero_changes_exactly_forced_coordinate():
     for _ in range(50):
         t = rng.normal(size=5)
         m = rng.normal(size=5)
-        trial = binomial_crossover_batch(t[None, None], m[None, None], [[0.0]], [rng])[0, 0]
+        trial = binomial_crossover_batch(t[None, None], m[None, None], [[0.0]],
+                                         *_crossover_draws(rng, 1, 5))[0, 0]
         changed = np.nonzero(trial != t)[0]
         assert changed.size == 1
         assert trial[changed[0]] == m[changed[0]]
@@ -167,8 +288,8 @@ def test_crossover_cr_zero_changes_exactly_forced_coordinate():
 
 def test_crossover_boundary_uniform_equal_cr_takes_mutant():
     # the comparison is rand <= CR, non-strict
-    rng = ScriptedRng(ints=[[0]], uniforms=[[[0.5, 0.5]]])
-    trial = binomial_crossover_batch(np.zeros((1, 1, 3)), np.ones((1, 1, 3)), [[0.5]], [rng])
+    trial = binomial_crossover_batch(np.zeros((1, 1, 3)), np.ones((1, 1, 3)), [[0.5]],
+                                     np.array([[0]]), np.array([[[0.5, 0.5]]]))
     np.testing.assert_array_equal(trial, [[[1.0, 1.0, 1.0]]])
 
 
@@ -177,7 +298,8 @@ def test_crossover_batch_rowwise_matches_scalar():
     T = rng.normal(size=(3, 4))
     M = rng.normal(size=(3, 4))
     cr = np.array([0.0, 0.5, 1.0])
-    batch = binomial_crossover_batch(T[None], M[None], cr[None], [np.random.default_rng(7)])[0]
+    batch = binomial_crossover_batch(T[None], M[None], cr[None],
+                                     *_crossover_draws(np.random.default_rng(7), 3, 4))[0]
     # structural: every row mixes only its own target/mutant
     for r in range(3):
         assert np.all((batch[r] == T[r]) | (batch[r] == M[r]))
@@ -186,17 +308,18 @@ def test_crossover_batch_rowwise_matches_scalar():
 
 
 def test_crossover_single_coordinate_always_mutant():
-    rng = np.random.default_rng(5)
-    assert binomial_crossover_batch([[[1.0]]], [[[2.0]]], [[0.0]], [rng])[0, 0, 0] == 2.0
+    trial = binomial_crossover_batch([[[1.0]]], [[[2.0]]], [[0.0]],
+                                     np.array([[0]]), np.empty((1, 1, 0)))
+    assert trial[0, 0, 0] == 2.0
 
 
 def test_crossover_shape_validation():
+    j_rand, u = np.zeros((1, 1), dtype=int), np.zeros((1, 1, 2))
     with pytest.raises(ValueError):
-        binomial_crossover_batch(np.zeros((1, 1, 3)), np.zeros((1, 1, 4)), [[0.5]],
-                                 [np.random.default_rng(0)])
+        binomial_crossover_batch(np.zeros((1, 1, 3)), np.zeros((1, 1, 4)), [[0.5]], j_rand, u)
     with pytest.raises(ValueError):
         binomial_crossover_batch(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)),
-                                 np.zeros((1, 3)), [np.random.default_rng(0)])
+                                 np.zeros((1, 3)), j_rand, u)
 
 
 # ---------------------------------------------------------------- repair
@@ -261,6 +384,13 @@ def test_evolve_accounting_and_monotonicity():
         assert pop.fitness.min() <= best
         best = pop.fitness.min()
     np.testing.assert_array_equal(pop.fitness[0], inst.evaluate_batch(pop.members[0]))
+
+
+def test_evolve_needs_one_generator_per_row():
+    inst = make_suite(0, 3, 1, 0).train[0]
+    pop = init_population(inst, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        evolve(pop, inst, _sheet(4), 0.5, [np.random.default_rng(0)] * 2)
 
 
 def test_evolve_respects_bounds():

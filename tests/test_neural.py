@@ -15,6 +15,7 @@ from ldectl.neural import (
     ControllerWeights,
     GradCheckReport,
     WeightFileError,
+    _stacked,
     backward_through_time,
     count_macs,
     fd_gradient,
@@ -242,6 +243,53 @@ def test_bptt_matches_finite_differences_everywhere():
         assert np.all(np.abs(a - n) <= 1e-4 * np.maximum(1.0, np.abs(a))), k
 
 
+def _bptt_outer_products(w, tapes, out_grads):
+    """BPTT with each step's outer products added into the gradient, newest
+    step first: the reference for the one-product-over-time form.  Also
+    returns, per entry, the sum of its terms' magnitudes."""
+    H = w.hidden
+    B = len(out_grads[0])
+    g = {k: np.zeros((B,) + getattr(w, k).shape) for k in FIELD_ORDER}
+    size = {k: np.zeros_like(v) for k, v in g.items()}
+    dh_next, dc_next = np.zeros((B, H)), np.zeros((B, H))
+    for tape, og in zip(reversed(tapes), reversed(out_grads)):
+        da_heads = og * tape.mu_raw * (1.0 - tape.mu_raw)
+        dh = _stacked(w.W_head, da_heads) + dh_next
+        dc = dh * tape.o * (1.0 - tape.tanh_c ** 2) + dc_next
+        da = np.concatenate([dc * tape.c_prev * tape.f * (1.0 - tape.f),
+                             dc * tape.ctilde * tape.i * (1.0 - tape.i),
+                             dh * tape.tanh_c * tape.o * (1.0 - tape.o),
+                             dc * tape.i * (1.0 - tape.ctilde ** 2)], axis=1)
+        for k, left, right in (("W_head", tape.h, da_heads), ("W_g", da, tape.z)):
+            g[k] += left[:, :, None] * right[:, None, :]
+            size[k] += np.abs(left)[:, :, None] * np.abs(right)[:, None, :]
+        for k, term in (("b_head", da_heads), ("b_g", da)):
+            g[k] += term
+            size[k] += np.abs(term)
+        dh_next = _stacked(w.W_g[:, :H].T, da)
+        dc_next = dc * tape.f
+    return g, size
+
+
+def test_bptt_equals_the_sum_of_outer_products_at_desk_scale():
+    H, D, N, T, B = 32, 30, 20, 30, 10
+    rng = np.random.default_rng(17)
+    w = init_weights(H, D, N, rng)
+    state, tapes = zero_state(H, B), []
+    for _ in range(T):
+        _, state, tape = forward_step(w, rng.uniform(0.0, 1.0, (B, D)), state)
+        tapes.append(tape)
+    out_grads = [rng.normal(size=(B, 2 * N)) for _ in range(T)]
+    got = backward_through_time(w, tapes, out_grads)
+    want, size = _bptt_outer_products(w, tapes, out_grads)
+    # the two add the same T terms per entry in different orders: they agree
+    # to 1e-12 of the terms' magnitudes (an entry whose terms cancel can
+    # differ by more than 1e-12 of itself)
+    for k in FIELD_ORDER:
+        err = np.abs(getattr(got, k) - want[k])
+        assert np.all(err <= 1e-12 * size[k]), (k, float(np.max(err / size[k])))
+
+
 def test_bptt_zero_out_grads_zero_gradient():
     H, D, N = 4, 3, 2
     w = init_weights(H, D, N, np.random.default_rng(0))
@@ -310,6 +358,20 @@ def test_run_gradcheck_detects_corruption(monkeypatch):
         monkeypatch.setattr(neural, "backward_through_time", corrupted)
         report = run_gradcheck()
         assert not report.passed and report.worst_field == field, (field, ix)
+
+
+def test_run_gradcheck_fails_on_a_nan_gradient(monkeypatch):
+    real = neural.backward_through_time
+
+    def nan_entry(*args):
+        g = real(*args)
+        g.b_head[0, 5] = np.nan
+        return g
+
+    monkeypatch.setattr(neural, "backward_through_time", nan_entry)
+    report = run_gradcheck()
+    assert not report.passed
+    assert report.worst_field == "b_head" and math.isnan(report.max_rel_err)
 
 
 def test_run_gradcheck_deterministic():

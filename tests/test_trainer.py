@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import EvalCounter
-from ldectl.benchfn import make_suite
-from ldectl.de_core import init_population
-from ldectl.errors import NumericFailure
+from ldectl.benchfn import FunctionInstance, error_value, make_suite
+from ldectl.de_core import Population, init_population
+from ldectl.errors import ConsistencyError, NumericFailure
 from ldectl.neural import (
     FIELD_ORDER,
     backward_through_time,
@@ -23,6 +23,7 @@ from ldectl.trainer import (
     RolloutBatch,
     StepRecord,
     TrainConfig,
+    _best_errors,
     epoch_gradient,
     sample_trajectory,
     step_advantages,
@@ -35,6 +36,33 @@ def _tiny_cfg(**kw):
                 window=2, hidden=4, seed=7)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def _instance(f_star):
+    return FunctionInstance(id="fs", dim=2, base="sphere", f_star=f_star,
+                            shift=np.zeros(2), bounds=(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("f_star", [0.0, 1.0, -37.25])
+def test_best_errors_equal_error_value_row_by_row(f_star):
+    # exact hits, -0.0, undercuts inside the 1e-12 slack, NaN, and plain errors
+    fitness = f_star + np.array([[2.5, 1.0], [0.0, 3.0], [-5e-13, 7.0], [1e-3, np.nan],
+                                 [4.0, 4.0], [-1e-13, -2e-13]])
+    if f_star == 0.0:
+        fitness[1, 0] = -0.0
+    pop = Population(np.zeros(fitness.shape + (2,)), fitness)
+    want = np.array([error_value(_instance(f_star), f) for f in fitness.min(axis=1)])
+    assert _best_errors(_instance(f_star), pop).tobytes() == want.tobytes()
+
+
+def test_best_errors_name_the_first_undercutting_row():
+    inst = _instance(1.0)
+    fitness = np.array([[1.5, 2.0], [0.25, 3.0], [-4.0, 1.0]])
+    with pytest.raises(ConsistencyError) as want:
+        error_value(inst, fitness[1].min())
+    with pytest.raises(ConsistencyError) as got:
+        _best_errors(inst, Population(np.zeros((3, 2, 2)), fitness))
+    assert str(got.value) == str(want.value)
 
 
 def _tiny_setup(cfg, fn_seed=7):

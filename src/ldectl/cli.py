@@ -91,6 +91,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    if merged.get("jobs", 1) < 1:
+        raise UsageError(f"jobs must be >= 1, got {merged['jobs']}")
     return merged
 
 

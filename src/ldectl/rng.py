@@ -33,5 +33,7 @@ def _label_word(label) -> int:
 
 def stream(master_seed: int, *path) -> np.random.Generator:
     """Return the generator for the stream addressed by ``path``."""
-    key = tuple(_label_word(p) for p in path)
+    # built from a list: tuple() of a generator shrinks an over-allocated
+    # tuple, which leaves one tuple per call in CPython's free list
+    key = tuple([_label_word(p) for p in path])
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))

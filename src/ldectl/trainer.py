@@ -13,12 +13,15 @@ gradient unchanged.  With L = 1 there is nothing to leave out and the
 advantage is the plain reward-to-go.  The scaled gradients are chained
 through the recurrence by full backpropagation through time.
 
-A function's L rollouts advance together as one batch: each generation
-is one ``ControllerStep`` over all of them (the same step the runner
-drives the trained controller with, there with a batch of one), with a
-single stacked controller step and a single evaluation of the L * N
-trials.  Backpropagation runs over the whole batch at once.  A worker
-pool, when used, maps over the functions.
+All of an epoch's rollouts advance together as one batch: each
+generation is one ``ControllerStep`` over the K * L rows (the same step
+the runner drives the trained controller with, there with a batch of
+one), with a single stacked controller step and a single ``evolve``.
+Rows are function-major, so function k owns the L consecutive rows from
+k * L on, and each function evaluates only its own L * N trials, in one
+call per generation.  Backpropagation runs once per function, over row
+views of the batch's tapes.  With a worker pool, the functions are split
+into contiguous groups, one batch per worker.
 
 Randomness is addressed per purpose -- ("weights"), ("epoch", e,
 "init"), ("epoch", e, "traj", k, l) -- and rollout l of function k draws
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -95,13 +98,16 @@ class StepRecord:
 
 @dataclass
 class RolloutBatch:
-    """One function's rollouts from a shared start, advanced together.
+    """The rollouts of one or more functions, advanced together.
 
-    ``steps`` holds one StepRecord per generation; ``rewards`` has shape
-    (B, horizon) and ``total_return`` shape (B,).
+    Rows are function-major: ``function_ids[k]`` owns the ``rollouts``
+    consecutive rows from k * rollouts on, all started from that
+    function's shared start.  ``steps`` holds one StepRecord per
+    generation; ``rewards`` has shape (B, horizon) and ``total_return``
+    shape (B,).
     """
 
-    function_id: str
+    function_ids: list
     steps: list
     rewards: np.ndarray
     total_return: np.ndarray
@@ -109,6 +115,15 @@ class RolloutBatch:
     @property
     def size(self) -> int:
         return len(self.rewards)
+
+    @property
+    def rollouts(self) -> int:
+        """Rollouts per function, L."""
+        return self.size // len(self.function_ids)
+
+    def rows(self, k: int) -> slice:
+        """The batch rows of function k."""
+        return slice(k * self.rollouts, (k + 1) * self.rollouts)
 
 
 class ControllerStep:
@@ -140,28 +155,59 @@ class ControllerStep:
         return pop, StepRecord(feat, tape, action, mu)
 
 
-def _best_errors(objective, pop: Population) -> np.ndarray:
-    """error_value of each row's best fitness, over all rows at once."""
+class FunctionBlocks:
+    """The objective of a cross-function batch.
+
+    Function k owns the ``rows`` consecutive batch rows from k * rows on.
+    ``evaluate_batch`` takes the trials of every row, member-major within
+    a row, and hands each function the trials of its own rows in one
+    call; ``f_star`` holds each row's optimum value.
+    """
+
+    def __init__(self, functions, rows: int):
+        self.functions = list(functions)
+        self.rows = rows
+        self.bounds = self.functions[0].bounds
+        self.f_star = np.repeat([f.f_star for f in self.functions], rows)
+
+    def evaluate_batch(self, X) -> np.ndarray:
+        m = len(X) // len(self.functions)
+        return np.concatenate([f.evaluate_batch(X[k * m:(k + 1) * m])
+                               for k, f in enumerate(self.functions)])
+
+
+def _best_errors(objective: FunctionBlocks, pop: Population) -> np.ndarray:
+    """error_value of each row's best fitness against its own function,
+    over all rows at once."""
     best = pop.fitness.min(axis=1)
     err = best - objective.f_star
     undercut = err <= -1e-12
-    if undercut.any():  # error_value raises, naming the first such row
-        error_value(objective, best[undercut.argmax()])
+    if undercut.any():  # error_value raises, naming the first such row's function
+        b = undercut.argmax()
+        error_value(objective.functions[b // objective.rows], best[b])
     return np.where(err < 0.0, 0.0, err)
 
 
-def sample_trajectory(w: ControllerWeights, objective, pop0: Population,
+def sample_trajectory(w: ControllerWeights, functions, pop0: Population,
                       cfg: TrainConfig, rngs) -> RolloutBatch:
-    """Roll len(rngs) rollouts out together for cfg.horizon generations,
-    each from the shared start pop0 (a batch of one) and drawing from its
-    own generator."""
-    if pop0.batch != 1:
-        raise ValueError("the shared start population must be a batch of one")
-    B = len(rngs)
-    step = ControllerStep(w, cfg, batch=B)
-    pop = Population(np.repeat(pop0.members, B, axis=0), np.repeat(pop0.fitness, B, axis=0))
+    """Roll the rollouts of every function out together for cfg.horizon
+    generations.
+
+    Row k of pop0 is the shared start on functions[k].  ``rngs`` holds
+    one generator per rollout, the same number for every function,
+    function-major; each rollout draws from its own generator alone.
+    """
+    K = len(functions)
+    if pop0.batch != K:
+        raise ValueError(f"need one start population per function: {pop0.batch} for {K}")
+    if not rngs or len(rngs) % K:
+        raise ValueError(f"{len(rngs)} generators do not split evenly over {K} functions")
+    L = len(rngs) // K
+    objective = FunctionBlocks(functions, L)
+    step = ControllerStep(w, cfg, batch=K * L)
+    pop = Population(np.repeat(pop0.members, L, axis=0), np.repeat(pop0.fitness, L, axis=0))
     err_prev = _best_errors(objective, pop)
-    rewards = np.empty((B, cfg.horizon))
+    rewards = np.empty((K * L, cfg.horizon))
     steps = []
     for t in range(cfg.horizon):
         pop, record = step(pop, objective, rngs)
@@ -169,54 +215,78 @@ def sample_trajectory(w: ControllerWeights, objective, pop0: Population,
         rewards[:, t] = reward(err_prev, err_next)
         steps.append(record)
         err_prev = err_next
-    return RolloutBatch(objective.id, steps, rewards, trajectory_return(rewards))
+    return RolloutBatch([f.id for f in functions], steps, rewards, trajectory_return(rewards))
 
 
 def step_advantages(batch: RolloutBatch) -> np.ndarray:
-    """Per-step advantages of one function's rollouts, shape (B, horizon).
+    """Per-step advantages of a batch's rollouts, shape (B, horizon).
 
     A_{i,t} = G_{i,t} - mean_{j != i} G_{j,t}, where G is the
-    reward-to-go and j runs over the batch's other rollouts.  A batch of
-    one keeps plain reward-to-go.
+    reward-to-go and j runs over the other rollouts of row i's function.
+    A function with one rollout keeps plain reward-to-go.
     """
     G = np.cumsum(batch.rewards[:, ::-1], axis=1)[:, ::-1]
-    if batch.size > 1:
-        G = G - (G.sum(axis=0) - G) / (batch.size - 1)
+    L = batch.rollouts
+    if L > 1:
+        K, T = len(batch.function_ids), G.shape[1]
+        G = G.reshape(K, L, T)
+        G = (G - (G.sum(axis=1, keepdims=True) - G) / (L - 1)).reshape(K * L, T)
     return G
+
+
+def _row_view(record, rows: slice):
+    """The same dataclass, holding views of the given rows of its arrays."""
+    return type(record)(*(getattr(record, f.name)[rows] for f in fields(record)))
 
 
 def epoch_gradient(w: ControllerWeights, batches, cfg: TrainConfig) -> ControllerWeights:
     """Average REINFORCE gradient over one epoch's rollout batches.
 
-    Each batch holds one function's rollouts from one start population;
-    its per-step advantages come from step_advantages and its rollouts
-    are back-propagated together.  The per-rollout gradient rows are
-    added into one vector in list order, so the result does not depend
-    on how the rollouts were scheduled.
+    Per-step advantages come from step_advantages.  Each function's
+    rollouts are back-propagated together, on row views of its batch's
+    tapes, and the per-rollout gradient rows are added into one vector
+    in list order, so the result does not depend on how the functions
+    were grouped into batches.
     """
     if not batches:
         raise ValueError("epoch_gradient needs at least one rollout batch")
-    fids = [batch.function_id for batch in batches]
+    fids = [fid for batch in batches for fid in batch.function_ids]
     if len(set(fids)) < len(fids):  # their baseline would not pool them
         raise ValueError("each function's rollouts must form one batch")
     acc = np.zeros_like(w.theta)
     count = 0
     for batch in batches:
         adv = step_advantages(batch)
-        out_grads = [adv[:, t, None] * logprob_grad_mu(s.action, s.mu, cfg)
-                     for t, s in enumerate(batch.steps)]
-        for row in backward_through_time(w, [s.tape for s in batch.steps], out_grads).theta:
-            acc += row
+        for k in range(len(batch.function_ids)):
+            rows = batch.rows(k)
+            out_grads = [adv[rows, t, None] * logprob_grad_mu(_row_view(s.action, rows),
+                                                              s.mu[rows], cfg)
+                         for t, s in enumerate(batch.steps)]
+            tapes = [_row_view(s.tape, rows) for s in batch.steps]
+            for row in backward_through_time(w, tapes, out_grads).theta:
+                acc += row
         count += batch.size
     acc *= 1.0 / count
     return w.like(acc)
 
 
 def _rollout_task(payload):
-    w, inst, members, cfg, epoch, k = payload
-    pop0 = Population(members[None], inst.evaluate_batch(members)[None])  # one shared P0 eval
-    rngs = [stream(cfg.seed, "epoch", epoch, "traj", k, l) for l in range(cfg.rollouts)]
-    return sample_trajectory(w, inst, pop0, cfg, rngs)
+    w, functions, members, cfg, epoch, k0 = payload
+    # one shared P0 evaluation per function
+    pop0 = Population(np.repeat(members[None], len(functions), axis=0),
+                      np.array([f.evaluate_batch(members) for f in functions]))
+    rngs = [stream(cfg.seed, "epoch", epoch, "traj", k0 + k, l)
+            for k in range(len(functions)) for l in range(cfg.rollouts)]
+    return sample_trajectory(w, functions, pop0, cfg, rngs)
+
+
+def _groups(functions, jobs: int) -> list:
+    """min(jobs, K) contiguous groups of the functions, as even as possible,
+    each as (index of its first function, its functions)."""
+    K = len(functions)
+    n = min(jobs, K)
+    cuts = [K * g // n for g in range(n + 1)]
+    return [(a, functions[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def train(functions, cfg: TrainConfig, jobs: int = 1,
@@ -239,19 +309,22 @@ def train(functions, cfg: TrainConfig, jobs: int = 1,
             raise ValueError("training functions must share dim and bounds")
     if not 0 <= start_epoch <= cfg.epochs:
         raise ValueError(f"start_epoch {start_epoch} outside [0, {cfg.epochs}]")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
     w = weights if weights is not None else init_weights(
         cfg.hidden, cfg.input_size, cfg.pop_size, stream(cfg.seed, "weights"))
 
     log_rows = []
     lo, hi = bounds
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    groups = _groups(list(functions), jobs)
+    pool = ProcessPoolExecutor(max_workers=len(groups)) if len(groups) > 1 else None
     try:
         for epoch in range(start_epoch, cfg.epochs):
             t0 = time.perf_counter()
             members = stream(cfg.seed, "epoch", epoch, "init").uniform(
                 lo, hi, size=(cfg.pop_size, dim))
-            payloads = [(w, f, members, cfg, epoch, k) for k, f in enumerate(functions)]
+            payloads = [(w, group, members, cfg, epoch, k0) for k0, group in groups]
             if pool is not None:
                 batches = list(pool.map(_rollout_task, payloads))
             else:
@@ -269,16 +342,17 @@ def train(functions, cfg: TrainConfig, jobs: int = 1,
 
             ms = (time.perf_counter() - t0) * 1000.0
             epoch_rows = []
-            for f, batch in zip(functions, batches):
-                rets = batch.total_return
-                epoch_rows.append({
-                    "epoch": epoch,
-                    "function_id": f.id,
-                    "mean_return": float(np.mean(rets)),
-                    "return_std": float(np.std(rets)),
-                    "grad_norm": gnorm,
-                    "wallclock_ms": ms,
-                })
+            for batch in batches:
+                for k, fid in enumerate(batch.function_ids):
+                    rets = batch.total_return[batch.rows(k)]
+                    epoch_rows.append({
+                        "epoch": epoch,
+                        "function_id": fid,
+                        "mean_return": float(np.mean(rets)),
+                        "return_std": float(np.std(rets)),
+                        "grad_norm": gnorm,
+                        "wallclock_ms": ms,
+                    })
             log_rows.extend(epoch_rows)
             if on_epoch is not None:
                 on_epoch(epoch, w, epoch_rows)

@@ -107,12 +107,13 @@ def _eval_return(w, functions, cfg):
     for e in range(EVAL_STARTS):
         members = stream(cfg.seed, "eval", e, "init").uniform(
             lo, hi, size=(cfg.pop_size, functions[0].dim))
-        for k, f in enumerate(functions):
-            pop0 = Population(members[None], f.evaluate_batch(members)[None])
-            returns.extend(sample_trajectory(
-                w, f, pop0, cfg,
-                [stream(cfg.seed, "eval", e, "traj", k, l) for l in range(cfg.rollouts)],
-            ).total_return)
+        pop0 = Population(np.repeat(members[None], len(functions), axis=0),
+                          np.array([f.evaluate_batch(members) for f in functions]))
+        returns.extend(sample_trajectory(
+            w, functions, pop0, cfg,
+            [stream(cfg.seed, "eval", e, "traj", k, l)
+             for k in range(len(functions)) for l in range(cfg.rollouts)],
+        ).total_return)
     return float(np.mean(returns))
 
 

@@ -1,13 +1,16 @@
 """The batched rollout engine against a straight-line per-rollout oracle.
 
-Training advances a function's L rollouts together: one stacked
-controller step, one evaluation of the L * N trials and one evolve per
-generation, then backpropagation over the whole batch.  The oracle below
-is the per-rollout loop that engine replaced, kept as plain scalar code:
-one rollout at a time on 1-D arrays, matrix-vector products as W @ v,
-and the per-trajectory gradients added in list order.  Rewards, raw
-actions, head means, the epoch gradient and whole training runs must
-match it bit for bit, and train output must not depend on --jobs.
+Training advances all of an epoch's rollouts together, K functions of L
+rollouts each, function-major: one stacked controller step and one
+evolve per generation, each function evaluating only its own L * N
+trials, then backpropagation per function over row views of the batch.
+The oracle below is the per-rollout loop that engine replaced, kept as
+plain scalar code: one rollout at a time on 1-D arrays, matrix-vector
+products as W @ v, each function's leave-one-out baseline pooled over
+its own rollouts, and the per-trajectory gradients added in list order.
+Rewards, raw actions, head means, the epoch gradient and whole training
+runs must match it bit for bit, and train output must not depend on
+--jobs.
 """
 
 import math
@@ -179,30 +182,44 @@ def _oracle_train(functions, cfg):
 DESK = dict(pop_size=20, bins=5, window=5, hidden=32, horizon=12, seed=3)
 
 
-@pytest.mark.parametrize("rollouts", [1, 2, 7, 10])
-def test_batched_rollouts_match_the_per_rollout_oracle(rollouts):
+def _check_against_the_oracle(functions, rollouts):
+    """One cross-function batch of every function's rollouts, row by row
+    and in its epoch gradient, against the per-rollout oracle."""
     cfg = TrainConfig(rollouts=rollouts, **DESK)
-    functions = make_suite(cfg.seed, 10, 8, 0).train
+    K = len(functions)
     w = init_weights(cfg.hidden, cfg.input_size, cfg.pop_size, stream(cfg.seed, "w"))
     members = stream(cfg.seed, "p0").uniform(-100.0, 100.0, size=(cfg.pop_size, 10))
-    batches, oracle = [], []
+    pop0 = Population(np.repeat(members[None], K, axis=0),
+                      np.array([f.evaluate_batch(members) for f in functions]))
+    batch = sample_trajectory(w, functions, pop0, cfg, [
+        stream(cfg.seed, "t", k, l) for k in range(K) for l in range(rollouts)])
+    assert batch.function_ids == [f.id for f in functions]
+    oracle = []
     for k, f in enumerate(functions):
-        fitness0 = f.evaluate_batch(members)
-        rngs = [stream(cfg.seed, "t", k, l) for l in range(rollouts)]
-        batch = sample_trajectory(w, f, Population(members[None], fitness0[None]), cfg, rngs)
-        per_fn = [_rollout(w, f, members, fitness0, cfg, stream(cfg.seed, "t", k, l))
+        per_fn = [_rollout(w, f, members, pop0.fitness[k], cfg, stream(cfg.seed, "t", k, l))
                   for l in range(rollouts)]
         for l, steps in enumerate(per_fn):
-            assert batch.rewards[l].tolist() == [s[0] for s in steps], (f.id, l)
-            assert batch.total_return[l] == float(np.sum(np.asarray([s[0] for s in steps])))
+            b = k * rollouts + l  # function-major rows
+            assert batch.rewards[b].tolist() == [s[0] for s in steps], (f.id, l)
+            assert batch.total_return[b] == float(np.sum(np.asarray([s[0] for s in steps])))
             for record, (_, raw, mu, _) in zip(batch.steps, steps):
-                np.testing.assert_array_equal(record.action.raw[l], raw)
-                np.testing.assert_array_equal(record.mu[l], mu)
-        batches.append(batch)
+                np.testing.assert_array_equal(record.action.raw[b], raw)
+                np.testing.assert_array_equal(record.mu[b], mu)
         oracle.append(per_fn)
-    grad = epoch_gradient(w, batches, cfg)
+    grad = epoch_gradient(w, [batch], cfg)
     for k, want in _oracle_gradient(w, oracle, cfg).items():
         np.testing.assert_array_equal(getattr(grad, k), want, err_msg=k)
+
+
+@pytest.mark.parametrize("rollouts", [1, 2, 7, 10])
+def test_batched_rollouts_match_the_per_rollout_oracle(rollouts):
+    # all eight families in one batch
+    _check_against_the_oracle(make_suite(DESK["seed"], 10, 8, 0).train, rollouts)
+
+
+@pytest.mark.parametrize("functions", [1, 2, 6])
+def test_cross_function_batch_matches_the_per_function_oracle(functions):
+    _check_against_the_oracle(make_suite(DESK["seed"], 10, functions, 0).train, 3)
 
 
 def test_fused_products_keep_each_gates_bits_at_desk_scale():
@@ -256,11 +273,13 @@ def test_training_matches_the_per_rollout_oracle():
     assert [(r["mean_return"], r["return_std"]) for r in rows] == rows_oracle
 
 
-def test_train_output_is_byte_identical_for_jobs_1_and_4(tmp_path):
-    assert cli.main(["suite", "--seed", "4", "--dim", "3", "--train", "4", "--test", "0",
+def test_train_output_is_byte_identical_for_any_jobs(tmp_path):
+    # five functions: 2, 3, 4 and 8 jobs split them into uneven groups,
+    # and 8 is more than there are functions
+    assert cli.main(["suite", "--seed", "4", "--dim", "3", "--train", "5", "--test", "0",
                      "--out", str(tmp_path / "suite")]) == 0
     outs = []
-    for jobs in ("1", "4"):
+    for jobs in ("1", "2", "3", "4", "8"):
         out = tmp_path / f"jobs{jobs}"
         assert cli.main(["train", "--seed", "4", "--suite", str(tmp_path / "suite"),
                          "--epochs", "2", "--rollouts", "3", "--horizon", "5",
@@ -268,4 +287,4 @@ def test_train_output_is_byte_identical_for_jobs_1_and_4(tmp_path):
                          "--checkpoint-every", "1", "--jobs", jobs, "--out", str(out)]) == 0
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert set(outs[0]) == {"train_log.csv", "weights.bin", "checkpoint_0001.bin"}
-    assert outs[0] == outs[1]
+    assert all(out == outs[0] for out in outs[1:])

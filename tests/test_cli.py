@@ -412,6 +412,28 @@ def test_missing_instance_dir_is_io_failure(ws, capsys):
     assert "i/o failure" in capsys.readouterr().err
 
 
+def test_train_refuses_jobs_below_one(ws, capsys):
+    _suite(ws)
+    assert main(["train", *TINY_TRAIN, "--jobs", "-3"]) == 1
+    assert "jobs must be >= 1, got -3" in capsys.readouterr().err
+    (ws / "train.cfg").write_text("jobs = 0\n")
+    assert main(["train", *TINY_TRAIN, "--config", "train.cfg"]) == 1
+    assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+    assert not (ws / "trained").exists()
+
+
+def test_run_refuses_jobs_below_one(ws, capsys):
+    _suite(ws)
+    base = ["run", "--algorithms", "de_rand1_fixed", "--runs", "1", "--budget", "60",
+            "--pop-size", "6"]
+    assert main([*base, "--jobs", "0"]) == 1
+    assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+    (ws / "run.cfg").write_text("jobs = -2\n")
+    assert main([*base, "--config", "run.cfg"]) == 1
+    assert "jobs must be >= 1, got -2" in capsys.readouterr().err
+    assert not (ws / "runs").exists()
+
+
 def _die(payload):
     os._exit(1)  # a worker process dying mid-task, as on a crash or an OOM kill
 

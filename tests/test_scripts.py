@@ -45,3 +45,15 @@ def test_controller_cost_sweeps_the_given_sizes(capsys):
     # 4H(H + D) + 2NH MACs at the script's defaults N = 2, b = 1 (D = 4)
     assert rows == {h: 4 * h * (h + 4) + 2 * 2 * h for h in (16, 32)}
     assert "log-log slope" in lines[-1]
+
+
+def test_epoch_memory_runs_the_desk_op_and_reads_the_status(tmp_path, capsys):
+    mem = _load("epoch_memory")
+    assert mem.main(["--ops", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "ops 1 seed 0"
+    values = {line.split()[0]: line.split(None, 1)[1] for line in lines[1:]}
+    assert set(values) == {"VmHWM", "RssAnon", "RssFile"}
+    if Path("/proc/self/status").is_file():
+        assert all(v.endswith(" kB") and int(v.split()[0]) > 0 for v in values.values())
+    assert mem.memory_status(tmp_path / "absent") == dict.fromkeys(values, "n/a")

@@ -20,6 +20,7 @@ from ldectl.neural import (
 from ldectl.policy import clip_action, logprob_grad_mu
 from ldectl.rng import stream
 from ldectl.trainer import (
+    FunctionBlocks,
     RolloutBatch,
     StepRecord,
     TrainConfig,
@@ -52,7 +53,8 @@ def test_best_errors_equal_error_value_row_by_row(f_star):
         fitness[1, 0] = -0.0
     pop = Population(np.zeros(fitness.shape + (2,)), fitness)
     want = np.array([error_value(_instance(f_star), f) for f in fitness.min(axis=1)])
-    assert _best_errors(_instance(f_star), pop).tobytes() == want.tobytes()
+    got = _best_errors(FunctionBlocks([_instance(f_star)], len(fitness)), pop)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_best_errors_name_the_first_undercutting_row():
@@ -61,8 +63,25 @@ def test_best_errors_name_the_first_undercutting_row():
     with pytest.raises(ConsistencyError) as want:
         error_value(inst, fitness[1].min())
     with pytest.raises(ConsistencyError) as got:
-        _best_errors(inst, Population(np.zeros((3, 2, 2)), fitness))
+        _best_errors(FunctionBlocks([inst], 3), Population(np.zeros((3, 2, 2)), fitness))
     assert str(got.value) == str(want.value)
+
+
+def test_best_errors_name_the_undercutting_rows_own_function():
+    # rows 0-1 belong to f, 2-3 to g, 4-5 to h.  Row 2 would undercut f's
+    # optimum but not g's; row 3 is the first to undercut its own, and
+    # row 4 undercuts h's too.
+    f, g, h = (FunctionInstance(id=fid, dim=2, base="sphere", f_star=fs,
+                                shift=np.zeros(2), bounds=(-1.0, 1.0))
+               for fid, fs in (("f", 1.0), ("g", -37.25), ("h", 5.0)))
+    fitness = np.array([[1.5, 2.0], [1.0, 3.0], [-37.0, -30.0], [-40.0, 1.0],
+                        [4.0, 6.0], [5.0, 5.5]])
+    with pytest.raises(ConsistencyError) as want:
+        error_value(g, -40.0)
+    with pytest.raises(ConsistencyError) as got:
+        _best_errors(FunctionBlocks([f, g, h], 2), Population(np.zeros((6, 2, 2)), fitness))
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("g: value -40.0 undercuts f_star -37.25")
 
 
 def _tiny_setup(cfg, fn_seed=7):
@@ -76,9 +95,9 @@ def _tiny_setup(cfg, fn_seed=7):
 def test_trajectory_shape_and_return_consistency():
     cfg = _tiny_cfg(horizon=5)
     f, w, pop0 = _tiny_setup(cfg)
-    tr = sample_trajectory(w, f, pop0, cfg, [stream(0, "t")])
+    tr = sample_trajectory(w, [f], pop0, cfg, [stream(0, "t")])
     assert len(tr.steps) == 5 and tr.rewards.shape == (1, 5)
-    assert tr.function_id == f.id
+    assert tr.function_ids == [f.id]
     assert abs(tr.total_return[0] - sum(tr.rewards[0])) < 1e-12
     assert np.all((0.0 <= tr.rewards) & (tr.rewards <= 1.0))
 
@@ -86,7 +105,7 @@ def test_trajectory_shape_and_return_consistency():
 def test_trajectory_zero_horizon():
     cfg = _tiny_cfg(horizon=0)
     f, w, pop0 = _tiny_setup(cfg)
-    tr = sample_trajectory(w, f, pop0, cfg, [stream(0, "t")])
+    tr = sample_trajectory(w, [f], pop0, cfg, [stream(0, "t")])
     assert tr.steps == [] and tr.total_return.tolist() == [0.0]
 
 
@@ -94,8 +113,8 @@ def test_trajectory_deterministic_and_pure():
     cfg = _tiny_cfg()
     f, w, pop0 = _tiny_setup(cfg)
     before = pop0.members.copy()
-    a = sample_trajectory(w, f, pop0, cfg, [stream(3, "t")])
-    b = sample_trajectory(w, f, pop0, cfg, [stream(3, "t")])
+    a = sample_trajectory(w, [f], pop0, cfg, [stream(3, "t")])
+    b = sample_trajectory(w, [f], pop0, cfg, [stream(3, "t")])
     np.testing.assert_array_equal(pop0.members, before)
     np.testing.assert_array_equal(a.total_return, b.total_return)
     for sa, sb in zip(a.steps, b.steps):
@@ -108,23 +127,34 @@ def test_trajectory_rows_do_not_depend_on_their_batch():
     # others or alone, it takes the same actions and earns the same rewards
     cfg = _tiny_cfg(horizon=4)
     f, w, pop0 = _tiny_setup(cfg)
-    together = sample_trajectory(w, f, pop0, cfg, [stream(5, "t", l) for l in range(3)])
+    together = sample_trajectory(w, [f], pop0, cfg, [stream(5, "t", l) for l in range(3)])
     for l in range(3):
-        alone = sample_trajectory(w, f, pop0, cfg, [stream(5, "t", l)])
+        alone = sample_trajectory(w, [f], pop0, cfg, [stream(5, "t", l)])
         np.testing.assert_array_equal(together.rewards[l], alone.rewards[0])
         for st, sa in zip(together.steps, alone.steps):
             np.testing.assert_array_equal(st.action.raw[l], sa.action.raw[0])
             np.testing.assert_array_equal(st.mu[l], sa.mu[0])
 
 
+def test_trajectory_needs_a_start_and_equal_rollouts_per_function():
+    cfg = _tiny_cfg()
+    f, w, pop0 = _tiny_setup(cfg)
+    g = make_suite(7, 2, 2, 0).train[1]
+    with pytest.raises(ValueError):  # one start row for two functions
+        sample_trajectory(w, [f, g], pop0, cfg, [stream(0, "t", l) for l in range(2)])
+    pop2 = Population(np.repeat(pop0.members, 2, axis=0), np.repeat(pop0.fitness, 2, axis=0))
+    with pytest.raises(ValueError):  # three rollouts do not split over two functions
+        sample_trajectory(w, [f, g], pop2, cfg, [stream(0, "t", l) for l in range(3)])
+
+
 def test_trajectory_consumes_exactly_n_times_t_evaluations():
     cfg = _tiny_cfg(horizon=6)
     f, w, pop0 = _tiny_setup(cfg)
     counted = EvalCounter(f)
-    sample_trajectory(w, counted, pop0, cfg, [stream(0, "t")])
+    sample_trajectory(w, [counted], pop0, cfg, [stream(0, "t")])
     assert counted.count == cfg.pop_size * 6
     counted = EvalCounter(f)  # L rollouts: L * N rows per generation
-    sample_trajectory(w, counted, pop0, cfg, [stream(0, "t", l) for l in range(3)])
+    sample_trajectory(w, [counted], pop0, cfg, [stream(0, "t", l) for l in range(3)])
     assert counted.count == 3 * cfg.pop_size * 6
 
 
@@ -138,7 +168,7 @@ def test_random_weights_make_progress_on_sphere():
         assert f.base == "sphere"
         w = init_weights(cfg.hidden, cfg.input_size, cfg.pop_size, stream(seed, "w"))
         pop0 = init_population(f, cfg.pop_size, stream(seed, "p0"))
-        tr = sample_trajectory(w, f, pop0, cfg, [stream(seed, "t")])
+        tr = sample_trajectory(w, [f], pop0, cfg, [stream(seed, "t")])
         wins += tr.total_return[0] > 0.0
     assert wins >= 9
 
@@ -180,7 +210,7 @@ def test_epoch_gradient_matches_composite_finite_differences(baseline):
     cfg = _tiny_cfg()
     f, w, pop0 = _tiny_setup(cfg)
     rollouts = 3 if baseline else 1
-    batch = sample_trajectory(w, f, pop0, cfg, [stream(1, "t", l) for l in range(rollouts)])
+    batch = sample_trajectory(w, [f], pop0, cfg, [stream(1, "t", l) for l in range(rollouts)])
     advantages = _oracle_advantages(batch)
     np.testing.assert_allclose(step_advantages(batch), advantages, rtol=0.0, atol=1e-12)
 
@@ -208,7 +238,7 @@ def test_epoch_gradient_matches_composite_finite_differences(baseline):
 def test_epoch_gradient_zero_returns_zero_gradient():
     cfg = _tiny_cfg()
     f, w, pop0 = _tiny_setup(cfg)
-    batch = sample_trajectory(w, f, pop0, cfg, [stream(1, "t", l) for l in range(2)])
+    batch = sample_trajectory(w, [f], pop0, cfg, [stream(1, "t", l) for l in range(2)])
     batch.rewards[:] = 0.0  # zero every step reward: every advantage is built from them
     assert grad_norm(epoch_gradient(w, [batch], cfg)) == 0.0
 
@@ -218,7 +248,7 @@ def test_epoch_gradient_baseline_centers_per_function():
     f, w, pop0 = _tiny_setup(cfg)
     # three trajectories of one function with the same per-step rewards:
     # every leave-one-out advantage is zero
-    batch = sample_trajectory(w, f, pop0, cfg, [stream(2, "t", l) for l in range(3)])
+    batch = sample_trajectory(w, [f], pop0, cfg, [stream(2, "t", l) for l in range(3)])
     batch.rewards[:] = (0.5, 0.25, 0.125)
     assert grad_norm(epoch_gradient(w, [batch], cfg)) == 0.0
 
@@ -228,8 +258,8 @@ def test_epoch_gradient_single_rollout_falls_back_to_reward_to_go():
     f, w, pop0 = _tiny_setup(cfg)
     g = make_suite(7, 2, 2, 0).train[1]
     assert g.id != f.id
-    alone = sample_trajectory(w, f, pop0, cfg, [stream(3, "t")])
-    pair = sample_trajectory(w, g, pop0, cfg, [stream(3, "u", l) for l in range(2)])
+    alone = sample_trajectory(w, [f], pop0, cfg, [stream(3, "t")])
+    pair = sample_trajectory(w, [g], pop0, cfg, [stream(3, "u", l) for l in range(2)])
     alone.rewards[:] = (0.5, 0.25, 0.0, 0.125)
     pair.rewards[:] = ((0.5, 0.5, 0.0, 0.0), (0.25, 0.0, 0.0, 0.25))
     np.testing.assert_array_equal(step_advantages(alone), [[0.875, 0.375, 0.125, 0.125]])
@@ -244,8 +274,8 @@ def test_epoch_gradient_single_rollout_falls_back_to_reward_to_go():
 def test_epoch_gradient_requires_one_batch_per_function():
     # a function's rollouts share one baseline, so they must form one batch
     f, w, pop0 = _tiny_setup(_tiny_cfg())
-    short = sample_trajectory(w, f, pop0, _tiny_cfg(horizon=2), [stream(4, "t", 0)])
-    long = sample_trajectory(w, f, pop0, _tiny_cfg(horizon=3), [stream(4, "t", 1)])
+    short = sample_trajectory(w, [f], pop0, _tiny_cfg(horizon=2), [stream(4, "t", 0)])
+    long = sample_trajectory(w, [f], pop0, _tiny_cfg(horizon=3), [stream(4, "t", 1)])
     with pytest.raises(ValueError):
         epoch_gradient(w, [short, long], _tiny_cfg())
 
@@ -264,7 +294,7 @@ def _toy_batch(w, xs, target, cfg, rng, rollouts):
     rewards = -np.sum((raw - target) ** 2, axis=2)
     steps = [StepRecord(None, tape, clip_action(raw[:, t], cfg), mu)
              for t, (mu, tape) in enumerate(zip(mus, tapes))]
-    return RolloutBatch("toy", steps, rewards, rewards.sum(axis=1))
+    return RolloutBatch(["toy"], steps, rewards, rewards.sum(axis=1))
 
 
 def test_estimator_matches_exact_gradient_with_less_variance():
@@ -384,6 +414,8 @@ def test_train_validation_errors():
         train(mixed, cfg)
     with pytest.raises(ValueError):
         train(suite.train, cfg, start_epoch=9)
+    with pytest.raises(ValueError):
+        train(suite.train, cfg, jobs=0)
     wrong = init_weights(cfg.hidden, cfg.input_size + 1, cfg.pop_size, stream(0, "w"))
     with pytest.raises(ValueError):
         train(suite.train, cfg, weights=wrong)

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
+import math
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import benchfn, neural, runner, stats, trainer
 from .errors import ConsistencyError, NumericFailure
-from .policy import PolicyConfig
 
 
 class UsageError(Exception):
@@ -43,23 +44,16 @@ def _parse_bool(text: str) -> bool:
     raise UsageError(f"not a boolean: {text!r}")
 
 
-# every key any command understands; config files share one namespace
-CONFIG_TYPES = {
-    "seed": int, "jobs": int, "out": str,
-    "dim": int, "train": int, "test": int,
-    "suite": str, "epochs": int, "rollouts": int, "horizon": int,
-    "pop_size": int, "bins": int, "window": int, "hidden": int,
-    "alpha": float, "sigma": float, "p_best": float, "f_min": float,
-    "checkpoint_every": int, "timings": bool, "resume": str,
-    "weights": str, "instances": str, "role": str, "algorithms": str,
-    "runs": int, "budget": int, "tol": float,
-    "deterministic": bool, "param_traces": bool,
-    "results": str, "alpha_sig": float, "ref": str,
-    "actions": int, "steps": int, "eps": float, "threshold": float,
-}
+def _config_keys(commands: dict) -> dict:
+    """Config key -> the flag that reads it.  Config files share one
+    namespace, so the keys are the flags of every command but --config
+    (argparse keeps a parser's flags in ``_actions`` only)."""
+    return {a.dest: a for p in commands.values() for a in p._actions
+            if a.dest not in ("help", "config")}
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, keys: dict) -> dict:
+    """The values of a key = value file, each read as its flag reads it."""
     out = {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -70,70 +64,78 @@ def _read_config(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key, _, val = body.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in CONFIG_TYPES:
+        if key not in keys:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        typ = CONFIG_TYPES[key]
+        action = keys[key]
         try:
-            out[key] = _parse_bool(val) if typ is bool else typ(val)
+            out[key] = _parse_bool(val) if action.nargs == 0 else (action.type or str)(val)
         except ValueError:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {val!r}")
+        if action.choices is not None and out[key] not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            err = argparse.ArgumentError(action, f"invalid choice: {val!r} (choose from {choices})")
+            raise UsageError(f"{path}:{lineno}: {err}")
     return out
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flag > config file > default, for the keys this command uses."""
-    file_vals = _read_config(args.config) if getattr(args, "config", None) else {}
+    """flag > config file > default, for the keys this command uses; main
+    has already put the config file's values into the unset flags."""
     merged = {}
     for key, dflt in defaults.items():
-        merged[key] = dflt
-        if key in file_vals:
-            merged[key] = file_vals[key]
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
+        flag = getattr(args, key)
+        merged[key] = dflt if flag is None else flag
     if merged.get("jobs", 1) < 1:
         raise UsageError(f"jobs must be >= 1, got {merged['jobs']}")
     return merged
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _command(sub, name: str, help: str) -> _Parser:
+    """A command's parser, with the flags every command takes."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--config", help="key = value option file")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--jobs", type=int, help="worker processes")
     p.add_argument("--out", help="output directory")
+    return p
+
+
+def _add_flags(p: _Parser, params) -> None:
+    """Add a flag for each dataclass field or signature parameter that p
+    has no flag for yet.  pop_size becomes --pop-size, typed by its
+    default; a bool becomes a switch.  Every flag defaults to None, so an
+    unset flag leaves the value to the config file, then to the default."""
+    taken = {a.dest for a in p._actions}
+    for prm in params:
+        if prm.name in taken:
+            continue
+        flag = "--" + prm.name.replace("_", "-")
+        help = getattr(prm, "metadata", {}).get("help")
+        if isinstance(prm.default, bool):
+            p.add_argument(flag, action="store_true", default=None, help=help)
+        else:
+            p.add_argument(flag, type=type(prm.default), help=help)
 
 
 def build_parser() -> _Parser:
     top = _Parser(prog="ldectl", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", metavar="command")
+    top.commands = sub.choices
 
-    p = sub.add_parser("suite", parents=[], help="generate benchmark instances")
-    _add_common(p)
+    p = _command(sub, "suite", "generate benchmark instances")
     p.add_argument("--dim", type=int)
     p.add_argument("--train", type=int, help="training instance count")
     p.add_argument("--test", type=int, help="held-out instance count")
 
-    p = sub.add_parser("train", help="train the controller")
-    _add_common(p)
+    p = _command(sub, "train", "train the controller")
     p.add_argument("--suite", help="directory of instance files")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--rollouts", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--pop-size", dest="pop_size", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--p-best", dest="p_best", type=float)
-    p.add_argument("--f-min", dest="f_min", type=float)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
+    _add_flags(p, dataclasses.fields(trainer.TrainConfig))
+    p.add_argument("--checkpoint-every", type=int)
     p.add_argument("--resume", help="checkpoint weight file to continue from")
     p.add_argument("--timings", action="store_true", default=None,
                    help="add wallclock_ms to the log (not reproducible)")
 
-    p = sub.add_parser("run", help="run optimizers against instances")
-    _add_common(p)
+    p = _command(sub, "run", "run optimizers against instances")
     p.add_argument("--weights", help="trained controller file")
     p.add_argument("--instances", help="directory of instance files")
     p.add_argument("--role", choices=("train", "test", "all"))
@@ -141,30 +143,15 @@ def build_parser() -> _Parser:
     p.add_argument("--runs", type=int)
     p.add_argument("--budget", type=int, help="evaluations per run (default dim * 10^4)")
     p.add_argument("--tol", type=float)
-    p.add_argument("--pop-size", dest="pop_size", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--p-best", dest="p_best", type=float)
-    p.add_argument("--f-min", dest="f_min", type=float)
-    p.add_argument("--deterministic", action="store_true", default=None,
-                   help="use head means instead of sampling")
-    p.add_argument("--param-traces", dest="param_traces", action="store_true", default=None)
+    _add_flags(p, dataclasses.fields(runner.RunConfig))
 
-    p = sub.add_parser("compare", help="rank-sum comparison of run results")
-    _add_common(p)
+    p = _command(sub, "compare", "rank-sum comparison of run results")
     p.add_argument("--results", help="results.csv from the run command")
-    p.add_argument("--alpha-sig", dest="alpha_sig", type=float)
+    p.add_argument("--alpha-sig", type=float)
     p.add_argument("--ref", help="reference algorithm for the text report")
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of the BPTT gradients")
-    _add_common(p)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--actions", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--threshold", type=float)
+    p = _command(sub, "gradcheck", "finite-difference check of the BPTT gradients")
+    _add_flags(p, inspect.signature(neural.run_gradcheck).parameters.values())
 
     return top
 
@@ -198,12 +185,12 @@ def _load_instances(directory: str, role: str):
     return [benchfn.load_instance(p) for p in paths]
 
 
-def _settings(cls, opt: dict, **extra):
+def _settings(cls, opt: dict):
     """Build a config dataclass from the resolved options; a key left unset
     (None) keeps the dataclass default."""
     given = {f.name: opt[f.name] for f in dataclasses.fields(cls)
              if opt.get(f.name) is not None}
-    return cls(**given, **extra)
+    return cls(**given)
 
 
 def _adopt(opt: dict, recorded: dict) -> None:
@@ -286,8 +273,7 @@ def cmd_run(args) -> int:
         "instances": "suite", "role": "test",
         "algorithms": "lde,de_rand1_fixed,ctpb_fixed,random_params",
         "runs": 11, "budget": None, "tol": 1e-8,
-        **dict.fromkeys(f.name for f in dataclasses.fields(PolicyConfig)),
-        "deterministic": False, "param_traces": False,
+        **dict.fromkeys(f.name for f in dataclasses.fields(runner.RunConfig)),
     })
     algorithms = [a.strip() for a in opt["algorithms"].split(",") if a.strip()]
     if not algorithms:
@@ -300,8 +286,7 @@ def cmd_run(args) -> int:
             raise UsageError("the learned optimizer needs --weights")
         weights, manifest = neural.load_weights(opt["weights"])
         _adopt(opt, manifest["spec"])
-    cfg = _settings(runner.RunConfig, opt, sample_actions=not opt["deterministic"],
-                    track_params=opt["param_traces"])
+    cfg = _settings(runner.RunConfig, opt)
     budget = opt["budget"]
     if budget is None:
         budget = functions[0].dim * 10_000
@@ -340,7 +325,14 @@ def cmd_compare(args) -> int:
             if len(row) != len(header):
                 raise UsageError(f"{path} line {rd.line_num}: "
                                  f"{len(row)} fields, header has {len(header)}")
-            samples.setdefault(row[ifn], {}).setdefault(row[ia], []).append(float(row[ie]))
+            try:
+                err = float(row[ie])
+            except ValueError:
+                err = math.nan
+            if not math.isfinite(err):
+                raise UsageError(f"{path} line {rd.line_num}: "
+                                 f"best_error {row[ie]!r} is not a finite number")
+            samples.setdefault(row[ifn], {}).setdefault(row[ia], []).append(err)
             if row[ia] not in algorithms:
                 algorithms.append(row[ia])
     if not samples:
@@ -386,16 +378,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    opt = _resolve(args, {
-        "seed": 0, "hidden": 8, "actions": 4, "bins": 1, "steps": 5,
-        "eps": 1e-6, "threshold": 1e-4,
-    })
-    if min(opt["hidden"], opt["actions"], opt["bins"], opt["steps"]) < 1:
-        raise UsageError("hidden, actions, bins, and steps must be >= 1")
-    report = neural.run_gradcheck(
-        hidden=opt["hidden"], actions=opt["actions"], bins=opt["bins"],
-        steps=opt["steps"], eps=opt["eps"], threshold=opt["threshold"],
-        seed=opt["seed"])
+    # the options set by flag or config file; run_gradcheck has the defaults
+    opt = _resolve(args, dict.fromkeys(inspect.signature(neural.run_gradcheck).parameters))
+    report = neural.run_gradcheck(**{k: v for k, v in opt.items() if v is not None})
     for name in neural.FIELD_ORDER:
         print(f"{name:6s} rel_err {report.per_field[name]:.3e}")
     verdict = "PASS" if report.passed else "FAIL"
@@ -419,6 +404,10 @@ def main(argv=None) -> int:
         }
         if args.command not in handlers:
             raise UsageError("pick a command: suite, train, run, compare, gradcheck")
+        if args.config:
+            for key, value in _read_config(args.config, _config_keys(parser.commands)).items():
+                if getattr(args, key, None) is None:  # a flag beats the file
+                    setattr(args, key, value)
         return handlers[args.command](args)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

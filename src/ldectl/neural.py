@@ -348,6 +348,10 @@ class GradCheckReport:
 def run_gradcheck(hidden: int = 8, actions: int = 4, bins: int = 1, steps: int = 5,
                   eps: float = 1e-6, threshold: float = 1e-4, seed: int = 0) -> GradCheckReport:
     """Compare BPTT gradients against central differences on a seeded rollout."""
+    if min(hidden, actions, bins, steps) < 1:
+        raise ValueError("hidden, actions, bins, and steps must be >= 1")
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
     rng = stream(seed, "gradcheck")
     input_size = actions + 2 * bins
     w = init_weights(hidden, input_size, actions, rng)

@@ -5,7 +5,8 @@ generations until the next one would exceed the evaluation budget or
 the best error value drops to the tolerance.  The learned optimizer runs
 the trainer's own generation step (``trainer.ControllerStep``), so it
 featurises and samples its parameters from N(mu, sigma^2) exactly as in
-training (a deterministic mode clips the head means instead).
+training (``RunConfig.deterministic`` clips the head means instead;
+``param_traces`` records each fitness tercile's mean F and CR).
 
 Baselines:
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -68,8 +69,9 @@ class Termination:
 class RunConfig(PolicyConfig):
     """The controller spec plus how the learned optimizer is driven."""
 
-    sample_actions: bool = True  # False: use the head means directly
-    track_params: bool = False   # record per-tercile mean F / CR per generation
+    deterministic: bool = field(default=False,
+                                metadata={"help": "use head means instead of sampling"})
+    param_traces: bool = False  # record per-tercile mean F / CR per generation
 
 
 @dataclass
@@ -103,7 +105,7 @@ def _drive(algorithm_id, objective, term: Termination, cfg: RunConfig, rng,
     evals = cfg.pop_size
     best = error_value(objective, float(pop.fitness.min()))
     trace = [(evals, best)]
-    params = [] if cfg.track_params else None
+    params = [] if cfg.param_traces else None
     gen = 0
     rngs = [rng]
     while evals + cfg.pop_size <= term.max_evals and best > term.error_tol:
@@ -126,7 +128,7 @@ def _drive(algorithm_id, objective, term: Termination, cfg: RunConfig, rng,
 def run_lde(w: ControllerWeights, objective, term: Termination, cfg: RunConfig,
             rng, run_seed: int = 0) -> RunResult:
     """Drive the learned controller on one function."""
-    step = ControllerStep(w, cfg, sample=cfg.sample_actions)
+    step = ControllerStep(w, cfg, sample=not cfg.deterministic)
 
     def gen_step(pop, rngs):
         pop, record = step(pop, objective, rngs)
@@ -218,6 +220,8 @@ def batch_experiment(algorithms, functions, runs: int, term: Termination,
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     for alg in algorithms:
         if alg != LEARNED and alg not in BASELINES:
             raise ValueError(f"unknown algorithm {alg!r}")

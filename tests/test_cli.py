@@ -1,7 +1,9 @@
 """Command-line front end: pipeline round trip, precedence, exit codes."""
 
 import csv
+import dataclasses
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from conftest import oracle_exact_p
 from ldectl import neural, runner, trainer
-from ldectl.cli import main
+from ldectl.cli import _config_keys, build_parser, main
 from ldectl.rng import stream
 
 TINY_TRAIN = [
@@ -305,6 +307,19 @@ def test_compare_short_row_is_usage_error_naming_the_line(ws, capsys):
     assert "Traceback" not in err
 
 
+def test_compare_non_finite_error_is_usage_error_naming_the_line(ws, capsys):
+    lines = ["algorithm_id,function_id,seed,best_error,evals_used"]
+    lines += [f"{alg},fn-a,{seed},{seed + 1.0},100" for alg in ("a", "b") for seed in range(3)]
+    for cell in ("abc", "nan"):
+        bad = list(lines)
+        bad[3] = f"a,fn-a,2,{cell},100"  # line 4
+        (ws / "results.csv").write_text("\n".join(bad) + "\n")
+        assert main(["compare", "--results", "results.csv"]) == 1
+        err = capsys.readouterr().err
+        assert f"results.csv line 4: best_error '{cell}' is not a finite number" in err
+        assert "Traceback" not in err
+
+
 def test_compare_single_algorithm_is_usage_error(ws, capsys):
     _suite(ws)
     assert main(["run", "--algorithms", "ctpb_fixed", "--runs", "2",
@@ -355,6 +370,15 @@ def test_gradcheck_nan_gradient_exits_numeric_failure(ws, capsys, monkeypatch):
     assert "numeric failure" in captured.err
 
 
+def test_gradcheck_refuses_non_positive_eps(ws, capsys):
+    assert main(["gradcheck", "--eps", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: eps must be positive" in err and "Traceback" not in err
+    (ws / "gc.cfg").write_text("steps = 0\n")
+    assert main(["gradcheck", "--config", "gc.cfg"]) == 1
+    assert "steps must be >= 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- config file
 def test_config_precedence_flag_beats_file_beats_default(ws):
     (ws / "opts.cfg").write_text("dim = 4\ntrain = 1\ntest = 0\n")
@@ -385,6 +409,39 @@ def test_config_file_bad_value_and_bad_bool(ws, capsys):
     (ws / "badbool.cfg").write_text("timings = maybe\n")
     assert main(["train", "--config", "badbool.cfg"]) == 1
     assert "not a boolean" in capsys.readouterr().err
+
+
+def test_config_keys_are_every_commands_flags():
+    parser = build_parser()
+    keys = _config_keys(parser.commands)
+    dests = set()
+    for command in parser.commands:
+        dests |= set(vars(parser.parse_args([command]))) - {"command"}
+    assert set(keys) == dests - {"config"}
+    for p in parser.commands.values():  # one type per key, whichever command reads it
+        for a in p._actions:
+            if a.dest in keys:
+                assert (a.type, a.nargs, a.choices) == \
+                    (keys[a.dest].type, keys[a.dest].nargs, keys[a.dest].choices), a.dest
+
+
+@pytest.mark.parametrize("command, cls", [("train", trainer.TrainConfig),
+                                          ("run", runner.RunConfig)])
+def test_help_lists_a_flag_per_config_field(capsys, command, cls):
+    assert main([command, "--help"]) == 0
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert {"--" + f.name.replace("_", "-") for f in dataclasses.fields(cls)} <= flags
+
+
+def test_config_choice_is_refused_like_the_flag(ws, capsys):
+    _suite(ws)
+    assert main(["run", "--role", "bogus"]) == 1
+    assert "argument --role: invalid choice: 'bogus'" in capsys.readouterr().err
+    (ws / "run.cfg").write_text("runs = 2\nrole = bogus\n")
+    assert main(["run", "--config", "run.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert "run.cfg:2: argument --role: invalid choice: 'bogus'" in err
+    assert not (ws / "runs").exists()
 
 
 def test_missing_config_file_is_io_failure(ws, capsys):

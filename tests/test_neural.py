@@ -374,6 +374,13 @@ def test_run_gradcheck_fails_on_a_nan_gradient(monkeypatch):
     assert report.worst_field == "b_head" and math.isnan(report.max_rel_err)
 
 
+@pytest.mark.parametrize("bad", [{"hidden": 0}, {"actions": 0}, {"bins": 0}, {"steps": 0},
+                                 {"eps": 0.0}, {"eps": -1e-6}])
+def test_run_gradcheck_refuses_bad_arguments(bad):
+    with pytest.raises(ValueError, match="must be"):
+        run_gradcheck(**bad)
+
+
 def test_run_gradcheck_deterministic():
     a = run_gradcheck(seed=3)
     b = run_gradcheck(seed=3)

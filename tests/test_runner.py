@@ -81,7 +81,7 @@ def test_error_trace_monotone_and_final_entry():
 
 
 def test_param_trace_terciles():
-    cfg = RunConfig(pop_size=9, bins=2, window=3, track_params=True)
+    cfg = RunConfig(pop_size=9, bins=2, window=3, param_traces=True)
     res = run_baseline("ctpb_fixed", _inst(2), Termination(9 * 11), cfg,
                        stream(2, "r"))
     gens = res.evals_used // 9 - 1
@@ -157,7 +157,7 @@ def test_lde_weight_dims_must_match_config():
 
 def test_lde_deterministic_mode_uses_head_means():
     w = _weights(SMALL)
-    det = RunConfig(pop_size=8, bins=2, window=3, sample_actions=False)
+    det = RunConfig(pop_size=8, bins=2, window=3, deterministic=True)
     a = run_lde(w, _inst(5), Termination(240), det, stream(1, "r"))
     b = run_lde(w, _inst(5), Termination(240), det, stream(2, "r"))
     # different streams, but identical actions: only DE index draws differ
@@ -187,7 +187,7 @@ def test_lde_solves_sphere_dim2_within_budget():
 
 def test_random_params_baseline_spread():
     # per-individual uniform resampling: trial params leave the fixed point
-    cfg = RunConfig(pop_size=8, bins=2, window=3, track_params=True)
+    cfg = RunConfig(pop_size=8, bins=2, window=3, param_traces=True)
     res = run_baseline("random_params", _inst(7), Termination(8 * 30), cfg,
                        stream(4, "r"))
     mfs = np.array([row[2] for row in res.param_trace])
@@ -249,3 +249,8 @@ def test_batch_experiment_validates_inputs(tmp_path):
     with pytest.raises(ValueError):
         batch_experiment(BASELINES, fns, 0, Termination(80), SMALL, 0,
                          out_dir=tmp_path)
+    for jobs in (0, -5):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            batch_experiment(BASELINES, fns, 1, Termination(80), SMALL, 0,
+                             jobs=jobs, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()

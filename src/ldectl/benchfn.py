@@ -26,14 +26,17 @@ DEFAULT_BOUNDS = (-100.0, 100.0)
 _TWO_PI = 2.0 * math.pi
 
 
+_sum = np.add.reduce  # np.sum, np.mean and np.prod reduce so, behind a Python wrapper
+
+
 def _sphere(Z):
-    return np.sum(Z * Z, axis=1)
+    return _sum(Z * Z, axis=1)
 
 
 def _ellipsoid(Z):
     n = Z.shape[1]
     w = 10.0 ** (6.0 * np.arange(n) / max(n - 1, 1))
-    return np.sum(w * Z * Z, axis=1)
+    return _sum(w * Z * Z, axis=1)
 
 
 def _rosenbrock(Z):
@@ -42,39 +45,40 @@ def _rosenbrock(Z):
     Y = Z + 1.0  # move the valley's optimum onto the origin
     a = Y[:, 1:] - Y[:, :-1] ** 2
     b = Y[:, :-1] - 1.0
-    return np.sum(100.0 * a * a + b * b, axis=1)
+    return _sum(100.0 * a * a + b * b, axis=1)
 
 
 def _rastrigin(Z):
-    return np.sum(Z * Z - 10.0 * np.cos(_TWO_PI * Z) + 10.0, axis=1)
+    return _sum(Z * Z - 10.0 * np.cos(_TWO_PI * Z) + 10.0, axis=1)
 
 
 def _ackley(Z):
-    q = np.sqrt(np.mean(Z * Z, axis=1))
-    c = np.mean(np.cos(_TWO_PI * Z), axis=1)
+    q = np.sqrt(_sum(Z * Z, axis=1) / Z.shape[1])  # the mean, as np.mean forms it
+    c = _sum(np.cos(_TWO_PI * Z), axis=1) / Z.shape[1]
     return -20.0 * np.exp(-0.2 * q) - np.exp(c) + 20.0 + math.e
 
 
 def _griewank(Z):
     j = np.sqrt(np.arange(1, Z.shape[1] + 1, dtype=float))
-    return np.sum(Z * Z, axis=1) / 4000.0 - np.prod(np.cos(Z / j), axis=1) + 1.0
+    return _sum(Z * Z, axis=1) / 4000.0 - np.multiply.reduce(np.cos(Z / j), axis=1) + 1.0
 
 
 def _schwefel12(Z):
     C = np.cumsum(Z, axis=1)
-    return np.sum(C * C, axis=1)
+    return _sum(C * C, axis=1)
 
 
 _WEIER_K = np.arange(10)  # series truncated at 10 terms
 _WEIER_A = 0.5 ** _WEIER_K
 _WEIER_B = 3.0 ** _WEIER_K
-_WEIER_CONST = float(np.sum(_WEIER_A * np.cos(_TWO_PI * _WEIER_B * 0.5)))
+_WEIER_2PI_B = _TWO_PI * _WEIER_B
+_WEIER_CONST = float(np.sum(_WEIER_A * np.cos(_WEIER_2PI_B * 0.5)))
 
 
 def _weierstrass_lite(Z):
-    phase = _TWO_PI * _WEIER_B * (Z[..., None] + 0.5)
+    phase = _WEIER_2PI_B * (Z[..., None] + 0.5)
     per_dim = np.cos(phase) @ _WEIER_A
-    return np.sum(per_dim, axis=1) - Z.shape[1] * _WEIER_CONST
+    return _sum(per_dim, axis=1) - Z.shape[1] * _WEIER_CONST
 
 
 # (vectorised body, input compression onto the classic domain)

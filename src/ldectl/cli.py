@@ -41,7 +41,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if t in _BOOL_FALSE:
         return False
-    raise UsageError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _config_keys(commands: dict) -> dict:
@@ -69,8 +69,9 @@ def _read_config(path: str, keys: dict) -> dict:
         action = keys[key]
         try:
             out[key] = _parse_bool(val) if action.nargs == 0 else (action.type or str)(val)
-        except ValueError:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}: {val!r}")
+        except ValueError as exc:  # _parse_bool's message says why; int()'s is noise
+            why = exc if action.nargs == 0 else repr(val)
+            raise UsageError(f"{path}:{lineno}: bad value for {key}: {why}")
         if action.choices is not None and out[key] not in action.choices:
             choices = ", ".join(map(repr, action.choices))
             err = argparse.ArgumentError(action, f"invalid choice: {val!r} (choose from {choices})")
@@ -351,27 +352,17 @@ def cmd_compare(args) -> int:
     if opt["out"]:
         out = Path(opt["out"])
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "comparison.csv", "w", newline="") as fh:
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(["function_id", "algorithm_id", "mean_error", "std_error"])
-            for fid in table.functions:
-                for alg in table.algorithms:
-                    wr.writerow([fid, alg, _fmt(table.mean[(fid, alg)]),
-                                 _fmt(table.std[(fid, alg)])])
-        with open(out / "marks.csv", "w", newline="") as fh:
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(["function_id", "algorithm_a", "algorithm_b", "p_value", "mark"])
-            for fid in table.functions:
-                for a in table.algorithms:
-                    for b in table.algorithms:
-                        if a != b:
-                            wr.writerow([fid, a, b, _fmt(table.p_value[(fid, a, b)]),
-                                         table.mark[(fid, a, b)]])
-        with open(out / "aps.csv", "w", newline="") as fh:
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(["algorithm_id", "aps"])
-            for alg in table.algorithms:
-                wr.writerow([alg, _fmt(table.aps[alg])])
+        fns, algs = table.functions, table.algorithms
+        runner.write_csv(out / "comparison.csv",
+                         ["function_id", "algorithm_id", "mean_error", "std_error"],
+                         ([fid, alg, _fmt(table.mean[(fid, alg)]), _fmt(table.std[(fid, alg)])]
+                          for fid in fns for alg in algs))
+        runner.write_csv(out / "marks.csv",
+                         ["function_id", "algorithm_a", "algorithm_b", "p_value", "mark"],
+                         ([fid, a, b, _fmt(table.p_value[(fid, a, b)]), table.mark[(fid, a, b)]]
+                          for fid in fns for a in algs for b in algs if a != b))
+        runner.write_csv(out / "aps.csv", ["algorithm_id", "aps"],
+                         ([alg, _fmt(table.aps[alg])] for alg in algs))
         with open(out / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(report)
     return 0

@@ -42,13 +42,8 @@ import numpy as np
 
 @dataclass
 class Population:
-    """A batch of candidate matrices with per-member fitness.
-
-    Attributes
-    ----------
-    members : ndarray, shape (B, N, n)
-    fitness : ndarray, shape (B, N)
-    """
+    """A batch of candidate matrices, members (B, N, n), with per-member
+    fitness (B, N)."""
 
     members: np.ndarray
     fitness: np.ndarray
@@ -62,17 +57,9 @@ class Population:
             raise ValueError("fitness shape must equal members' (batch, members)")
 
     @property
-    def batch(self) -> int:
-        return self.members.shape[0]
-
-    @property
     def size(self) -> int:
         """Members over the whole batch, B * N."""
         return self.fitness.size
-
-    @property
-    def dim(self) -> int:
-        return self.members.shape[2]
 
 
 @dataclass
@@ -97,11 +84,11 @@ def init_population(objective, size: int, rng) -> Population:
 
 
 @lru_cache(maxsize=16)
-def batch_rows(batch: int) -> np.ndarray:
-    """Row index column (B, 1) that pairs with a (B, N) index array."""
-    rows = np.arange(batch)[:, None]
-    rows.flags.writeable = False
-    return rows
+def _row_starts(batch: int, N: int) -> np.ndarray:
+    """b * N for every row b, shape (B, 1): row b's first flat member index."""
+    starts = np.arange(0, batch * N, N)[:, None]
+    starts.flags.writeable = False
+    return starts
 
 
 @lru_cache(maxsize=16)
@@ -110,6 +97,14 @@ def _member_index(batch: int, N: int) -> np.ndarray:
     i = np.tile(np.arange(N), (batch, 1))
     i.flags.writeable = False
     return i
+
+
+def gather_members(X, indices) -> np.ndarray:
+    """X[b, r[b, i]] for each (B, N) index array r in ``indices``, as one
+    take over the (B * N, n) members; shape (len(indices), B, N, n)."""
+    B, N, n = X.shape
+    flat = np.concatenate(indices).reshape(len(indices), B, N) + _row_starts(B, N)
+    return X.reshape(B * N, n).take(flat, axis=0)
 
 
 @lru_cache(maxsize=16)
@@ -152,15 +147,17 @@ def draw_generation(rngs, highs, N: int, n: int) -> list:
         # little-endian views put each output's low 32-bit half first
         raw = (blocks[0][None] if B == 1 else np.array(blocks)).astype("<u8", copy=False)
         h, threshold = _lemire_bounds(live, N)
-        m = (raw[:, :k // 2].view("<u4") * h).astype("<u8", copy=False).view("<u4")
-        ints = m[:, 1::2].astype(np.int64).reshape(B, len(live), N)  # (u * h) >> 32
-        redrawn = m[:, 0::2] < threshold
+        # u * h per word: its high half is the draw, its low half the redraw test
+        m = raw[:, :k // 2].view("<u4").astype(np.uint64) * h
+        ints = (m >> 32).astype(np.int64).reshape(B, len(live), N)
+        redrawn = m.astype(np.uint32) < threshold
         if redrawn.any():
             for b in np.flatnonzero(redrawn.any(axis=1)):
                 if b not in own:  # rewind the row to where it started
                     rngs[b].bit_generator.advance(-width)
                     own.append(b)
-        uniforms = ((raw[:, k // 2:] >> 11) * 2.0 ** -53).reshape(B, N, n - 1)
+        # raw >> 11 lies below 2^53, so the float conversion is exact
+        uniforms = ((raw[:, k // 2:] >> 11).astype(float) * 2.0 ** -53).reshape(B, N, n - 1)
     else:
         ints = np.empty((B, len(live), N), dtype=np.int64)
         uniforms = np.empty((B, N, n - 1))
@@ -186,8 +183,8 @@ def distinct_indices(offsets) -> list:
     taken = [_member_index(*offsets[0].shape)]  # i and the picks so far, ascending in every column
     picks = []
     for j, r in enumerate(offsets):
-        for excluded in taken:
-            r = r + (r >= excluded)
+        for excluded in taken:  # one dtype per sum: bools cast on the way are slower
+            r = r + (r >= excluded).astype(r.dtype)
         picks.append(r)
         if j + 1 < len(offsets):  # insert r into taken, column by column
             merged = []
@@ -203,9 +200,10 @@ def mutate_current_to_pbest(pop: Population, sheet: ParamSheet, p: float,
     """Mutant array v_i = x_i + F_i (x_pbest - x_i) + F_i (x_r1 - x_r2), per row.
 
     pbest is member ``picks`` (B, N), drawn from [0, ceil(N*p)), of the
-    ceil(N*p) fittest members of its own row; r1 and r2 come from the
-    ``offsets`` pair, draws from [0, N - 1) and [0, N - 2), shifted to
-    be distinct from each other and from i (see distinct_indices).
+    ceil(N*p) fittest members of its own row, in stable fitness order; r1
+    and r2 come from the ``offsets`` pair, draws from [0, N - 1) and
+    [0, N - 2), shifted to be distinct from each other and from i (see
+    distinct_indices).
     """
     B, N = pop.fitness.shape
     if N < 4:
@@ -214,12 +212,12 @@ def mutate_current_to_pbest(pop: Population, sheet: ParamSheet, p: float,
         raise ValueError(f"p must lie in (0, 1], got {p}")
     if sheet.F.shape != (B, N):
         raise ValueError("sheet shape must equal the population's (batch, members)")
-    n_pool = math.ceil(N * p)
-    pool = np.argsort(pop.fitness, axis=1, kind="stable")[:, :n_pool]
-    rows = batch_rows(B)
+    order = pop.fitness.argsort(axis=1, kind="stable")
+    pbest = order.take(picks + _row_starts(B, N))
     X = pop.members
-    X_pbest, X_r1, X_r2 = X[rows, np.array([pool[rows, picks], *distinct_indices(offsets)])]
-    F = sheet.F[:, :, None]
+    X_pbest, X_r1, X_r2 = gather_members(X, [pbest, *distinct_indices(offsets)])
+    # same-shape products: the broadcast ones' bits at a lower cost per call
+    F = sheet.F[:, :, None].repeat(X.shape[2], axis=2)
     return X + F * (X_pbest - X) + F * (X_r1 - X_r2)
 
 

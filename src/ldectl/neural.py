@@ -150,9 +150,10 @@ def init_weights(hidden: int, input_size: int, actions: int, rng) -> ControllerW
 
 def _sigmoid(z):
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, both from
-    # e = e^-|z|, so neither branch overflows
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    # e = e^-|z| (copysign(z, -1) is -|z|), so neither branch overflows;
+    # the numerator, 1 from zero up and e below, is the larger of e and sign(z)
+    e = np.exp(np.copysign(z, -1.0))
+    return np.maximum(e, np.sign(z)) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +226,10 @@ def forward_step(w: ControllerWeights, x, state: ControllerState):
     tanh_c = np.tanh(c)
     h = o * tanh_c
     mu_raw = _sigmoid(_stacked(w.W_head.T, h) + w.b_head)
-    # h lies in [-1, 1] and mu_raw in [0, 1]: their sum is finite unless
-    # some entry is not
-    if not np.isfinite(h.sum() + mu_raw.sum()):
+    # h lies in [-1, 1] unless NaN, and a NaN in h reaches every head of its
+    # row; mu_raw lies in [0, 1] unless NaN, so its sum is finite exactly
+    # when every entry of h and mu_raw is
+    if not math.isfinite(np.add.reduce(mu_raw, axis=None)):
         raise NumericFailure("controller produced non-finite activations")
     mu = np.minimum(np.maximum(mu_raw, _HEAD_EPS), 1.0 - _HEAD_EPS)
     tape = StepTape(z=z, c_prev=state.c, f=f, i=i, ctilde=ctilde, o=o,
@@ -352,6 +354,8 @@ def run_gradcheck(hidden: int = 8, actions: int = 4, bins: int = 1, steps: int =
         raise ValueError("hidden, actions, bins, and steps must be >= 1")
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < threshold < math.inf:  # no error passes a threshold <= 0 or NaN
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     rng = stream(seed, "gradcheck")
     input_size = actions + 2 * bins
     w = init_weights(hidden, input_size, actions, rng)

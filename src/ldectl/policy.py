@@ -73,15 +73,12 @@ class PolicyConfig:
 
 
 @dataclass
-class Action:
-    """One generation's sampled parameters, one row per rollout."""
+class Action(ParamSheet):
+    """One generation's sampled parameters, one row per rollout: the sheet
+    F (B, N), raw[:, :N] clipped into [f_min, 1], and CR (B, N), raw[:, N:]
+    clipped into [0, 1], with the pre-clip Gaussian sample raw (B, 2N)."""
 
-    raw: np.ndarray  # (B, 2N), pre-clip Gaussian sample
-    F: np.ndarray    # (B, N), raw[:, :N] clipped into [f_min, 1]
-    CR: np.ndarray   # (B, N), raw[:, N:] clipped into [0, 1]
-
-    def sheet(self) -> ParamSheet:
-        return ParamSheet(self.F, self.CR)
+    raw: np.ndarray
 
 
 def sample_action(mu, cfg: PolicyConfig, rngs) -> Action:
@@ -102,10 +99,14 @@ def sample_action(mu, cfg: PolicyConfig, rngs) -> Action:
 
 
 def clip_action(raw, cfg: PolicyConfig) -> Action:
-    """Map raw (B, 2N) rows onto parameters: F into [f_min, 1], CR into [0, 1]."""
+    """Map raw (B, 2N) rows onto parameters: F into [f_min, 1], CR into [0, 1].
+
+    np.clip's values, but for a -0.0, which it keeps and this makes +0.0;
+    raw never holds one (mu > 0, and mu + sigma * z rounds a zero to +0.0).
+    """
     n = raw.shape[1] // 2
-    return Action(raw=raw, F=np.clip(raw[:, :n], cfg.f_min, 1.0),
-                  CR=np.clip(raw[:, n:], 0.0, 1.0))
+    unit = np.minimum(np.maximum(raw, 0.0), 1.0)
+    return Action(raw=raw, F=np.maximum(unit[:, :n], cfg.f_min), CR=unit[:, n:])
 
 
 def logprob_grad_mu(action: Action, mu, cfg: PolicyConfig) -> np.ndarray:

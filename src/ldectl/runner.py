@@ -35,11 +35,11 @@ from .benchfn import error_value
 from .de_core import (
     ParamSheet,
     Population,
-    batch_rows,
     binomial_crossover_batch,
     distinct_indices,
     draw_generation,
     evolve,
+    gather_members,
     init_population,
     repair_bounds,
     select,
@@ -116,7 +116,7 @@ def _drive(algorithm_id, objective, term: Termination, cfg: RunConfig, rng,
         gen += 1
         if params is not None:
             _tercile_rows(gen, order, sheet, params)
-        b = error_value(objective, float(pop.fitness.min()))
+        b = error_value(objective, float(np.minimum.reduce(pop.fitness, axis=None)))
         if b < best:
             best = b
             trace.append((evals, b))
@@ -140,10 +140,10 @@ def run_lde(w: ControllerWeights, objective, term: Termination, cfg: RunConfig,
 def _mutate_rand1(pop: Population, F: float, offsets) -> np.ndarray:
     # v_i = x_r1 + F (x_r2 - x_r3), r1, r2, r3, i pairwise distinct; offsets
     # are the draws from [0, N - 1), [0, N - 2) and [0, N - 3)
-    B, N = pop.fitness.shape
+    N = pop.fitness.shape[1]
     if N < 4:
         raise ValueError(f"population must hold at least 4 members, got {N}")
-    X_r1, X_r2, X_r3 = pop.members[batch_rows(B), np.array(distinct_indices(offsets))]
+    X_r1, X_r2, X_r3 = gather_members(pop.members, distinct_indices(offsets))
     return X_r1 + F * (X_r2 - X_r3)
 
 
@@ -191,21 +191,23 @@ def _run_task(payload):
     return run_baseline(alg, inst, term, cfg, rng, run_seed=run_idx)
 
 
+def write_csv(path, header, rows) -> None:
+    """A CSV file of a header and rows, \\n line ends."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh, lineterminator="\n")
+        wr.writerow(header)
+        wr.writerows(rows)
+
+
 def _write_trace(out_dir: Path, res: RunResult) -> None:
     tdir = out_dir / "traces"
     tdir.mkdir(parents=True, exist_ok=True)
     stem = f"{res.algorithm_id}__{res.function_id}__{res.seed:02d}"
-    with open(tdir / f"{stem}.csv", "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["evals", "best_error"])
-        for evals, err in res.error_trace:
-            wr.writerow([evals, repr(err)])
+    write_csv(tdir / f"{stem}.csv", ["evals", "best_error"],
+              ([evals, repr(err)] for evals, err in res.error_trace))
     if res.param_trace is not None:
-        with open(tdir / f"{stem}__params.csv", "w", newline="") as fh:
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(["generation", "tercile", "mean_F", "mean_CR"])
-            for gen, terc, mf, mcr in res.param_trace:
-                wr.writerow([gen, terc, repr(mf), repr(mcr)])
+        write_csv(tdir / f"{stem}__params.csv", ["generation", "tercile", "mean_F", "mean_CR"],
+                  ([gen, terc, repr(mf), repr(mcr)] for gen, terc, mf, mcr in res.param_trace))
 
 
 def batch_experiment(algorithms, functions, runs: int, term: Termination,

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
+
+_TINY = np.nextafter(0.0, 1.0)  # the least positive subnormal
 
 
 def normalize_fitness(fitness) -> np.ndarray:
@@ -22,9 +25,11 @@ def normalize_fitness(fitness) -> np.ndarray:
     f = np.asarray(fitness, dtype=float)
     if f.ndim != 2 or f.size == 0:
         raise ValueError("fitness must be a non-empty 2-D array (batch, members)")
-    lo = f.min(axis=1, keepdims=True)
-    span = f.max(axis=1, keepdims=True) - lo
-    return np.divide(f - lo, span, out=np.zeros_like(f), where=span != 0.0)
+    lo = np.minimum.reduce(f, axis=1, keepdims=True)
+    span = np.maximum.reduce(f, axis=1, keepdims=True) - lo
+    # a flat row (f - lo == 0) divides by the least subnormal instead; one
+    # that mixes -0.0 and +0.0, which no objective yields, keeps its -0.0
+    return (f - lo) / np.maximum(span, _TINY)
 
 
 def histogram(norm_fitness, bins: int) -> np.ndarray:
@@ -60,13 +65,11 @@ class HistRing:
         there.
         """
         hist = np.asarray(hist, dtype=float)
-        if self._buf:
-            # (B, g, bins): each row averages its own contiguous block, as
-            # a lone row's (g, bins) stack would
-            avg = np.mean(np.stack(self._buf, axis=1), axis=1)
-        else:
-            avg = np.zeros_like(hist)
-        self._buf.append(hist.copy())
+        buf = self._buf
+        # summed oldest first: np.mean's order over a stacked window axis (at
+        # one bin it sums 8 or more pairwise, but a histogram's bin holds 1.0)
+        avg = sum(islice(buf, 1, None), buf[0]) / len(buf) if buf else np.zeros(hist.shape)
+        buf.append(hist.copy())
         return avg
 
 

@@ -147,11 +147,8 @@ class ControllerStep:
     def __call__(self, pop: Population, objective, rngs):
         feat = assemble_state(pop, self.ring, self.spec.bins)
         mu, self.state, tape = forward_step(self.w, feat.as_vector, self.state)
-        if self.sample:
-            action = sample_action(mu, self.spec, rngs)
-        else:
-            action = clip_action(mu, self.spec)
-        pop = evolve(pop, objective, action.sheet(), self.spec.p_best, rngs)
+        action = sample_action(mu, self.spec, rngs) if self.sample else clip_action(mu, self.spec)
+        pop = evolve(pop, objective, action, self.spec.p_best, rngs)
         return pop, StepRecord(feat, tape, action, mu)
 
 
@@ -198,8 +195,8 @@ def sample_trajectory(w: ControllerWeights, functions, pop0: Population,
     function-major; each rollout draws from its own generator alone.
     """
     K = len(functions)
-    if pop0.batch != K:
-        raise ValueError(f"need one start population per function: {pop0.batch} for {K}")
+    if len(pop0.fitness) != K:
+        raise ValueError(f"need one start population per function: {len(pop0.fitness)} for {K}")
     if not rngs or len(rngs) % K:
         raise ValueError(f"{len(rngs)} generators do not split evenly over {K} functions")
     L = len(rngs) // K

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ldectl import benchfn
 from ldectl.benchfn import (
     DEFAULT_BOUNDS,
     FAMILY_CYCLE,
@@ -269,3 +270,51 @@ def test_parse_format_round_trip_random_instances(seed, dim):
         np.testing.assert_array_equal(back.rotation, inst.rotation)
     x = np.random.default_rng(seed).uniform(-100, 100, dim)
     assert back.evaluate(x) == inst.evaluate(x)
+
+
+# ---------------------------------------------------------------- same bits
+def _reference_body(base, Z):
+    """Each family as np.sum, np.mean and np.prod write it."""
+    n = Z.shape[1]
+    two_pi = 2.0 * math.pi
+    if base == "sphere":
+        return np.sum(Z * Z, axis=1)
+    if base == "ellipsoid":
+        return np.sum(10.0 ** (6.0 * np.arange(n) / max(n - 1, 1)) * Z * Z, axis=1)
+    if base == "rosenbrock":
+        if n == 1:
+            return Z[:, 0] ** 2
+        Y = Z + 1.0
+        a, b = Y[:, 1:] - Y[:, :-1] ** 2, Y[:, :-1] - 1.0
+        return np.sum(100.0 * a * a + b * b, axis=1)
+    if base == "rastrigin":
+        return np.sum(Z * Z - 10.0 * np.cos(two_pi * Z) + 10.0, axis=1)
+    if base == "ackley":
+        return (-20.0 * np.exp(-0.2 * np.sqrt(np.mean(Z * Z, axis=1)))
+                - np.exp(np.mean(np.cos(two_pi * Z), axis=1)) + 20.0 + math.e)
+    if base == "griewank":
+        j = np.sqrt(np.arange(1, n + 1, dtype=float))
+        return np.sum(Z * Z, axis=1) / 4000.0 - np.prod(np.cos(Z / j), axis=1) + 1.0
+    if base == "schwefel12":
+        C = np.cumsum(Z, axis=1)
+        return np.sum(C * C, axis=1)
+    k = np.arange(10)
+    a, b = 0.5 ** k, 3.0 ** k
+    const = float(np.sum(a * np.cos(two_pi * b * 0.5)))
+    return np.sum(np.cos(two_pi * b * (Z[..., None] + 0.5)) @ a, axis=1) - n * const
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10, 30])
+def test_every_family_keeps_the_bits_of_its_numpy_wrapper_form(dim):
+    rng = np.random.default_rng(dim)
+    for inst in make_suite(dim, dim, 0, len(FAMILY_CYCLE)).test:
+        X = rng.uniform(*inst.bounds, size=(40, dim))
+        Z = X - inst.shift
+        if inst.rotation is not None:
+            Z = Z @ inst.rotation.T
+        body, scale = benchfn._BASES[inst.base]
+        if scale != 1.0:
+            Z = Z * scale
+        want = _reference_body(inst.base, Z) + inst.f_star
+        got = inst.evaluate_batch(X)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), inst.base)

@@ -379,6 +379,15 @@ def test_gradcheck_refuses_non_positive_eps(ws, capsys):
     assert "steps must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threshold", ["0", "-1e-4", "nan", "inf"])
+def test_gradcheck_refuses_a_threshold_no_gradient_can_meet(ws, capsys, threshold):
+    # a usage error (1), not a failed check (2)
+    assert main(["gradcheck", f"--threshold={threshold}"]) == 1
+    captured = capsys.readouterr()
+    assert "usage error: threshold must be positive and finite" in captured.err
+    assert "FAIL" not in captured.out and "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------- config file
 def test_config_precedence_flag_beats_file_beats_default(ws):
     (ws / "opts.cfg").write_text("dim = 4\ntrain = 1\ntest = 0\n")
@@ -409,6 +418,13 @@ def test_config_file_bad_value_and_bad_bool(ws, capsys):
     (ws / "badbool.cfg").write_text("timings = maybe\n")
     assert main(["train", "--config", "badbool.cfg"]) == 1
     assert "not a boolean" in capsys.readouterr().err
+
+
+def test_config_bad_bool_names_the_file_and_line(ws, capsys):
+    (ws / "b.cfg").write_text("timings = maybe\n")
+    assert main(["train", "--config", "b.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: b.cfg:1: bad value for timings: not a boolean: 'maybe'" in err
 
 
 def test_config_keys_are_every_commands_flags():

@@ -420,3 +420,40 @@ def test_population_validation():
         Population(np.zeros((3, 2)), np.zeros(3))  # members not 3-D
     with pytest.raises(ValueError):
         Population(np.zeros((1, 3, 2)), np.zeros((1, 2)))
+
+
+# ---------------------------------------------------------------- same bits
+def _reference_distinct(offsets):
+    """distinct_indices shifting by the bool comparisons themselves."""
+    i = np.tile(np.arange(offsets[0].shape[1]), (offsets[0].shape[0], 1))
+    taken, picks = [i], []
+    for r in offsets:
+        for excluded in taken:
+            r = r + (r >= excluded)
+        picks.append(r)
+        merged = []
+        for excluded in taken:
+            merged.append(np.minimum(excluded, r))
+            r = np.maximum(excluded, r)
+        taken = merged + [r]
+    return picks
+
+
+@pytest.mark.parametrize("B, N, n, p", [(1, 20, 10, 0.05), (1, 20, 10, 0.2), (7, 9, 3, 0.5),
+                                         (3, 4, 1, 1.0)])
+def test_mutation_matches_the_fancy_index_reference(B, N, n, p):
+    rng = np.random.default_rng(B * N + n)
+    pop = Population(rng.normal(size=(B, N, n)) * 50.0, rng.normal(size=(B, N)))
+    sheet = ParamSheet(rng.uniform(0.0, 1.0, (B, N)), rng.uniform(0.0, 1.0, (B, N)))
+    rngs = [np.random.default_rng([B, b]) for b in range(B)]
+    n_pool = math.ceil(N * p)
+    picks, r1, r2 = draw_generation(rngs, (n_pool, N - 1, N - 2), N, 1)[:3]
+    rows = np.arange(B)[:, None]
+    pool = np.argsort(pop.fitness, axis=1, kind="stable")[:, :n_pool]
+    X = pop.members
+    X_pbest, X_r1, X_r2 = X[rows, np.array([pool[rows, picks], *_reference_distinct((r1, r2))])]
+    F = sheet.F[:, :, None]
+    want = X + F * (X_pbest - X) + F * (X_r1 - X_r2)
+    got = mutate_current_to_pbest(pop, sheet, p, picks, (r1, r2))
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+

@@ -15,6 +15,7 @@ from ldectl.neural import (
     ControllerWeights,
     GradCheckReport,
     WeightFileError,
+    _sigmoid,
     _stacked,
     backward_through_time,
     count_macs,
@@ -381,6 +382,13 @@ def test_run_gradcheck_refuses_bad_arguments(bad):
         run_gradcheck(**bad)
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1e-4, math.nan, math.inf, -math.inf])
+def test_run_gradcheck_refuses_a_threshold_that_is_not_positive_and_finite(threshold):
+    # at 0 or NaN no error could pass, so a correct gradient would read FAIL
+    with pytest.raises(ValueError, match="threshold must be positive and finite"):
+        run_gradcheck(threshold=threshold)
+
+
 def test_run_gradcheck_deterministic():
     a = run_gradcheck(seed=3)
     b = run_gradcheck(seed=3)
@@ -527,3 +535,14 @@ def test_save_refuses_spec_that_does_not_fit_the_weights(tmp_path):
 def test_load_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
         load_weights(tmp_path / "absent.bin")
+
+
+def test_sigmoid_matches_the_branch_select_form_bit_for_bit():
+    rng = np.random.default_rng(0)
+    z = np.concatenate([rng.standard_normal(20000) * s for s in (1e-3, 1.0, 30.0, 800.0)]
+                       + [[0.0, -0.0, 5e-324, -5e-324, 709.0, -709.0, 746.0, -746.0,
+                           np.inf, -np.inf]]).reshape(-1, 10)
+    e = np.exp(-np.abs(z))
+    want = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    np.testing.assert_array_equal(_sigmoid(z).view(np.uint64), want.view(np.uint64))
+    assert np.isnan(_sigmoid(np.array([[np.nan]]))).all()

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ScriptedRng, check_sheet_ranges
+from ldectl.de_core import ParamSheet
 from ldectl.errors import ConsistencyError
 from ldectl.policy import (
     Action,
     PolicyConfig,
+    clip_action,
     logprob_grad_mu,
     reward,
     sample_action,
@@ -130,11 +132,14 @@ def test_logprob_grad_shape_mismatch():
 
 
 def test_action_sheet_round_trip():
+    # an action is the sheet evolve applies, checked as a ParamSheet is
     action = Action(raw=np.array([[0.4, 0.6]]), F=np.array([[0.4]]), CR=np.array([[0.6]]))
-    sheet = action.sheet()
-    np.testing.assert_array_equal(sheet.F, [[0.4]])
-    np.testing.assert_array_equal(sheet.CR, [[0.6]])
-    check_sheet_ranges(sheet)
+    assert isinstance(action, ParamSheet)
+    np.testing.assert_array_equal(action.F, [[0.4]])
+    np.testing.assert_array_equal(action.CR, [[0.6]])
+    check_sheet_ranges(action)
+    with pytest.raises(ValueError):
+        Action(raw=np.zeros((1, 4)), F=np.zeros((1, 2)), CR=np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------- reward
@@ -203,3 +208,21 @@ def test_bandit_gradient_points_toward_target(sigma):
     # shorter sweep companion to the acceptance harness: 3 seeds per sigma
     for seed in range(3):
         assert abs(_bandit_final_mu(seed, sigma) - 0.7) < 0.05
+
+
+# ---------------------------------------------------------------- same bits
+def test_clip_action_equals_np_clip_at_and_beyond_both_bounds():
+    # np.clip would keep a -0.0 that clip_action turns into +0.0; raw never
+    # holds one, since mu > 0
+    f_min = CFG.f_min
+    values = [-np.inf, -5.0, -1e-300, 0.0, 1e-300, f_min / 2, f_min, np.nextafter(f_min, 1.0),
+              0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 7.0, np.inf]
+    rng = np.random.default_rng(0)
+    raw = np.array([rng.permutation(values + values) for _ in range(5)])
+    n = len(values)
+    action = clip_action(raw, CFG)
+    assert action.raw is raw
+    for got, want in ((action.F, np.clip(raw[:, :n], f_min, 1.0)),
+                      (action.CR, np.clip(raw[:, n:], 0.0, 1.0))):
+        np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                      want.view(np.uint64))

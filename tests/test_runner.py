@@ -1,5 +1,7 @@
 """Run harness: budget compliance, traces, baselines, batch orchestration."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -254,3 +256,63 @@ def test_batch_experiment_validates_inputs(tmp_path):
             batch_experiment(BASELINES, fns, 1, Termination(80), SMALL, 0,
                              jobs=jobs, out_dir=tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------- golden bits
+# SHA-256 of repr(error_trace) per (function, algorithm): a dim-10 suite's
+# first three test functions, a 2,000-evaluation budget, the desk spec
+# (RunConfig defaults) and untrained weights of hidden size 32 seeded as
+# `train --epochs 0` seeds them.  Any change to the bits of a generation
+# step (featurise, controller, sampling, clipping, draws, mutation,
+# crossover, repair, selection) moves at least one digest.
+GOLDEN_TRACES = {
+    ("test-00-sphere", "lde"):
+        "6fe66bbd7e783e30e2bb1f678dd6926aa1c8fc734ca804c4ddeebb8ababa9a28",
+    ("test-00-sphere", "lde-deterministic"):
+        "e38d78960746e2dd6d5d69b3e719750cb9937196e3b73162af4387a63b1ee405",
+    ("test-00-sphere", "de_rand1_fixed"):
+        "9d2436dea60021b3d887f92b5b748bac7ec8223292820125b83fbd909149639a",
+    ("test-00-sphere", "ctpb_fixed"):
+        "00d54c94b38403b167e9cf6f7470031e4f47e18b53e66e8d4e15a2f6964070b2",
+    ("test-00-sphere", "random_params"):
+        "65aee299eca13dd5ded4759779379d472a396a101f4c8599ac4b4f9fb14af0da",
+    ("test-01-rastrigin", "lde"):
+        "6747e0a5ade9ebb3709706f52d399dca95f34b76d144f90c69c584cf9ab2dcf5",
+    ("test-01-rastrigin", "lde-deterministic"):
+        "ecf343f567b7c54f2aa7d16ebafaf0e1f6022299662ff355926f266158686b94",
+    ("test-01-rastrigin", "de_rand1_fixed"):
+        "b9363b9a29c843cf5cd09646bbbb0c70bfc88a1740d11f5621b254d0d2266cf2",
+    ("test-01-rastrigin", "ctpb_fixed"):
+        "afbc8f794dec744ec8fe7153feace84ee5f0136330b13b942d4ed6caa24128ef",
+    ("test-01-rastrigin", "random_params"):
+        "5a1c29605d2c71a28bee58a1c8aa2fa765058aebd07e91393cd4265fd3c6e56c",
+    ("test-02-ellipsoid", "lde"):
+        "a8084906f8b65fd4ba7e5e486650197ad7db13f4df54d8cd06d8048c8103317f",
+    ("test-02-ellipsoid", "lde-deterministic"):
+        "537200776e51fff23d7574019151399f5894c705645bfbb341fab02bf2bc6525",
+    ("test-02-ellipsoid", "de_rand1_fixed"):
+        "0665599052f7167fa96c4569f661ae26c409ad61e34382dab7f2104d561949dc",
+    ("test-02-ellipsoid", "ctpb_fixed"):
+        "4058f56493eb5f8c123d7e33358a128002fcad85a83f7dc16b4657d173140401",
+    ("test-02-ellipsoid", "random_params"):
+        "07587038d45314bd9ccc82e7eb2293bc8775a9a61e112a4f1383a92cfc144169",
+}
+
+
+def test_batch_of_one_runs_keep_their_bits():
+    cfg = RunConfig()
+    w = init_weights(32, cfg.input_size, cfg.pop_size, stream(0, "weights"))
+    det = RunConfig(deterministic=True)
+    term = Termination(2000)
+    got = {}
+    for inst in make_suite(0, 10, 0, 3).test:
+        def rng(alg):
+            return stream(0, "run", alg, inst.id, 0)
+        runs = {"lde": run_lde(w, inst, term, cfg, rng(LEARNED)),
+                "lde-deterministic": run_lde(w, inst, term, det, rng(LEARNED))}
+        for kind in BASELINES:
+            runs[kind] = run_baseline(kind, inst, term, cfg, rng(kind))
+        for alg, res in runs.items():
+            assert res.evals_used == 2000
+            got[inst.id, alg] = hashlib.sha256(repr(res.error_trace).encode()).hexdigest()
+    assert got == GOLDEN_TRACES

@@ -57,3 +57,24 @@ def test_epoch_memory_runs_the_desk_op_and_reads_the_status(tmp_path, capsys):
     if Path("/proc/self/status").is_file():
         assert all(v.endswith(" kB") and int(v.split()[0]) > 0 for v in values.values())
     assert mem.memory_status(tmp_path / "absent") == dict.fromkeys(values, "n/a")
+
+
+def test_step_cost_times_every_stage_at_both_batch_sizes(capsys):
+    cost = _load("step_cost")
+    assert cost.main(["--dim", "2", "--hidden", "4", "--functions", "2", "--rollouts", "2",
+                      "--warmup", "2", "--rounds", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "dim 2 N 20 H 4 seed 0 rounds 3"
+    assert lines[1].split() == ["stage", "B=1", "us", "calls", "B=4", "us", "calls"]
+    rows = {line[:28].strip(): line[28:].split() for line in lines[2:]}
+    assert list(rows) == ["assemble_state", "forward_step", "sample_action", "evolve",
+                          "draw_generation", "mutate_current_to_pbest",
+                          "binomial_crossover_batch", "repair_bounds", "evaluate_batch",
+                          "select", "ControllerStep", "run_lde / generation"]
+    for name, cells in rows.items():
+        timed = cells if name != "run_lde / generation" else cells[:2]
+        assert all(float(us) > 0 and int(calls) > 0 for us, calls in zip(timed[::2], timed[1::2]))
+    assert rows["run_lde / generation"][2:] == ["-", "-"]
+    # the parts of evolve are calls evolve makes
+    part_calls = sum(int(rows[name][1]) for name in list(rows)[4:10])
+    assert part_calls < int(rows["evolve"][1])

@@ -165,3 +165,50 @@ def test_assemble_advances_ring():
     second = assemble_state(pop, ring, 2)
     np.testing.assert_array_equal(first.hist_avg, np.zeros((1, 2)))
     np.testing.assert_array_equal(second.hist_avg, first.hist)
+
+
+# ---------------------------------------------------------------- same bits
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("B", [1, 60])
+@pytest.mark.parametrize("bins, window", [(5, 5), (2, 12), (16, 3)])
+def test_ring_average_is_the_stacked_mean_bit_for_bit(B, bins, window):
+    # random floats, so that a different order of the sum would show; every
+    # fill level from 0 to g, then two evictions
+    rng = np.random.default_rng(B * 100 + bins)
+    hists = [rng.random((B, bins)) * 7.0 for _ in range(window + 2)]
+    ring = HistRing(window)
+    for k, h in enumerate(hists):
+        held = hists[max(0, k - window):k]
+        want = np.mean(np.stack(held, axis=1), axis=1) if held else np.zeros((B, bins))
+        np.testing.assert_array_equal(_bits(ring.update_and_average(h)), _bits(want))
+
+
+@pytest.mark.parametrize("B", [1, 60])
+def test_ring_average_of_one_bin_histograms_is_the_stacked_mean(B):
+    # at one bin np.mean sums 8 or more entries pairwise, but a one-bin
+    # histogram is exactly 1.0, so any order gives the same sum
+    ring, held = HistRing(12), []
+    for k in range(14):
+        h = histogram(np.random.default_rng(k).random((B, 20)), 1)
+        want = np.mean(np.stack(held, axis=1), axis=1) if held else np.zeros((B, 1))
+        np.testing.assert_array_equal(_bits(ring.update_and_average(h)), _bits(want))
+        held = (held + [h])[-12:]
+
+
+def test_normalize_matches_the_masked_division_bit_for_bit():
+    rng = np.random.default_rng(4)
+    f = np.concatenate([
+        rng.standard_normal((40, 20)) * 10.0 ** rng.integers(-300, 300, (40, 1)),
+        np.full((2, 20), 7.0), np.zeros((1, 20)),
+        np.tile([[np.inf], [-np.inf], [np.nan], [1e308], [5e-324]], (1, 20)),
+    ])
+    f[-5:, :3] = [[1.0, 2.0, np.inf], [0.0, 1.0, 2.0], [-1e308, 0.0, 1.0], [-1e308, 0.0, 1.0],
+                  [0.0, 0.0, 0.0]]
+    with np.errstate(invalid="ignore", over="ignore"):
+        lo = f.min(axis=1, keepdims=True)
+        span = f.max(axis=1, keepdims=True) - lo
+        want = np.divide(f - lo, span, out=np.zeros_like(f), where=span != 0.0)
+        np.testing.assert_array_equal(_bits(normalize_fitness(f)), _bits(want))

@@ -12,11 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import inspect
 import math
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
+
+import numpy as np
 
 from . import benchfn, neural, runner, stats, trainer
 from .errors import ConsistencyError, NumericFailure
@@ -118,7 +121,10 @@ def _add_flags(p: _Parser, params) -> None:
             p.add_argument(flag, type=type(prm.default), help=help)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process: argparse keeps no state
+    between parse_args calls, and main never changes the parser."""
     top = _Parser(prog="ldectl", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", metavar="command")
     top.commands = sub.choices
@@ -304,15 +310,13 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    opt = _resolve(args, {
-        "results": "runs/results.csv", "alpha_sig": 0.05, "ref": None, "out": None,
-    })
-    if not 0.0 < opt["alpha_sig"] < 1.0:
-        raise UsageError("alpha_sig must lie in (0, 1)")
-    samples = {}
-    algorithms = []
-    path = opt["results"]
+def _read_results(path: str):
+    """A results.csv in one streamed pass: function_id -> {algorithm_id ->
+    best errors (array)}, both in first-seen order, and the algorithms in
+    first-seen order.  Refuses a short row or a non-finite best_error
+    (naming the line), fewer than two algorithms, and a function with
+    fewer than two runs of some algorithm."""
+    groups = {}  # (function, algorithm) -> errors, in first-seen order
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd, [])
@@ -320,12 +324,13 @@ def cmd_compare(args) -> int:
         if not set(need) <= set(header):
             raise UsageError(f"{path}: missing columns {sorted(need)}")
         ia, ifn, ie = (header.index(c) for c in need)
+        width = len(header)
         for row in rd:
-            if not row:  # blank line
-                continue
-            if len(row) != len(header):
+            if len(row) != width:
+                if not row:  # blank line
+                    continue
                 raise UsageError(f"{path} line {rd.line_num}: "
-                                 f"{len(row)} fields, header has {len(header)}")
+                                 f"{len(row)} fields, header has {width}")
             try:
                 err = float(row[ie])
             except ValueError:
@@ -333,38 +338,52 @@ def cmd_compare(args) -> int:
             if not math.isfinite(err):
                 raise UsageError(f"{path} line {rd.line_num}: "
                                  f"best_error {row[ie]!r} is not a finite number")
-            samples.setdefault(row[ifn], {}).setdefault(row[ia], []).append(err)
-            if row[ia] not in algorithms:
-                algorithms.append(row[ia])
-    if not samples:
+            groups.setdefault((row[ifn], row[ia]), []).append(err)
+    if not groups:
         raise UsageError(f"{path}: no data rows")
+    # an algorithm's first row opens its first group
+    algorithms = list(dict.fromkeys(alg for _, alg in groups))
     if len(algorithms) < 2:
         raise UsageError("comparison needs at least two algorithms")
+    samples = {}
+    for (fid, alg), errs in groups.items():
+        samples.setdefault(fid, {})[alg] = np.array(errs)
     for fid, per_fn in samples.items():
         for alg in algorithms:
-            if len(per_fn.get(alg, [])) < 2:
+            if len(per_fn.get(alg, ())) < 2:
                 raise UsageError(f"{fid}/{alg}: need at least two runs per pair")
+    return samples, algorithms
 
+
+def _write_comparison(out: Path, table: stats.ComparisonTable, report: str) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    fns, algs = table.functions, table.algorithms
+    runner.write_csv(out / "comparison.csv",
+                     ["function_id", "algorithm_id", "mean_error", "std_error"],
+                     ([fid, alg, _fmt(table.mean[(fid, alg)]), _fmt(table.std[(fid, alg)])]
+                      for fid in fns for alg in algs))
+    runner.write_csv(out / "marks.csv",
+                     ["function_id", "algorithm_a", "algorithm_b", "p_value", "mark"],
+                     ([fid, a, b, _fmt(table.p_value[(fid, a, b)]), table.mark[(fid, a, b)]]
+                      for fid in fns for a in algs for b in algs if a != b))
+    runner.write_csv(out / "aps.csv", ["algorithm_id", "aps"],
+                     ([alg, _fmt(table.aps[alg])] for alg in algs))
+    with open(out / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(report)
+
+
+def cmd_compare(args) -> int:
+    opt = _resolve(args, {
+        "results": "runs/results.csv", "alpha_sig": 0.05, "ref": None, "out": None,
+    })
+    if not 0.0 < opt["alpha_sig"] < 1.0:
+        raise UsageError("alpha_sig must lie in (0, 1)")
+    samples, algorithms = _read_results(opt["results"])
     table = stats.build_comparison(samples, algorithms=algorithms, alpha=opt["alpha_sig"])
     report = stats.render_report(table, reference=opt["ref"])
     sys.stdout.write(report)
-
     if opt["out"]:
-        out = Path(opt["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        fns, algs = table.functions, table.algorithms
-        runner.write_csv(out / "comparison.csv",
-                         ["function_id", "algorithm_id", "mean_error", "std_error"],
-                         ([fid, alg, _fmt(table.mean[(fid, alg)]), _fmt(table.std[(fid, alg)])]
-                          for fid in fns for alg in algs))
-        runner.write_csv(out / "marks.csv",
-                         ["function_id", "algorithm_a", "algorithm_b", "p_value", "mark"],
-                         ([fid, a, b, _fmt(table.p_value[(fid, a, b)]), table.mark[(fid, a, b)]]
-                          for fid in fns for a in algs for b in algs if a != b))
-        runner.write_csv(out / "aps.csv", ["algorithm_id", "aps"],
-                         ([alg, _fmt(table.aps[alg])] for alg in algs))
-        with open(out / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report)
+        _write_comparison(Path(opt["out"]), table, report)
     return 0
 
 

@@ -1,12 +1,17 @@
 """Two-sided Wilcoxon rank-sum comparison and average performance scores.
 
-Ties take midranks.  When both samples hold at most EXACT_LIMIT values
-the p-value is exact: the n-subsets of the pooled midranks are counted by
-rank sum (the shift algorithm of Streitberg and Röhmel, 1986) and the
-two-sided tail mass of |W - E[W]| is read off the counts.  Doubled
-midranks are integers, so the counts equal those of enumerating every
-subset.  Above that the normal approximation applies, with the usual
-tie-corrected variance and a 0.5 continuity correction.
+Ties take midranks.  Every test starts from one sort of the pooled
+values into a count matrix: distinct values x samples.  When both samples
+hold at most EXACT_LIMIT values the p-value is exact: the n-subsets of
+the pooled midranks are counted by rank sum (the shift algorithm of
+Streitberg and Röhmel, 1986) and the two-sided tail mass of |W - E[W]| is
+read off the counts.  Doubled midranks are integers, so the counts equal
+those of enumerating every subset.  Above that the normal approximation
+applies, with the usual tie-corrected variance and a 0.5 continuity
+correction.  A comparison sorts each function's samples once: the rank
+sums and tie terms of all its normal-path pairs are integer products of
+that function's count matrix, and only the exact pairs are tested one by
+one.
 
 The average performance score of algorithm i is the number of rivals
 that significantly beat it (lower mean error, p below alpha), averaged
@@ -33,16 +38,20 @@ MARK_WORSE = "+"
 MARK_SIMILAR = "≈"
 
 
-def _doubled_midranks(pooled: np.ndarray):
-    """Twice the midranks of ``pooled`` (integers) and the size of each tie group."""
+def _value_counts(samples) -> np.ndarray:
+    """How often each distinct pooled value (rows, ascending) occurs in
+    each sample (columns): one sort of the pooled values."""
+    if any(x.ndim != 1 or x.size == 0 for x in samples):
+        raise ValueError("samples must be non-empty 1-D arrays")
+    pooled = np.concatenate(samples)
+    if not np.isfinite(pooled).all():
+        raise ValueError("samples must be finite")
+    k = len(samples)
+    label = np.repeat(np.arange(k), [x.size for x in samples])
     order = np.argsort(pooled, kind="stable")
     s = pooled[order]
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    sizes = np.diff(np.append(starts, len(s)))
-    ranks2 = np.empty(len(s), dtype=np.int64)
-    # a group at sorted places i .. i+size-1 shares rank i + (size+1)/2
-    ranks2[order] = np.repeat(2 * starts + sizes + 1, sizes)
-    return ranks2, sizes
+    value = np.concatenate(([0], np.cumsum(s[1:] != s[:-1])))
+    return np.bincount(value * k + label[order], minlength=(value[-1] + 1) * k).reshape(-1, k)
 
 
 def _exact_p(ranks2: np.ndarray, n: int, w2_obs: int) -> float:
@@ -58,6 +67,41 @@ def _exact_p(ranks2: np.ndarray, n: int, w2_obs: int) -> float:
     return int(counts[n, far].sum()) / math.comb(len(ranks2), n)
 
 
+def _normal_pairs(counts: np.ndarray):
+    """Rank sum and normal-approximation p-value of every pair (i, j) of the
+    samples counted in the columns of ``counts`` (see _value_counts), each
+    pair ranked on its own pool: A x A nested lists W, W[i][j] the rank sum
+    of i against j, and P, which is symmetric.
+
+    The counting is exact int64.  A value of i outranks the values of j
+    below it and ties with those equal to it, so the doubled U of i
+    against j is sum_v c_i(v) (2 C_j(v) - c_j(v)), with C_j the
+    cumulative count; a pair's tie groups have sizes c_i + c_j, whose
+    cubes expand into column products.  The formula then runs per pair
+    on Python numbers, in the order a single test always used.
+    """
+    cum = np.cumsum(counts, axis=0)
+    size = cum[-1].tolist()
+    k = len(size)
+    # prod[i][j]: doubled U of i against j; prod[i][k + j]: sum of c_i c_j^2
+    prod = (counts.T @ np.concatenate((2 * cum - counts, counts * counts), axis=1)).tolist()
+    w = [[(prod[i][j] + size[i] * (size[i] + 1)) / 2.0 for j in range(k)] for i in range(k)]
+    p = [[1.0] * k for _ in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        n, m = size[i], size[j]
+        s = n + m
+        cubes = prod[i][k + i] + prod[j][k + j] + 3 * (prod[i][k + j] + prod[j][k + i])
+        ties = cubes - s  # sum over the pair's tie groups of t^3 - t
+        tie_term = float(ties) / (s * (s - 1))
+        var_u = n * m / 12.0 * ((s + 1) - tie_term)
+        if var_u <= 0.0:  # every value of the pair is tied
+            continue
+        u_obs = w[i][j] - n * (n + 1) / 2.0
+        z = max(abs(u_obs - n * m / 2.0) - 0.5, 0.0) / math.sqrt(var_u)
+        p[i][j] = p[j][i] = min(1.0, math.erfc(z / math.sqrt(2.0)))
+    return w, p
+
+
 class RankSumResult(NamedTuple):
     statistic: float  # rank sum of the first sample, midrank ties
     p_value: float
@@ -68,28 +112,15 @@ def ranksum_test(sample_a, sample_b) -> RankSumResult:
     """Two-sided rank-sum test of identical distributions."""
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
-        raise ValueError("both samples must be non-empty 1-D arrays")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("samples must be finite")
-    n, m = a.size, b.size
-    pooled = np.concatenate([a, b])
-    ranks2, ties = _doubled_midranks(pooled)
-    w2_obs = int(ranks2[:n].sum())
-    w_obs = w2_obs / 2.0
-
-    if n <= EXACT_LIMIT and m <= EXACT_LIMIT:
-        return RankSumResult(w_obs, _exact_p(ranks2, n, w2_obs), "exact")
-
-    s = n + m
-    tie_term = float(np.sum(ties ** 3 - ties)) / (s * (s - 1))
-    var_u = n * m / 12.0 * ((s + 1) - tie_term)
-    if var_u <= 0.0:
-        return RankSumResult(w_obs, 1.0, "normal")
-    u_obs = w_obs - n * (n + 1) / 2.0
-    z = max(abs(u_obs - n * m / 2.0) - 0.5, 0.0) / math.sqrt(var_u)
-    p = min(1.0, math.erfc(z / math.sqrt(2.0)))
-    return RankSumResult(w_obs, p, "normal")
+    counts = _value_counts([a, b])
+    if a.size <= EXACT_LIMIT and b.size <= EXACT_LIMIT:
+        group = counts.sum(axis=1)
+        ranks2 = 2 * np.cumsum(group) - group + 1  # doubled midrank of each distinct value
+        w2_obs = int(counts[:, 0] @ ranks2)
+        return RankSumResult(w2_obs / 2.0, _exact_p(np.repeat(ranks2, group), a.size, w2_obs),
+                             "exact")
+    w, p = _normal_pairs(counts)
+    return RankSumResult(w[0][1], p[0][1], "normal")
 
 
 def significance_mark(p_value: float, mean_a: float, mean_b: float,
@@ -105,20 +136,47 @@ def pair_p_values(per_fn: dict, algorithms) -> dict:
     """p-value of every ordered pair (a, b) of one function's samples.
 
     The test is symmetric, so each unordered pair is tested once and
-    both orders share its p-value.
+    both orders share its p-value.  A pair within EXACT_LIMIT goes
+    through ranksum_test with the caller's own samples; every other
+    pair of the function comes from one _normal_pairs call.
     """
+    algorithms = list(algorithms)
+    arrays = [np.asarray(per_fn[alg], dtype=float) for alg in algorithms]
+    normal = None
     out = {}
-    for a, b in itertools.combinations(algorithms, 2):
-        out[a, b] = out[b, a] = ranksum_test(per_fn[a], per_fn[b]).p_value
+    for i, j in itertools.combinations(range(len(algorithms)), 2):
+        a, b = algorithms[i], algorithms[j]
+        if arrays[i].size <= EXACT_LIMIT and arrays[j].size <= EXACT_LIMIT:
+            p = ranksum_test(per_fn[a], per_fn[b]).p_value
+        else:
+            if normal is None:
+                normal = _normal_pairs(_value_counts(arrays))[1]
+            p = normal[i][j]
+        out[a, b] = out[b, a] = p
     return out
 
 
-def aps_rank(samples: dict, alpha: float = DEFAULT_ALPHA, p_values: dict = None) -> dict:
+def _mean_std(sample) -> tuple:
+    """np.mean and np.std(ddof=1) (0.0 for one value) bit for bit: the
+    same reductions in the same order, without numpy's wrappers."""
+    x = np.asarray(sample, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("samples must be non-empty 1-D arrays")
+    mean = float(np.add.reduce(x)) / x.size
+    if x.size == 1:
+        return mean, 0.0
+    d = x - mean
+    return mean, math.sqrt(float(np.add.reduce(d * d)) / (x.size - 1))
+
+
+def aps_rank(samples: dict, alpha: float = DEFAULT_ALPHA, p_values: dict = None,
+             means: dict = None) -> dict:
     """Average performance score per algorithm.
 
     ``samples`` maps function_id -> {algorithm_id -> error sample}.
     Every function must cover the same algorithms.  ``p_values`` maps
-    function_id -> pair_p_values of that function when they are known.
+    function_id -> pair_p_values of that function, and ``means`` maps
+    (function_id, algorithm_id) -> mean error, when they are known.
     """
     if not samples:
         raise ValueError("aps_rank needs at least one function")
@@ -129,17 +187,18 @@ def aps_rank(samples: dict, alpha: float = DEFAULT_ALPHA, p_values: dict = None)
     for fid in fn_ids:
         if sorted(samples[fid]) != algs:
             raise ValueError(f"function {fid} does not cover all algorithms")
+    if means is None:
+        means = {(fid, alg): _mean_std(samples[fid][alg])[0] for fid in fn_ids for alg in algs}
     scores = {alg: 0.0 for alg in algs}
     for fid in fn_ids:
         per_fn = samples[fid]
-        means = {alg: float(np.mean(per_fn[alg])) for alg in algs}
         p_table = p_values[fid] if p_values is not None else pair_p_values(per_fn, algs)
         for i in algs:
             beaten_by = 0
             for j in algs:
                 if j == i:
                     continue
-                if p_table[i, j] < alpha and means[j] < means[i]:
+                if p_table[i, j] < alpha and means[fid, j] < means[fid, i]:
                     beaten_by += 1
             scores[i] += beaten_by
     return {alg: scores[alg] / len(fn_ids) for alg in algs}
@@ -166,21 +225,23 @@ def build_comparison(samples: dict, algorithms=None, alpha: float = DEFAULT_ALPH
     algs = list(algorithms) if algorithms else sorted(samples[functions[0]])
     table = ComparisonTable(algorithms=algs, functions=functions)
     p_values = {}
+    means = {}  # every algorithm's, which aps_rank ranks
     for fid in functions:
         per_fn = samples[fid]
         for alg in algs:
             if alg not in per_fn:
                 raise ValueError(f"function {fid} lacks algorithm {alg}")
-            errs = np.asarray(per_fn[alg], dtype=float)
-            table.mean[(fid, alg)] = float(np.mean(errs))
-            table.std[(fid, alg)] = float(np.std(errs, ddof=1)) if errs.size > 1 else 0.0
+        summary = {alg: _mean_std(per_fn[alg]) for alg in per_fn}
+        for alg in algs:
+            table.mean[fid, alg], table.std[fid, alg] = summary[alg]
+        means.update(((fid, alg), mean) for alg, (mean, _) in summary.items())
         p_values[fid] = pair_p_values(per_fn, sorted(per_fn))  # what aps_rank ranks
         for a, b in itertools.permutations(algs, 2):
             p = p_values[fid][a, b]
             table.p_value[(fid, a, b)] = p
             table.mark[(fid, a, b)] = significance_mark(
                 p, table.mean[(fid, a)], table.mean[(fid, b)], alpha)
-    table.aps = aps_rank({fid: samples[fid] for fid in functions}, alpha, p_values)
+    table.aps = aps_rank({fid: samples[fid] for fid in functions}, alpha, p_values, means)
     return table
 
 

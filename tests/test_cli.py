@@ -2,8 +2,11 @@
 
 import csv
 import dataclasses
+import hashlib
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +294,63 @@ def test_compare_exact_p_values_at_the_limit(ws, capsys):
     assert min(oracle.values()) < 0.05 < max(oracle.values())
 
 
+def _write_results(path, seed, n_fns, runs, algorithms=("lde", "de_rand1_fixed",
+                                                       "ctpb_fixed", "random_params"),
+                   shuffle=False):
+    """A seeded results.csv: per-function levels and per-algorithm offsets on
+    a log10 scale, errors below 1e-8 written as exactly 0.0.  ``runs`` is a
+    run count, or (function index, algorithm index) -> run count."""
+    rng = np.random.default_rng(seed)
+    level = rng.uniform(-9.0, 4.0, n_fns)
+    rows = []
+    for a, alg in enumerate(algorithms):
+        for f in range(n_fns):
+            n = runs if isinstance(runs, int) else runs(f, a)
+            logs = level[f] + rng.normal(0.0, 1.0) + rng.normal(0.0, 0.5, n)
+            rows += [[alg, f"fn-{f:02d}", r, repr(float(10.0 ** x) if x > -8.0 else 0.0), 100]
+                     for r, x in enumerate(logs)]
+    if shuffle:
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh, lineterminator="\n")
+        wr.writerow(["algorithm_id", "function_id", "seed", "best_error", "evals_used"])
+        wr.writerows(rows)
+
+
+def _tree_digest(root) -> str:
+    h = hashlib.sha256()
+    for p in sorted(Path(root).iterdir()):
+        h.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+# compare --out trees recorded before the rank-sum pairs of a function were
+# computed together; any change to a p-value, mean, std, mark or APS bit
+# moves a digest.  "ragged" mixes exact and normal pairs within a function
+# (2-29 runs per pair), carries exact zeros at the floor, lists its rows
+# shuffled and its algorithms in non-sorted first-seen order.
+GOLDEN_COMPARE = {
+    "exact": "337ee7a0a988949b3e660a4fcb0bd892367b68d00ba3d2d440adfe622a5694f1",
+    "normal": "5a676dbd7b47de24528814cc8bfd221fba4cf64ed30596e2117990708b1de462",
+    "ragged": "2d10e5092b478fe0aee1c49f1cd75a99ec41211562068d7afba111b88ec94bd7",
+}
+
+
+def test_compare_out_trees_keep_their_bits(ws, capsys):
+    ragged = np.random.default_rng(9).integers(2, 30, size=(6, 4))
+    _write_results(ws / "exact.csv", 1, 8, 7)
+    _write_results(ws / "normal.csv", 2, 32, 51)
+    _write_results(ws / "ragged.csv", 3, 6, lambda f, a: int(ragged[f, a]),
+                   algorithms=("zeta", "alpha", "mid", "beta"), shuffle=True)
+    got = {}
+    for name in GOLDEN_COMPARE:
+        assert main(["compare", "--results", f"{name}.csv", "--out", name]) == 0
+        assert capsys.readouterr().out == (ws / name / "report.txt").read_text()
+        got[name] = _tree_digest(ws / name)
+    assert b",0.0," in (ws / "ragged.csv").read_bytes()
+    assert got == GOLDEN_COMPARE
+
+
 def test_compare_missing_results_file_is_io_failure(ws, capsys):
     assert main(["compare", "--results", "nothing.csv"]) == 3
     assert "i/o failure" in capsys.readouterr().err
@@ -463,6 +523,51 @@ def test_config_choice_is_refused_like_the_flag(ws, capsys):
 def test_missing_config_file_is_io_failure(ws, capsys):
     assert main(["suite", "--config", "absent.cfg"]) == 3
     assert "i/o failure" in capsys.readouterr().err
+
+
+def test_successive_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    """main builds its parser once per process, so no call may leave state
+    behind that a later call sees: each call of a sequence run in-process
+    prints, exits and writes what a fresh ``python -m ldectl`` does."""
+    calls = [
+        ["suite", "--seed", "4", "--dim", "2", "--train", "1", "--test", "2", "--out", "s"],
+        ["compare", "--config", "c.cfg"],  # alpha_sig, ref and out from the file
+        ["run", "--help"],
+        ["run", "--instances", "s", "--runs", "two"],
+        ["compare", "--results", "r.csv", "--out", "plain"],  # the defaults again
+        ["run", "--instances", "s", "--algorithms", "de_rand1_fixed,ctpb_fixed",
+         "--runs", "2", "--budget", "40", "--pop-size", "4", "--bins", "2"],
+        ["compare", "--results", "runs/results.csv", "--alpha-sig", "0.5"],
+        ["suite", "--dim", "0"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    trees = {}
+    for side in ("in_process", "fresh"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "c.cfg").write_text("results = r.csv\nalpha_sig = 0.3\n"
+                                               "ref = beta\nout = cfg\n")
+        _write_results(tmp_path / side / "r.csv", 5, 3, 6, algorithms=("alpha", "beta", "gamma"))
+    monkeypatch.chdir(tmp_path / "in_process")
+    got = []
+    for argv in calls:
+        code = main(argv)
+        got.append((code, *capsys.readouterr()))
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8", "PYTHONPATH": os.pathsep.join(
+        [str(Path(neural.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    want = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "ldectl", *argv], cwd=tmp_path / "fresh",
+                              env=env, capture_output=True, text=True, encoding="utf-8")
+        want.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [g[0] for g in got] == [0, 0, 0, 1, 0, 0, 0, 1]
+    assert got == want
+    for side in ("in_process", "fresh"):
+        root = tmp_path / side
+        trees[side] = {p.relative_to(root): p.read_bytes()
+                       for p in sorted(root.rglob("*")) if p.is_file()}
+    assert trees["in_process"] == trees["fresh"]
+    assert (tmp_path / "fresh" / "cfg" / "report.txt").read_text() != \
+        (tmp_path / "fresh" / "plain" / "report.txt").read_text()
 
 
 # ---------------------------------------------------------------- exit codes

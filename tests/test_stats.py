@@ -1,5 +1,6 @@
 """Rank-sum comparison: exact and normal p-values, marks, APS, report."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from conftest import oracle_exact_p
+from ldectl import stats
 from ldectl.stats import (
     EXACT_LIMIT,
     MARK_BETTER,
@@ -141,6 +143,53 @@ def test_ranksum_input_validation():
         ranksum_test([1.0, np.nan], [2.0])
     with pytest.raises(ValueError):
         ranksum_test([1.0], [np.inf])
+
+
+# ---------------------------------------------------------------- all pairs of a function
+@st.composite
+def _ragged_samples(draw):
+    """2-6 samples of 1-25 values (either side of EXACT_LIMIT) drawn from a
+    pool of 1-4 distinct values, so ties are heavy and sometimes total."""
+    pool = draw(st.lists(st.sampled_from([0.0, 1e-9, 0.5, 3.0, 7.25, 1e4]),
+                         min_size=1, max_size=4, unique=True))
+    k = draw(st.integers(2, 6))
+    value = st.sampled_from(pool)
+    return [draw(st.lists(value, min_size=1, max_size=2 * EXACT_LIMIT + 5)) for _ in range(k)]
+
+
+@settings(max_examples=80)
+@given(samples=_ragged_samples())
+def test_pair_kernel_equals_the_per_pair_test(samples):
+    arrays = [np.asarray(x, dtype=float) for x in samples]
+    w, p = stats._normal_pairs(stats._value_counts(arrays))
+    names = [f"alg{i}" for i in range(len(samples))]
+    table = stats.pair_p_values(dict(zip(names, samples)), names)
+    for i, j in itertools.permutations(range(len(samples)), 2):
+        res = ranksum_test(samples[i], samples[j])
+        assert table[names[i], names[j]] == res.p_value
+        pooled = np.concatenate([arrays[i], arrays[j]])
+        assert w[i][j] == res.statistic == sps.rankdata(pooled)[:arrays[i].size].sum()
+        if res.method == "exact":
+            continue
+        assert p[i][j] == res.p_value
+        if np.all(pooled == pooled[0]):
+            assert res.p_value == 1.0
+        else:
+            ref = sps.mannwhitneyu(samples[i], samples[j], alternative="two-sided",
+                                   method="asymptotic", use_continuity=True)
+            assert res.p_value == pytest.approx(ref.pvalue, rel=1e-10)
+
+
+def test_pair_kernel_on_an_all_tied_pool_gives_one():
+    samples = [[2.5] * n for n in (3, 11, 12, 30)]
+    _, p = stats._normal_pairs(stats._value_counts([np.asarray(x) for x in samples]))
+    assert p == [[1.0] * 4] * 4
+
+
+def test_pair_p_values_refuses_what_ranksum_test_refuses():
+    for bad in ([], [1.0, np.nan] * 6, [[1.0] * 11]):
+        with pytest.raises(ValueError):
+            stats.pair_p_values({"a": bad, "b": [0.5] * 12}, ["a", "b"])
 
 
 # ---------------------------------------------------------------- marks

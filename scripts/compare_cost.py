@@ -5,7 +5,9 @@ The script writes a seeded results.csv (per-function levels and
 per-algorithm offsets on a log10 scale, errors below 1e-8 written as
 exactly 0.0, as ``run`` reports a solved run), then times in-process the
 stages of ``ldectl compare --out``: reading and grouping the file
-(``parse``), ``stats.build_comparison`` (``table``),
+(``parse``), ``stats.build_comparison`` with the exact null counts
+already cached (``table``) and with the cache cleared first
+(``table_cold``, what a one-shot ``ldectl compare`` pays),
 ``stats.render_report`` (``render``), writing the four output files
 (``write``) and the whole ``cli.main`` call (``compare``).  Stages are
 timed round-robin, one call each per round, and the median over the
@@ -57,9 +59,14 @@ def stages(path: Path, out: Path) -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
 
+    def table_cold():
+        stats._null_counts.cache_clear()
+        stats.build_comparison(samples, algorithms=algorithms)
+
     return {
         "parse": lambda: cli._read_results(str(path)),
         "table": lambda: stats.build_comparison(samples, algorithms=algorithms),
+        "table_cold": table_cold,
         "render": lambda: stats.render_report(table),
         "write": lambda: cli._write_comparison(out / "stages", table, report),
         "compare": whole,

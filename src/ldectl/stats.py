@@ -6,12 +6,14 @@ hold at most EXACT_LIMIT values the p-value is exact: the n-subsets of
 the pooled midranks are counted by rank sum (the shift algorithm of
 Streitberg and Röhmel, 1986) and the two-sided tail mass of |W - E[W]| is
 read off the counts.  Doubled midranks are integers, so the counts equal
-those of enumerating every subset.  Above that the normal approximation
-applies, with the usual tie-corrected variance and a 0.5 continuity
-correction.  A comparison sorts each function's samples once: the rank
-sums and tie terms of all its normal-path pairs are integer products of
-that function's count matrix, and only the exact pairs are tested one by
-one.
+those of enumerating every subset.  The counts depend only on the
+pooled midranks and n, not on which sample holds which value, so each
+pool and n is counted once and kept in a bounded cache.  Above that the
+normal approximation applies, with the usual tie-corrected variance and
+a 0.5 continuity correction.  A comparison sorts each function's samples
+once: the rank sums and tie terms of all its normal-path pairs are
+integer products of that function's count matrix, and only the exact
+pairs are tested one by one.
 
 The average performance score of algorithm i is the number of rivals
 that significantly beat it (lower mean error, p below alpha), averaged
@@ -23,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -54,17 +57,27 @@ def _value_counts(samples) -> np.ndarray:
     return np.bincount(value * k + label[order], minlength=(value[-1] + 1) * k).reshape(-1, k)
 
 
-def _exact_p(ranks2: np.ndarray, n: int, w2_obs: int) -> float:
-    """Share of the n-subsets of ``ranks2`` whose sum lies at least as far
-    from its mean as ``w2_obs`` does; all in doubled ranks."""
-    top = int(ranks2.sum())
+@lru_cache(maxsize=256)
+def _null_counts(ranks2: tuple, n: int) -> np.ndarray:
+    """How many n-subsets of the pooled doubled midranks ``ranks2``
+    (ascending) sum to each S in 0..sum(ranks2): read-only int64."""
+    top = sum(ranks2)
     counts = np.zeros((n + 1, top + 1), dtype=np.int64)  # [k, S]: k-subsets summing to S
     counts[0, 0] = 1
-    for r in ranks2.tolist():
+    for r in ranks2:
         counts[1:, r:] += counts[:-1, :-r]  # numpy reads the right side before writing
+    row = counts[n].copy()  # not a view: the cache keeps the row, not the table
+    row.flags.writeable = False
+    return row
+
+
+def _exact_p(ranks2: tuple, n: int, w2_obs: int) -> float:
+    """Share of the n-subsets of ``ranks2`` whose sum lies at least as far
+    from its mean as ``w2_obs`` does; all in doubled ranks."""
+    row = _null_counts(ranks2, n)
     centre = n * (len(ranks2) + 1)
-    far = np.abs(np.arange(top + 1) - centre) >= abs(w2_obs - centre)
-    return int(counts[n, far].sum()) / math.comb(len(ranks2), n)
+    far = np.abs(np.arange(row.size) - centre) >= abs(w2_obs - centre)
+    return int(row[far].sum()) / math.comb(len(ranks2), n)
 
 
 def _normal_pairs(counts: np.ndarray):
@@ -117,8 +130,8 @@ def ranksum_test(sample_a, sample_b) -> RankSumResult:
         group = counts.sum(axis=1)
         ranks2 = 2 * np.cumsum(group) - group + 1  # doubled midrank of each distinct value
         w2_obs = int(counts[:, 0] @ ranks2)
-        return RankSumResult(w2_obs / 2.0, _exact_p(np.repeat(ranks2, group), a.size, w2_obs),
-                             "exact")
+        pooled = tuple(np.repeat(ranks2, group).tolist())
+        return RankSumResult(w2_obs / 2.0, _exact_p(pooled, a.size, w2_obs), "exact")
     w, p = _normal_pairs(counts)
     return RankSumResult(w[0][1], p[0][1], "normal")
 

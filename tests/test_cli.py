@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_exact_p
-from ldectl import neural, runner, trainer
+from ldectl import neural, runner, stats, trainer
 from ldectl.cli import _config_keys, build_parser, main
 from ldectl.rng import stream
 
@@ -336,12 +336,17 @@ GOLDEN_COMPARE = {
 }
 
 
-def test_compare_out_trees_keep_their_bits(ws, capsys):
+def _write_golden_inputs(ws):
+    """The results files whose compare --out trees GOLDEN_COMPARE pins."""
     ragged = np.random.default_rng(9).integers(2, 30, size=(6, 4))
     _write_results(ws / "exact.csv", 1, 8, 7)
     _write_results(ws / "normal.csv", 2, 32, 51)
     _write_results(ws / "ragged.csv", 3, 6, lambda f, a: int(ragged[f, a]),
                    algorithms=("zeta", "alpha", "mid", "beta"), shuffle=True)
+
+
+def test_compare_out_trees_keep_their_bits(ws, capsys):
+    _write_golden_inputs(ws)
     got = {}
     for name in GOLDEN_COMPARE:
         assert main(["compare", "--results", f"{name}.csv", "--out", name]) == 0
@@ -349,6 +354,22 @@ def test_compare_out_trees_keep_their_bits(ws, capsys):
         got[name] = _tree_digest(ws / name)
     assert b",0.0," in (ws / "ragged.csv").read_bytes()
     assert got == GOLDEN_COMPARE
+
+
+def test_compare_out_trees_do_not_depend_on_the_null_count_cache(ws, capsys):
+    _write_golden_inputs(ws)
+    for warm in (False, True):
+        got = {}
+        for name in GOLDEN_COMPARE:
+            if warm:
+                assert main(["compare", "--results", f"{name}.csv"]) == 0
+            else:
+                stats._null_counts.cache_clear()
+            assert main(["compare", "--results", f"{name}.csv", "--out", f"{name}-{warm}"]) == 0
+            got[name] = _tree_digest(ws / f"{name}-{warm}")
+        capsys.readouterr()
+        assert got == GOLDEN_COMPARE
+    assert stats._null_counts.cache_info().hits > 0
 
 
 def test_compare_missing_results_file_is_io_failure(ws, capsys):

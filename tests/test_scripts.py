@@ -82,11 +82,12 @@ def test_step_cost_times_every_stage_at_both_batch_sizes(capsys):
 
 def test_compare_cost_times_every_stage_of_one_call(capsys):
     cost = _load("compare_cost")
-    assert cost.main(["--functions", "2", "--algorithms", "3", "--runs", "12",
-                      "--rounds", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "functions 2 algorithms 3 runs 12 seed 0 rounds 3"
-    assert lines[1].split() == ["stage", "us"]
-    rows = {line.split()[0]: float(line.split()[1]) for line in lines[2:]}
-    assert list(rows) == ["parse", "table", "render", "write", "compare"]
-    assert all(us > 0 for us in rows.values())
+    for runs in (12, 7):  # the normal path, then the exact one
+        assert cost.main(["--functions", "2", "--algorithms", "3", "--runs", str(runs),
+                          "--rounds", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"functions 2 algorithms 3 runs {runs} seed 0 rounds 3"
+        assert lines[1].split() == ["stage", "us"]
+        rows = {line.split()[0]: float(line.split()[1]) for line in lines[2:]}
+        assert list(rows) == ["parse", "table", "table_cold", "render", "write", "compare"]
+        assert all(us > 0 for us in rows.values())

@@ -100,6 +100,66 @@ def test_exact_p_symmetric_in_sample_order():
     assert p_ab == pytest.approx(p_ba)
 
 
+# ---------------------------------------------------------------- null-count cache
+@settings(max_examples=40)
+@given(
+    a=st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0]), min_size=1, max_size=7),
+    b=st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0]), min_size=1, max_size=7),
+)
+def test_exact_p_is_the_same_cold_and_warm(a, b):
+    _, p = oracle_exact_p(a, b)
+    stats._null_counts.cache_clear()
+    assert ranksum_test(a, b).p_value == p
+    assert stats._null_counts.cache_info().misses == 1
+    assert ranksum_test(a, b).p_value == p
+    assert stats._null_counts.cache_info().hits == 1
+
+
+def test_a_pair_and_its_swap_have_their_own_entries():
+    a, b = [0.3, 1.5, 2.0], [0.1, 0.7, 2.2, 5.0, 9.0]  # n != m
+    stats._null_counts.cache_clear()
+    p_ab, p_ba = ranksum_test(a, b).p_value, ranksum_test(b, a).p_value
+    assert stats._null_counts.cache_info().currsize == 2
+    assert p_ab == oracle_exact_p(a, b)[1] and p_ba == oracle_exact_p(b, a)[1]
+    pool = tuple(range(2, 18, 2))  # the pooled doubled ranks of a and b: two hits
+    row3, row5 = stats._null_counts(pool, 3), stats._null_counts(pool, 5)
+    assert row3.sum() == row5.sum() == math.comb(8, 3)
+    assert not np.array_equal(row3, row5)
+    assert stats._null_counts.cache_info().hits == 2
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1, 1, 1, 2, 2], [1, 1, 2, 2, 2, 2, 3]),
+    ([0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0]),
+    ([4.0] * 5, [4.0] * 8),
+    ([4.0] * EXACT_LIMIT, [4.0] * EXACT_LIMIT),
+])
+def test_cached_counts_under_heavy_ties(a, b):
+    stats._null_counts.cache_clear()
+    for _ in range(2):
+        assert ranksum_test(a, b).p_value == oracle_exact_p(a, b)[1]
+        assert ranksum_test(b, a).p_value == oracle_exact_p(b, a)[1]
+    if len(set(a + b)) == 1:
+        assert ranksum_test(a, b).p_value == 1.0
+
+
+def test_a_cached_row_refuses_writes_and_holds_no_table():
+    row = stats._null_counts((1, 3, 6, 6, 9), 2)
+    assert row.dtype == np.int64 and row.base is None
+    assert row.shape == (1 + 3 + 6 + 6 + 9 + 1,)
+    with pytest.raises(ValueError):
+        row[0] = 1
+
+
+def test_the_cache_stays_within_its_bound():
+    limit = stats._null_counts.cache_info().maxsize
+    stats._null_counts.cache_clear()
+    for k in range(limit + 20):
+        assert stats._null_counts((1, 2 * k + 3), 1).tolist().count(1) == 2
+        assert stats._null_counts.cache_info().currsize <= limit
+    assert stats._null_counts.cache_info().currsize == limit
+
+
 # ---------------------------------------------------------------- normal path
 def test_method_switches_at_exact_limit():
     small = list(range(EXACT_LIMIT))

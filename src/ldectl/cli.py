@@ -82,37 +82,44 @@ def _read_config(path: str, keys: dict) -> dict:
     return out
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flag > config file > default, for the keys this command uses; main
-    has already put the config file's values into the unset flags."""
-    merged = {}
-    for key, dflt in defaults.items():
-        flag = getattr(args, key)
-        merged[key] = dflt if flag is None else flag
+def _resolve(args: argparse.Namespace) -> dict:
+    """flag > config file > default, for the keys the command recorded in
+    build_parser; main has already put the config file's values into the
+    unset flags."""
+    defaults = build_parser().commands[args.command].option_defaults
+    merged = {key: dflt if getattr(args, key) is None else getattr(args, key)
+              for key, dflt in defaults.items()}
     if merged.get("jobs", 1) < 1:
         raise UsageError(f"jobs must be >= 1, got {merged['jobs']}")
     return merged
 
 
-def _command(sub, name: str, help: str) -> _Parser:
-    """A command's parser, with the flags every command takes."""
+def _command(sub, name: str, help: str, **defaults) -> _Parser:
+    """A command's parser, recording the default of each option its handler
+    reads; --seed, --jobs and --out are added only where it has one."""
     p = sub.add_parser(name, help=help)
+    p.option_defaults = defaults
     p.add_argument("--config", help="key = value option file")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--jobs", type=int, help="worker processes")
-    p.add_argument("--out", help="output directory")
+    # a tuple, not a set: the help lists these flags in this order in every process
+    for key, kwargs in (("seed", {"type": int, "help": "master seed"}),
+                        ("jobs", {"type": int, "help": "worker processes"}),
+                        ("out", {"help": "output directory"})):
+        if key in defaults:
+            p.add_argument("--" + key, **kwargs)
     return p
 
 
 def _add_flags(p: _Parser, params) -> None:
     """Add a flag for each dataclass field or signature parameter that p
     has no flag for yet.  pop_size becomes --pop-size, typed by its
-    default; a bool becomes a switch.  Every flag defaults to None, so an
-    unset flag leaves the value to the config file, then to the default."""
+    default; a bool becomes a switch.  Each is recorded with default None,
+    leaving an unset value to the config file, then to the dataclass or
+    function default."""
     taken = {a.dest for a in p._actions}
     for prm in params:
         if prm.name in taken:
             continue
+        p.option_defaults[prm.name] = None
         flag = "--" + prm.name.replace("_", "-")
         help = getattr(prm, "metadata", {}).get("help")
         if isinstance(prm.default, bool):
@@ -129,12 +136,15 @@ def build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", metavar="command")
     top.commands = sub.choices
 
-    p = _command(sub, "suite", "generate benchmark instances")
+    p = _command(sub, "suite", "generate benchmark instances",
+                 seed=0, out="suite", dim=10, train=6, test=8)
     p.add_argument("--dim", type=int)
     p.add_argument("--train", type=int, help="training instance count")
     p.add_argument("--test", type=int, help="held-out instance count")
 
-    p = _command(sub, "train", "train the controller")
+    # seed None: a resumed run adopts the weight file's seed
+    p = _command(sub, "train", "train the controller", seed=None, jobs=1, out="trained",
+                 suite="suite", checkpoint_every=10, resume=None, timings=False)
     p.add_argument("--suite", help="directory of instance files")
     _add_flags(p, dataclasses.fields(trainer.TrainConfig))
     p.add_argument("--checkpoint-every", type=int)
@@ -142,7 +152,10 @@ def build_parser() -> _Parser:
     p.add_argument("--timings", action="store_true", default=None,
                    help="add wallclock_ms to the log (not reproducible)")
 
-    p = _command(sub, "run", "run optimizers against instances")
+    p = _command(sub, "run", "run optimizers against instances",
+                 seed=0, jobs=1, out="runs", weights=None, instances="suite", role="test",
+                 algorithms="lde,de_rand1_fixed,ctpb_fixed,random_params",
+                 runs=11, budget=None, tol=1e-8)
     p.add_argument("--weights", help="trained controller file")
     p.add_argument("--instances", help="directory of instance files")
     p.add_argument("--role", choices=("train", "test", "all"))
@@ -152,12 +165,15 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=float)
     _add_flags(p, dataclasses.fields(runner.RunConfig))
 
-    p = _command(sub, "compare", "rank-sum comparison of run results")
+    p = _command(sub, "compare", "rank-sum comparison of run results",
+                 out=None, results="runs/results.csv", alpha_sig=0.05, ref=None)
     p.add_argument("--results", help="results.csv from the run command")
     p.add_argument("--alpha-sig", type=float)
     p.add_argument("--ref", help="reference algorithm for the text report")
 
-    p = _command(sub, "gradcheck", "finite-difference check of the BPTT gradients")
+    # every value None: run_gradcheck has the defaults
+    p = _command(sub, "gradcheck", "finite-difference check of the BPTT gradients",
+                 seed=None)
     _add_flags(p, inspect.signature(neural.run_gradcheck).parameters.values())
 
     return top
@@ -168,7 +184,7 @@ def _fmt(x) -> str:
 
 
 def cmd_suite(args) -> int:
-    opt = _resolve(args, {"seed": 0, "out": "suite", "dim": 10, "train": 6, "test": 8})
+    opt = _resolve(args)
     if opt["dim"] < 1 or opt["train"] < 1 or opt["test"] < 0:
         raise UsageError("dim and train count must be positive, test count non-negative")
     suite = benchfn.make_suite(opt["seed"], opt["dim"], opt["train"], opt["test"])
@@ -212,11 +228,7 @@ def _adopt(opt: dict, recorded: dict) -> None:
 
 
 def cmd_train(args) -> int:
-    opt = _resolve(args, {
-        "jobs": 1, "out": "trained", "suite": "suite",
-        **dict.fromkeys(f.name for f in dataclasses.fields(trainer.TrainConfig)),
-        "checkpoint_every": 10, "resume": None, "timings": False,
-    })
+    opt = _resolve(args)
     functions = _load_instances(opt["suite"], "train")
     opt.update(functions=len(functions), dim=functions[0].dim)
 
@@ -275,13 +287,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_run(args) -> int:
-    opt = _resolve(args, {
-        "seed": 0, "jobs": 1, "out": "runs", "weights": None,
-        "instances": "suite", "role": "test",
-        "algorithms": "lde,de_rand1_fixed,ctpb_fixed,random_params",
-        "runs": 11, "budget": None, "tol": 1e-8,
-        **dict.fromkeys(f.name for f in dataclasses.fields(runner.RunConfig)),
-    })
+    opt = _resolve(args)
     algorithms = [a.strip() for a in opt["algorithms"].split(",") if a.strip()]
     if not algorithms:
         raise UsageError("empty algorithm list")
@@ -300,8 +306,6 @@ def cmd_run(args) -> int:
     term = runner.Termination(max_evals=budget, error_tol=opt["tol"])
     if budget < cfg.pop_size:
         raise UsageError(f"budget {budget} below one generation ({cfg.pop_size} evals)")
-    if opt["runs"] < 1:
-        raise UsageError("runs must be >= 1")
 
     results = runner.batch_experiment(
         algorithms, functions, opt["runs"], term, cfg, opt["seed"],
@@ -373,9 +377,7 @@ def _write_comparison(out: Path, table: stats.ComparisonTable, report: str) -> N
 
 
 def cmd_compare(args) -> int:
-    opt = _resolve(args, {
-        "results": "runs/results.csv", "alpha_sig": 0.05, "ref": None, "out": None,
-    })
+    opt = _resolve(args)
     if not 0.0 < opt["alpha_sig"] < 1.0:
         raise UsageError("alpha_sig must lie in (0, 1)")
     samples, algorithms = _read_results(opt["results"])
@@ -388,8 +390,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    # the options set by flag or config file; run_gradcheck has the defaults
-    opt = _resolve(args, dict.fromkeys(inspect.signature(neural.run_gradcheck).parameters))
+    opt = _resolve(args)
     report = neural.run_gradcheck(**{k: v for k, v in opt.items() if v is not None})
     for name in neural.FIELD_ORDER:
         print(f"{name:6s} rel_err {report.per_field[name]:.3e}")

@@ -114,7 +114,6 @@ class StepTape:
     i: np.ndarray
     ctilde: np.ndarray
     o: np.ndarray
-    c: np.ndarray
     tanh_c: np.ndarray
     h: np.ndarray
     mu_raw: np.ndarray   # head sigmoids before output clamping
@@ -233,7 +232,7 @@ def forward_step(w: ControllerWeights, x, state: ControllerState):
         raise NumericFailure("controller produced non-finite activations")
     mu = np.minimum(np.maximum(mu_raw, _HEAD_EPS), 1.0 - _HEAD_EPS)
     tape = StepTape(z=z, c_prev=state.c, f=f, i=i, ctilde=ctilde, o=o,
-                    c=c, tanh_c=tanh_c, h=h, mu_raw=mu_raw)
+                    tanh_c=tanh_c, h=h, mu_raw=mu_raw)
     return mu, ControllerState(h, c), tape
 
 
@@ -434,9 +433,11 @@ def load_weights(path):
         raise WeightFileError(f"{path}: unsupported format_version {version}")
     if not {"H", "spec", "seed", "blob_bytes"} <= set(manifest):
         raise WeightFileError(f"{path}: manifest missing required keys")
+    hidden = manifest["H"]
     try:
         spec = PolicyConfig(**manifest["spec"])
-        hidden = int(manifest["H"])
+        if type(hidden) is not int or hidden < 1:  # json gives 4.0 a float, true a bool
+            raise ValueError(f"H must be an integer >= 1, got {hidden!r}")
     except (TypeError, ValueError) as exc:
         raise WeightFileError(f"{path}: bad spec or H ({exc})") from None
     want = sum(math.prod(s) for s in _shapes(hidden, spec.input_size, spec.pop_size)) * 8

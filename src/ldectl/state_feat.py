@@ -3,8 +3,9 @@
 Per generation the controller sees the min-max normalised fitness
 vector, its b-bin frequency histogram, and a moving average of the
 histograms from the preceding g generations (zeros at the start, the
-mean of whatever is available before the window fills).  Every function
-takes a leading batch axis, one row per population of a
+mean of whatever is available before the window fills), laid end to end
+in one row: ``assemble_state`` returns that (B, N + 2b) array.  Every
+function takes a leading batch axis, one row per population of a
 ``de_core.Population`` batch, and computes each row exactly as it would
 alone.
 """
@@ -12,7 +13,6 @@ alone.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -73,21 +73,12 @@ class HistRing:
         return avg
 
 
-@dataclass
-class StateInput:
-    """One generation's controller input, one row per population."""
+def assemble_state(pop, ring: HistRing, bins: int) -> np.ndarray:
+    """Featurise a population batch and advance the histogram ring.
 
-    norm_fitness: np.ndarray
-    hist: np.ndarray
-    hist_avg: np.ndarray
-
-    @property
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.norm_fitness, self.hist, self.hist_avg], axis=1)
-
-
-def assemble_state(pop, ring: HistRing, bins: int) -> StateInput:
-    """Featurise a population batch and advance the histogram ring."""
+    Returns the controller input, shape (B, N + 2 * bins): each row is the
+    normalised fitness, then the histogram, then the ring's average.
+    """
     norm = normalize_fitness(pop.fitness)
     hist = histogram(norm, bins)
-    return StateInput(norm_fitness=norm, hist=hist, hist_avg=ring.update_and_average(hist))
+    return np.concatenate([norm, hist, ring.update_and_average(hist)], axis=1)

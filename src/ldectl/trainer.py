@@ -87,10 +87,10 @@ class TrainConfig(PolicyConfig):
 
 @dataclass
 class StepRecord:
-    """One generation of a batch: features, tape, action and head means,
-    each with one row per rollout."""
+    """One generation of a batch: the (B, N + 2b) controller input, tape,
+    action and head means, each with one row per rollout."""
 
-    state: object
+    state: np.ndarray
     tape: object
     action: object
     mu: np.ndarray
@@ -145,11 +145,11 @@ class ControllerStep:
         self.state = zero_state(w.hidden, batch)
 
     def __call__(self, pop: Population, objective, rngs):
-        feat = assemble_state(pop, self.ring, self.spec.bins)
-        mu, self.state, tape = forward_step(self.w, feat.as_vector, self.state)
+        x = assemble_state(pop, self.ring, self.spec.bins)
+        mu, self.state, tape = forward_step(self.w, x, self.state)
         action = sample_action(mu, self.spec, rngs) if self.sample else clip_action(mu, self.spec)
         pop = evolve(pop, objective, action, self.spec.p_best, rngs)
-        return pop, StepRecord(feat, tape, action, mu)
+        return pop, StepRecord(x, tape, action, mu)
 
 
 class FunctionBlocks:
@@ -333,7 +333,7 @@ def train(functions, cfg: TrainConfig, jobs: int = 1,
             if not np.all(np.isfinite(new_w.theta)):
                 raise NumericFailure(
                     f"weights diverged at epoch {epoch}",
-                    last_good={"weights": w, "epochs_done": epoch, "log_rows": log_rows},
+                    last_good={"weights": w, "epochs_done": epoch},
                 )
             w = new_w
 

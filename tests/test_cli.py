@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_exact_p
-from ldectl import neural, runner, stats, trainer
+from ldectl import cli, neural, runner, stats, trainer
 from ldectl.cli import _config_keys, build_parser, main
 from ldectl.rng import stream
 
@@ -237,6 +237,14 @@ def test_run_budget_below_population_is_usage_error(ws, capsys):
                  "--budget", "10", "--pop-size", "20"])
     assert code == 1
     assert "budget" in capsys.readouterr().err
+
+
+def test_run_zero_runs_is_usage_error_before_any_output(ws, capsys):
+    _suite(ws)
+    assert main(["run", "--algorithms", "de_rand1_fixed", "--runs", "0",
+                 "--budget", "60", "--pop-size", "6"]) == 1
+    assert "usage error: runs must be >= 1" in capsys.readouterr().err
+    assert not (ws / "runs").exists()
 
 
 def test_run_rerun_and_jobs_byte_identical(ws):
@@ -520,6 +528,35 @@ def test_config_keys_are_every_commands_flags():
             if a.dest in keys:
                 assert (a.type, a.nargs, a.choices) == \
                     (keys[a.dest].type, keys[a.dest].nargs, keys[a.dest].choices), a.dest
+
+
+class _Resolved(Exception):
+    pass
+
+
+def test_every_flag_is_read_by_its_command(monkeypatch):
+    # each command's handler resolves exactly the options its parser offers
+    parser = build_parser()
+    resolve = cli._resolve
+
+    def spy(*args):
+        raise _Resolved(set(resolve(*args)))
+
+    monkeypatch.setattr(cli, "_resolve", spy)
+    for command in parser.commands:
+        args = parser.parse_args([command])
+        with pytest.raises(_Resolved) as got:
+            getattr(cli, "cmd_" + command)(args)
+        assert got.value.args[0] == set(vars(args)) - {"config", "command"}, command
+
+
+@pytest.mark.parametrize("argv", [["suite", "--jobs", "2"], ["compare", "--seed", "1"],
+                                  ["compare", "--jobs", "2"], ["gradcheck", "--jobs", "2"],
+                                  ["gradcheck", "--out", "x"]])
+def test_a_flag_its_command_never_reads_is_usage_error(ws, capsys, argv):
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not any(ws.iterdir())
 
 
 @pytest.mark.parametrize("command, cls", [("train", trainer.TrainConfig),

@@ -3,6 +3,8 @@
 import json
 import math
 import pickle
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -522,6 +524,26 @@ def test_load_rejects_wrong_version_and_bad_dims(tmp_path):
     path.write_bytes(json.dumps(manifest).encode() + raw[nl:])
     with pytest.raises(WeightFileError):
         load_weights(path)
+
+
+@pytest.mark.parametrize("H", [0, 4.0, 4.5, True])
+def test_load_refuses_an_h_that_is_not_a_positive_integer(tmp_path, H):
+    # the blob and its checksum fit int(H), so only the H check can refuse the file
+    h, D, N = int(H), SPEC.input_size, SPEC.pop_size
+    blob = np.zeros(4 * h * (h + D) + 4 * h + 2 * N * h + 2 * N).tobytes()
+    manifest = {"format_version": 3, "H": H, "spec": SPEC.spec_dict(), "seed": 0,
+                "blob_bytes": len(blob), "training_metadata": {}}
+    path = tmp_path / "w.bin"
+    path.write_bytes(json.dumps(manifest).encode() + b"\n" + blob
+                     + struct.pack("<I", zlib.crc32(blob)))
+    with pytest.raises(WeightFileError, match="H must be an integer >= 1"):
+        load_weights(path)
+    assert cli.main(["suite", "--dim", "2", "--train", "1", "--test", "1",
+                     "--out", str(tmp_path / "suite")]) == 0
+    assert cli.main(["run", "--weights", str(path), "--instances", str(tmp_path / "suite"),
+                     "--algorithms", "lde", "--runs", "1", "--budget", "40",
+                     "--out", str(tmp_path / "runs")]) == 3
+    assert not (tmp_path / "runs").exists()
 
 
 def test_save_refuses_spec_that_does_not_fit_the_weights(tmp_path):

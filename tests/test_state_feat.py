@@ -136,26 +136,24 @@ def _pop(fitness):
 
 def test_assemble_vector_layout_and_length():
     ring = HistRing(5)
-    state = assemble_state(_pop([0.0, 5.0, 10.0]), ring, 5)
-    assert state.as_vector.shape == (1, 3 + 10)
-    np.testing.assert_array_equal(state.norm_fitness, [[0.0, 0.5, 1.0]])
-    np.testing.assert_array_equal(state.hist, [[1 / 3, 0, 1 / 3, 0, 1 / 3]])
-    np.testing.assert_array_equal(state.hist_avg, np.zeros((1, 5)))
-    np.testing.assert_array_equal(
-        state.as_vector[0],
-        np.concatenate([state.norm_fitness[0], state.hist[0], state.hist_avg[0]]))
+    x = assemble_state(_pop([0.0, 5.0, 10.0]), ring, 5)
+    assert x.shape == (1, 3 + 10)
+    # normalised fitness, then the histogram, then the ring's average
+    np.testing.assert_array_equal(x[:, :3], [[0.0, 0.5, 1.0]])
+    np.testing.assert_array_equal(x[:, 3:8], [[1 / 3, 0, 1 / 3, 0, 1 / 3]])
+    np.testing.assert_array_equal(x[:, 8:], np.zeros((1, 5)))
 
 
 def test_assemble_flat_population():
-    state = assemble_state(_pop([3.0, 3.0, 3.0, 3.0]), HistRing(2), 5)
-    np.testing.assert_array_equal(state.norm_fitness, np.zeros((1, 4)))
-    np.testing.assert_array_equal(state.hist, [[1, 0, 0, 0, 0]])
+    x = assemble_state(_pop([3.0, 3.0, 3.0, 3.0]), HistRing(2), 5)
+    np.testing.assert_array_equal(x[:, :4], np.zeros((1, 4)))
+    np.testing.assert_array_equal(x[:, 4:9], [[1, 0, 0, 0, 0]])
 
 
 def test_assemble_identical_inputs_identical_outputs():
     a = assemble_state(_pop([1.0, 4.0, 2.0]), HistRing(3), 4)
     b = assemble_state(_pop([1.0, 4.0, 2.0]), HistRing(3), 4)
-    np.testing.assert_array_equal(a.as_vector, b.as_vector)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_assemble_advances_ring():
@@ -163,8 +161,8 @@ def test_assemble_advances_ring():
     pop = _pop([0.0, 1.0])
     first = assemble_state(pop, ring, 2)
     second = assemble_state(pop, ring, 2)
-    np.testing.assert_array_equal(first.hist_avg, np.zeros((1, 2)))
-    np.testing.assert_array_equal(second.hist_avg, first.hist)
+    np.testing.assert_array_equal(first[:, 4:], np.zeros((1, 2)))
+    np.testing.assert_array_equal(second[:, 4:], first[:, 2:4])
 
 
 # ---------------------------------------------------------------- same bits

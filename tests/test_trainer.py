@@ -197,7 +197,7 @@ def _replay_logdensity(w, batch, advantages, sigma, hidden):
     for b, adv in enumerate(advantages):
         st = zero_state(hidden, 1)
         for step, a in zip(batch.steps, adv):
-            mu, st, _ = forward_step(w, step.state.as_vector[b:b + 1], st)
+            mu, st, _ = forward_step(w, step.state[b:b + 1], st)
             total += a * float(np.sum(-((step.action.raw[b] - mu[0]) ** 2))) / (2 * sigma ** 2)
     return total / len(advantages)
 

@@ -61,7 +61,7 @@ def stages(functions, rollouts: int, cfg: RunConfig, w, seed: int, warmup: int) 
         pop, record = step(pop, objective, rngs)
 
     N, n, p = cfg.pop_size, pop.members.shape[2], cfg.p_best
-    x, mu, sheet = record.state, record.mu, record.action
+    x, mu, sheet = record.tape.z[:, w.hidden:], record.mu, record.action
     highs = (math.ceil(N * p), N - 1, N - 2, n)
     picks, r1, r2, j_rand, u = de_core.draw_generation(rngs, highs, N, n)
     mutants = de_core.mutate_current_to_pbest(pop, sheet, p, picks, (r1, r2))

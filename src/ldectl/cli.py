@@ -94,10 +94,11 @@ def _resolve(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _command(sub, name: str, help: str, **defaults) -> _Parser:
-    """A command's parser, recording the default of each option its handler
-    reads; --seed, --jobs and --out are added only where it has one."""
+def _command(sub, name: str, handler, help: str, **defaults) -> _Parser:
+    """A command's parser, recording its handler and the default of each option
+    the handler reads; --seed, --jobs and --out are added only where it has one."""
     p = sub.add_parser(name, help=help)
+    p.handler = handler
     p.option_defaults = defaults
     p.add_argument("--config", help="key = value option file")
     # a tuple, not a set: the help lists these flags in this order in every process
@@ -136,15 +137,15 @@ def build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", metavar="command")
     top.commands = sub.choices
 
-    p = _command(sub, "suite", "generate benchmark instances",
+    p = _command(sub, "suite", cmd_suite, "generate benchmark instances",
                  seed=0, out="suite", dim=10, train=6, test=8)
     p.add_argument("--dim", type=int)
     p.add_argument("--train", type=int, help="training instance count")
     p.add_argument("--test", type=int, help="held-out instance count")
 
     # seed None: a resumed run adopts the weight file's seed
-    p = _command(sub, "train", "train the controller", seed=None, jobs=1, out="trained",
-                 suite="suite", checkpoint_every=10, resume=None, timings=False)
+    p = _command(sub, "train", cmd_train, "train the controller", seed=None, jobs=1,
+                 out="trained", suite="suite", checkpoint_every=10, resume=None, timings=False)
     p.add_argument("--suite", help="directory of instance files")
     _add_flags(p, dataclasses.fields(trainer.TrainConfig))
     p.add_argument("--checkpoint-every", type=int)
@@ -152,9 +153,9 @@ def build_parser() -> _Parser:
     p.add_argument("--timings", action="store_true", default=None,
                    help="add wallclock_ms to the log (not reproducible)")
 
-    p = _command(sub, "run", "run optimizers against instances",
+    p = _command(sub, "run", cmd_run, "run optimizers against instances",
                  seed=0, jobs=1, out="runs", weights=None, instances="suite", role="test",
-                 algorithms="lde,de_rand1_fixed,ctpb_fixed,random_params",
+                 algorithms=",".join((runner.LEARNED,) + runner.BASELINES),
                  runs=11, budget=None, tol=1e-8)
     p.add_argument("--weights", help="trained controller file")
     p.add_argument("--instances", help="directory of instance files")
@@ -165,15 +166,15 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=float)
     _add_flags(p, dataclasses.fields(runner.RunConfig))
 
-    p = _command(sub, "compare", "rank-sum comparison of run results",
+    p = _command(sub, "compare", cmd_compare, "rank-sum comparison of run results",
                  out=None, results="runs/results.csv", alpha_sig=0.05, ref=None)
     p.add_argument("--results", help="results.csv from the run command")
     p.add_argument("--alpha-sig", type=float)
     p.add_argument("--ref", help="reference algorithm for the text report")
 
     # every value None: run_gradcheck has the defaults
-    p = _command(sub, "gradcheck", "finite-difference check of the BPTT gradients",
-                 seed=None)
+    p = _command(sub, "gradcheck", cmd_gradcheck,
+                 "finite-difference check of the BPTT gradients", seed=None)
     _add_flags(p, inspect.signature(neural.run_gradcheck).parameters.values())
 
     return top
@@ -237,7 +238,7 @@ def cmd_train(args) -> int:
     if opt["resume"]:
         weights, manifest = neural.load_weights(opt["resume"])
         trained = manifest.get("training_metadata", {})
-        start_epoch = int(trained.get("epochs_done", 0))
+        start_epoch = trained.get("epochs_done", 0)
         _adopt(opt, {
             **manifest["spec"], "hidden": manifest["H"], "seed": manifest["seed"],
             **{k: trained[k] for k in ("functions", "dim", "horizon", "rollouts", "alpha")
@@ -304,8 +305,6 @@ def cmd_run(args) -> int:
     if budget is None:
         budget = functions[0].dim * 10_000
     term = runner.Termination(max_evals=budget, error_tol=opt["tol"])
-    if budget < cfg.pop_size:
-        raise UsageError(f"budget {budget} below one generation ({cfg.pop_size} evals)")
 
     results = runner.batch_experiment(
         algorithms, functions, opt["runs"], term, cfg, opt["seed"],
@@ -409,17 +408,13 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help lands here
             return 0 if exc.code in (0, None) else 1
-        handlers = {
-            "suite": cmd_suite, "train": cmd_train, "run": cmd_run,
-            "compare": cmd_compare, "gradcheck": cmd_gradcheck,
-        }
-        if args.command not in handlers:
-            raise UsageError("pick a command: suite, train, run, compare, gradcheck")
+        if args.command is None:
+            raise UsageError("pick a command: " + ", ".join(parser.commands))
         if args.config:
             for key, value in _read_config(args.config, _config_keys(parser.commands)).items():
                 if getattr(args, key, None) is None:  # a flag beats the file
                     setattr(args, key, value)
-        return handlers[args.command](args)
+        return parser.commands[args.command].handler(args)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,5 @@
-"""Differential-evolution operators: current-to-pbest/1 mutation, binomial
-crossover, clamp repair, and elitist one-to-one selection.
+"""Differential-evolution operators: current-to-pbest/1 and rand/1 mutation,
+binomial crossover, clamp repair, and elitist one-to-one selection.
 
 Every operator acts on a batch of B independent populations at once: a
 ``Population`` holds members of shape (B, N, n), and the learned
@@ -12,10 +12,11 @@ rows share its batch.
 All operators are pure (inputs never mutated); mutation and crossover
 take their random draws as arrays.  Draw order is part of the contract.
 A generation draws one block per row (``draw_generation``): N integers
-from [0, h) for each bound h in turn -- in ``evolve`` the pbest picks,
-then the r1 and r2 offsets, then the crossover's forced coordinates --
-then one uniform per remaining coordinate, member by member.  These are
-the bits the generator's own ``integers(0, h, size=N)`` and
+from [0, h) for each bound h in turn -- the pbest picks then the r1 and
+r2 offsets (``evolve``) or the r1, r2 and r3 offsets (``evolve_rand1``),
+then the crossover's forced coordinates -- then one uniform per
+remaining coordinate, member by member.  These are the bits the
+generator's own ``integers(0, h, size=N)`` and
 ``random((N, n - 1))`` calls would consume in that order; a bound of 1
 consumes none.
 
@@ -221,6 +222,18 @@ def mutate_current_to_pbest(pop: Population, sheet: ParamSheet, p: float,
     return X + F * (X_pbest - X) + F * (X_r1 - X_r2)
 
 
+def mutate_rand1(pop: Population, sheet: ParamSheet, offsets) -> np.ndarray:
+    """Mutant array v_i = x_r1 + F_i (x_r2 - x_r3), per row; the ``offsets``
+    are draws from [0, N - 1), [0, N - 2) and [0, N - 3) (see distinct_indices)."""
+    B, N = pop.fitness.shape
+    if N < 4:
+        raise ValueError(f"population must hold at least 4 members, got {N}")
+    if sheet.F.shape != (B, N):
+        raise ValueError("sheet shape must equal the population's (batch, members)")
+    X_r1, X_r2, X_r3 = gather_members(pop.members, distinct_indices(offsets))
+    return X_r1 + sheet.F[:, :, None] * (X_r2 - X_r3)
+
+
 def binomial_crossover_batch(targets, mutants, cr, j_rand, u) -> np.ndarray:
     """Member-wise binomial crossover of (B, N, n) arrays; cr holds one rate
     per member, shape (B, N).
@@ -264,15 +277,27 @@ def select(pop: Population, trials, trial_fitness) -> Population:
     )
 
 
-def evolve(pop: Population, objective, sheet: ParamSheet, p: float, rngs) -> Population:
-    """One full generation of every row: draw, mutate, cross over, repair,
-    evaluate all B * N trials in one call, select."""
+def _generation(pop: Population, objective, sheet: ParamSheet, rngs, highs, mutate) -> Population:
+    """Draw, mutate(*integer draws), cross over, repair, evaluate and select every row."""
     B, N, n = pop.members.shape
     if len(rngs) != B:
         raise ValueError(f"need one generator per batch row: {len(rngs)} for {B} rows")
-    picks, r1, r2, j_rand, u = draw_generation(rngs, (math.ceil(N * p), N - 1, N - 2, n), N, n)
-    mutants = mutate_current_to_pbest(pop, sheet, p, picks, (r1, r2))
-    trials = binomial_crossover_batch(pop.members, mutants, sheet.CR, j_rand, u)
+    *ints, j_rand, u = draw_generation(rngs, highs + (n,), N, n)
+    trials = binomial_crossover_batch(pop.members, mutate(*ints), sheet.CR, j_rand, u)
     trials = repair_bounds(trials, objective.bounds)
     fitness = objective.evaluate_batch(trials.reshape(B * N, n)).reshape(B, N)
     return select(pop, trials, fitness)
+
+
+def evolve(pop: Population, objective, sheet: ParamSheet, p: float, rngs) -> Population:
+    """One current-to-pbest/1/bin generation of every row."""
+    N = pop.members.shape[1]
+    return _generation(pop, objective, sheet, rngs, (math.ceil(N * p), N - 1, N - 2),
+                       lambda picks, *rs: mutate_current_to_pbest(pop, sheet, p, picks, rs))
+
+
+def evolve_rand1(pop: Population, objective, sheet: ParamSheet, rngs) -> Population:
+    """One DE/rand/1/bin generation of every row."""
+    N = pop.members.shape[1]
+    return _generation(pop, objective, sheet, rngs, (N - 1, N - 2, N - 3),
+                       lambda *offsets: mutate_rand1(pop, sheet, offsets))

@@ -433,13 +433,19 @@ def load_weights(path):
         raise WeightFileError(f"{path}: unsupported format_version {version}")
     if not {"H", "spec", "seed", "blob_bytes"} <= set(manifest):
         raise WeightFileError(f"{path}: manifest missing required keys")
-    hidden = manifest["H"]
+    hidden, trained = manifest["H"], manifest.get("training_metadata", {})
     try:
         spec = PolicyConfig(**manifest["spec"])
-        if type(hidden) is not int or hidden < 1:  # json gives 4.0 a float, true a bool
-            raise ValueError(f"H must be an integer >= 1, got {hidden!r}")
+        for key, low in (("H", 1), ("seed", 0)):  # json gives 4.0 a float, true a bool
+            if type(manifest[key]) is not int or manifest[key] < low:
+                raise ValueError(f"{key} must be an integer >= {low}, got {manifest[key]!r}")
+        if not isinstance(trained, dict):
+            raise ValueError(f"training_metadata must be an object, got {trained!r}")
+        for key in ("epochs_done", "functions", "dim", "horizon", "rollouts", "alpha"):
+            if key in trained and type(trained[key]) not in (int, float if key == "alpha" else int):
+                raise ValueError(f"training_metadata {key} has the wrong type: {trained[key]!r}")
     except (TypeError, ValueError) as exc:
-        raise WeightFileError(f"{path}: bad spec or H ({exc})") from None
+        raise WeightFileError(f"{path}: bad manifest ({exc})") from None
     want = sum(math.prod(s) for s in _shapes(hidden, spec.input_size, spec.pop_size)) * 8
     if manifest["blob_bytes"] != want:
         raise WeightFileError(f"{path}: blob_bytes {manifest['blob_bytes']} != expected {want}")

@@ -1,4 +1,4 @@
-"""Run the learned optimizer or a fixed-parameter baseline to a budget.
+"""The run harness: drive the learned optimizer or a baseline to a budget.
 
 Every run shares one harness: initialise uniformly, then loop full
 generations until the next one would exceed the evaluation budget or
@@ -8,7 +8,7 @@ featurises and samples its parameters from N(mu, sigma^2) exactly as in
 training (``RunConfig.deterministic`` clips the head means instead;
 ``param_traces`` records each fitness tercile's mean F and CR).
 
-Baselines:
+Baselines (each generation is ``de_core.evolve`` or ``evolve_rand1``):
 
     de_rand1_fixed   DE/rand/1/bin, F = 0.5, CR = 0.8
     ctpb_fixed       current-to-pbest/1/bin, F = 0.5, CR = 0.9
@@ -32,18 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .benchfn import error_value
-from .de_core import (
-    ParamSheet,
-    Population,
-    binomial_crossover_batch,
-    distinct_indices,
-    draw_generation,
-    evolve,
-    gather_members,
-    init_population,
-    repair_bounds,
-    select,
-)
+from .de_core import ParamSheet, evolve, evolve_rand1, init_population
 from .neural import ControllerWeights
 from .policy import PolicyConfig
 from .rng import stream
@@ -98,9 +87,7 @@ def _drive(algorithm_id, objective, term: Termination, cfg: RunConfig, rng,
     (new_pop, params), where params carries the generation's
     per-individual F and CR and rngs is [rng]."""
     if term.max_evals < cfg.pop_size:
-        raise ValueError(
-            f"budget {term.max_evals} cannot cover one evaluation of {cfg.pop_size} members"
-        )
+        raise ValueError(f"budget {term.max_evals} below one generation ({cfg.pop_size} evals)")
     pop = init_population(objective, cfg.pop_size, rng)
     evals = cfg.pop_size
     best = error_value(objective, float(pop.fitness.min()))
@@ -137,16 +124,6 @@ def run_lde(w: ControllerWeights, objective, term: Termination, cfg: RunConfig,
     return _drive(LEARNED, objective, term, cfg, rng, gen_step, run_seed)
 
 
-def _mutate_rand1(pop: Population, F: float, offsets) -> np.ndarray:
-    # v_i = x_r1 + F (x_r2 - x_r3), r1, r2, r3, i pairwise distinct; offsets
-    # are the draws from [0, N - 1), [0, N - 2) and [0, N - 3)
-    N = pop.fitness.shape[1]
-    if N < 4:
-        raise ValueError(f"population must hold at least 4 members, got {N}")
-    X_r1, X_r2, X_r3 = gather_members(pop.members, distinct_indices(offsets))
-    return X_r1 + F * (X_r2 - X_r3)
-
-
 def run_baseline(kind: str, objective, term: Termination, cfg: RunConfig,
                  rng, run_seed: int = 0) -> RunResult:
     """Drive one of the fixed-parameter baselines."""
@@ -156,12 +133,7 @@ def run_baseline(kind: str, objective, term: Termination, cfg: RunConfig,
         sheet = ParamSheet(np.full((1, n), 0.5), np.full((1, n), 0.8))
 
         def gen_step(pop, rngs):
-            _, N, dim = pop.members.shape
-            r1, r2, r3, j_rand, u = draw_generation(rngs, (N - 1, N - 2, N - 3, dim), N, dim)
-            mutants = _mutate_rand1(pop, 0.5, (r1, r2, r3))
-            trials = binomial_crossover_batch(pop.members, mutants, sheet.CR, j_rand, u)
-            trials = repair_bounds(trials, objective.bounds)
-            return select(pop, trials, objective.evaluate_batch(trials[0])[None]), sheet
+            return evolve_rand1(pop, objective, sheet, rngs), sheet
 
     elif kind == "ctpb_fixed":
         sheet = ParamSheet(np.full((1, n), 0.5), np.full((1, n), 0.9))
@@ -224,6 +196,8 @@ def batch_experiment(algorithms, functions, runs: int, term: Termination,
         raise ValueError("runs must be >= 1")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if term.max_evals < cfg.pop_size:
+        raise ValueError(f"budget {term.max_evals} below one generation ({cfg.pop_size} evals)")
     for alg in algorithms:
         if alg != LEARNED and alg not in BASELINES:
             raise ValueError(f"unknown algorithm {alg!r}")

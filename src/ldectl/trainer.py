@@ -87,10 +87,9 @@ class TrainConfig(PolicyConfig):
 
 @dataclass
 class StepRecord:
-    """One generation of a batch: the (B, N + 2b) controller input, tape,
-    action and head means, each with one row per rollout."""
+    """One generation of a batch: the controller's tape (``z[:, H:]`` holds
+    its (B, N + 2b) input), action and head means, one row per rollout."""
 
-    state: np.ndarray
     tape: object
     action: object
     mu: np.ndarray
@@ -149,7 +148,7 @@ class ControllerStep:
         mu, self.state, tape = forward_step(self.w, x, self.state)
         action = sample_action(mu, self.spec, rngs) if self.sample else clip_action(mu, self.spec)
         pop = evolve(pop, objective, action, self.spec.p_best, rngs)
-        return pop, StepRecord(x, tape, action, mu)
+        return pop, StepRecord(tape, action, mu)
 
 
 class FunctionBlocks:

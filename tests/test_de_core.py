@@ -15,8 +15,10 @@ from ldectl.de_core import (
     binomial_crossover_batch,
     draw_generation,
     evolve,
+    evolve_rand1,
     init_population,
     mutate_current_to_pbest,
+    mutate_rand1,
     repair_bounds,
     select,
 )
@@ -401,6 +403,25 @@ def test_evolve_respects_bounds():
     for _ in range(10):
         pop = evolve(pop, inst, _sheet(8, f=1.0, cr=1.0), 0.5, [rng])
         assert np.all(pop.members >= -1.0) and np.all(pop.members <= 1.0)
+
+
+def test_evolve_rand1_takes_f_from_the_sheet():
+    # a flat objective keeps every trial, and CR = 1 makes each trial its
+    # mutant, so the new members are x_r1 + F (x_r2 - x_r3) for the draws
+    class Flat:
+        bounds = (-10.0, 10.0)
+
+        def evaluate_batch(self, X):
+            return np.zeros(len(X))
+
+    pop = Population(np.random.default_rng(2).uniform(-1.0, 1.0, (1, 6, 3)), np.zeros((1, 6)))
+    offsets = draw_generation([np.random.default_rng(3)], (5, 4, 3, 3), 6, 3)[:3]
+    out = []
+    for f in (0.5, 0.9):
+        sheet = _sheet(6, f=f, cr=1.0)
+        out.append(evolve_rand1(pop, Flat(), sheet, [np.random.default_rng(3)]).members)
+        np.testing.assert_array_equal(out[-1], mutate_rand1(pop, sheet, offsets))
+    assert not np.array_equal(*out)
 
 
 def test_param_sheet_validation():

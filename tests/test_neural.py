@@ -546,6 +546,31 @@ def test_load_refuses_an_h_that_is_not_a_positive_integer(tmp_path, H):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", "x"), ("seed", 4.5), ("seed", -1), ("seed", True),
+    ("training_metadata", []),
+    ("training_metadata", {"horizon": "abc"}),
+    ("training_metadata", {"epochs_done": "x"}),
+    ("training_metadata", {"alpha": False}),
+])
+def test_load_refuses_a_bad_seed_or_training_metadata(tmp_path, key, value):
+    path = tmp_path / "w.bin"
+    w = init_weights(4, SPEC.input_size, SPEC.pop_size, np.random.default_rng(0))
+    save_weights(w, path, seed=0, spec=SPEC)
+    raw = path.read_bytes()
+    nl = raw.index(b"\n")
+    path.write_bytes(json.dumps({**json.loads(raw[:nl]), key: value}).encode() + raw[nl:])
+    with pytest.raises(WeightFileError, match=key):
+        load_weights(path)
+    suite = str(tmp_path / "suite")
+    assert cli.main(["suite", "--dim", "2", "--train", "1", "--test", "1", "--out", suite]) == 0
+    assert cli.main(["train", "--resume", str(path), "--suite", suite,
+                     "--out", str(tmp_path / "trained")]) == 3
+    assert cli.main(["run", "--weights", str(path), "--instances", suite, "--algorithms", "lde",
+                     "--runs", "1", "--budget", "40", "--out", str(tmp_path / "runs")]) == 3
+    assert not (tmp_path / "trained").exists() and not (tmp_path / "runs").exists()
+
+
 def test_save_refuses_spec_that_does_not_fit_the_weights(tmp_path):
     w = init_weights(4, 6, 4, np.random.default_rng(0))
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import EvalCounter
 from ldectl.benchfn import make_suite
-from ldectl.de_core import Population
+from ldectl.de_core import ParamSheet, Population, mutate_rand1
 from ldectl.neural import init_weights
 from ldectl.rng import stream
 from ldectl.runner import (
@@ -15,7 +15,6 @@ from ldectl.runner import (
     LEARNED,
     RunConfig,
     Termination,
-    _mutate_rand1,
     batch_experiment,
     run_baseline,
     run_lde,
@@ -132,7 +131,8 @@ def test_rand1_mutation_pinned_draw_order():
     # one-hot members make v_i = e_r1 + F (e_r2 - e_r3) readable.
     pop = Population(np.eye(4)[None], np.arange(4.0)[None])
     offsets = [np.array([row]) for row in ([0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0])]
-    v = _mutate_rand1(pop, 0.5, offsets)[0]
+    sheet = ParamSheet(np.full((1, 4), 0.5), np.full((1, 4), 0.8))
+    v = mutate_rand1(pop, sheet, offsets)[0]
     picks = [(1, 3, 2), (0, 3, 2), (0, 3, 1), (0, 2, 1)]
     want = np.zeros((4, 4))
     for i, (r1, r2, r3) in enumerate(picks):
@@ -214,6 +214,14 @@ def test_batch_experiment_shape_and_order(tmp_path):
     assert len(lines) == 1 + 12
     traces = list((tmp_path / "traces").glob("*.csv"))
     assert len(traces) == 12
+
+
+def test_batch_experiment_refuses_a_budget_below_one_generation_before_any_file(tmp_path):
+    fns = make_suite(0, 2, 1, 0).train
+    with pytest.raises(ValueError, match="below one generation"):
+        batch_experiment(["ctpb_fixed"], fns, 1, Termination(5), RunConfig(pop_size=20), 0,
+                         out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_batch_experiment_rerun_is_byte_identical(tmp_path):

@@ -36,17 +36,6 @@ def test_desk_pipeline_runs_suite_to_comparison(tmp_path, capsys):
         assert (out / "comparison" / name).stat().st_size > 0
 
 
-def test_controller_cost_sweeps_the_given_sizes(capsys):
-    cost = _load("controller_cost")
-    assert cost.main(["--sizes", "16,32"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    rows = {int(line.split()[0]): int(line.split()[1])
-            for line in lines if line.split() and line.split()[0].isdigit()}
-    # 4H(H + D) + 2NH MACs at the script's defaults N = 2, b = 1 (D = 4)
-    assert rows == {h: 4 * h * (h + 4) + 2 * 2 * h for h in (16, 32)}
-    assert "log-log slope" in lines[-1]
-
-
 def test_epoch_memory_runs_the_desk_op_and_reads_the_status(tmp_path, capsys):
     mem = _load("epoch_memory")
     assert mem.main(["--ops", "1"]) == 0

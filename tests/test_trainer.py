@@ -197,7 +197,7 @@ def _replay_logdensity(w, batch, advantages, sigma, hidden):
     for b, adv in enumerate(advantages):
         st = zero_state(hidden, 1)
         for step, a in zip(batch.steps, adv):
-            mu, st, _ = forward_step(w, step.state[b:b + 1], st)
+            mu, st, _ = forward_step(w, step.tape.z[b:b + 1, hidden:], st)
             total += a * float(np.sum(-((step.action.raw[b] - mu[0]) ** 2))) / (2 * sigma ** 2)
     return total / len(advantages)
 
@@ -292,7 +292,7 @@ def _toy_batch(w, xs, target, cfg, rng, rollouts):
         tapes.append(tape)
     raw = np.array([[rng.normal(mu[b], cfg.sigma) for mu in mus] for b in range(rollouts)])
     rewards = -np.sum((raw - target) ** 2, axis=2)
-    steps = [StepRecord(None, tape, clip_action(raw[:, t], cfg), mu)
+    steps = [StepRecord(tape, clip_action(raw[:, t], cfg), mu)
              for t, (mu, tape) in enumerate(zip(mus, tapes))]
     return RolloutBatch(["toy"], steps, rewards, rewards.sum(axis=1))
 

@@ -2,8 +2,9 @@
 """End-to-end desk experiment: suite -> train -> run -> compare.
 
 Drives the installed CLI so the pipeline exercised here is exactly the one
-a user would type.  The default configuration finishes on one core in a few
-minutes; see --help for the knobs.
+a user would type.  An option left out keeps the CLI's default; with every
+default the pipeline finishes on one core in a few minutes.  See --help for
+the knobs.
 """
 
 import argparse
@@ -21,6 +22,12 @@ def sh(argv):
         sys.exit(code)
 
 
+def given(**flags) -> list:
+    """--flag value for each flag whose value was given (is not None)."""
+    return [arg for key, value in flags.items() if value is not None
+            for arg in ("--" + key, str(value))]
+
+
 def run(opts):
     out = Path(opts.out)
     suite_dir = out / "suite"
@@ -29,16 +36,13 @@ def run(opts):
     cmp_dir = out / "comparison"
     t0 = time.perf_counter()
 
-    sh(["suite", "--seed", str(opts.seed), "--dim", str(opts.dim),
-        "--train", str(opts.train_functions), "--test", str(opts.test_functions),
-        "--out", str(suite_dir)])
-    sh(["train", "--seed", str(opts.seed), "--suite", str(suite_dir),
-        "--epochs", str(opts.epochs), "--hidden", str(opts.hidden),
-        "--jobs", str(opts.jobs), "--out", str(trained)])
-    sh(["run", "--seed", str(opts.seed), "--weights", str(trained / "weights.bin"),
-        "--instances", str(suite_dir), "--role", "test",
-        "--runs", str(opts.runs), "--budget", str(opts.budget or opts.dim * 10_000),
-        "--jobs", str(opts.jobs), "--out", str(runs)])
+    sh(["suite", *given(seed=opts.seed, dim=opts.dim, train=opts.train_functions,
+                        test=opts.test_functions), "--out", str(suite_dir)])
+    sh(["train", *given(seed=opts.seed, epochs=opts.epochs, hidden=opts.hidden, jobs=opts.jobs),
+        "--suite", str(suite_dir), "--out", str(trained)])
+    sh(["run", *given(seed=opts.seed, runs=opts.runs, budget=opts.budget, jobs=opts.jobs),
+        "--weights", str(trained / "weights.bin"), "--instances", str(suite_dir),
+        "--role", "test", "--out", str(runs)])
     sh(["compare", "--results", str(runs / "results.csv"), "--ref", "lde",
         "--out", str(cmp_dir)])
 
@@ -48,16 +52,15 @@ def run(opts):
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--dim", type=int, default=10)
-    ap.add_argument("--train-functions", type=int, default=6)
-    ap.add_argument("--test-functions", type=int, default=8)
-    ap.add_argument("--epochs", type=int, default=60)
-    ap.add_argument("--hidden", type=int, default=32)
-    ap.add_argument("--runs", type=int, default=11)
-    ap.add_argument("--budget", type=int, default=None,
-                    help="evaluations per run (default dim * 10^4)")
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--dim", type=int)
+    ap.add_argument("--train-functions", type=int)
+    ap.add_argument("--test-functions", type=int)
+    ap.add_argument("--epochs", type=int)
+    ap.add_argument("--hidden", type=int)
+    ap.add_argument("--runs", type=int)
+    ap.add_argument("--budget", type=int, help="evaluations per run")
+    ap.add_argument("--jobs", type=int)
     ap.add_argument("--out", default="desk_out")
     return ap.parse_args(argv)
 

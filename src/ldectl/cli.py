@@ -156,7 +156,7 @@ def build_parser() -> _Parser:
     p = _command(sub, "run", cmd_run, "run optimizers against instances",
                  seed=0, jobs=1, out="runs", weights=None, instances="suite", role="test",
                  algorithms=",".join((runner.LEARNED,) + runner.BASELINES),
-                 runs=11, budget=None, tol=1e-8)
+                 runs=11, budget=None, tol=runner.Termination.error_tol)
     p.add_argument("--weights", help="trained controller file")
     p.add_argument("--instances", help="directory of instance files")
     p.add_argument("--role", choices=("train", "test", "all"))
@@ -178,10 +178,6 @@ def build_parser() -> _Parser:
     _add_flags(p, inspect.signature(neural.run_gradcheck).parameters.values())
 
     return top
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def cmd_suite(args) -> int:
@@ -245,12 +241,10 @@ def cmd_train(args) -> int:
                if k in trained},
         })
     cfg = _settings(trainer.TrainConfig, opt)
+    trainer.check_inputs(functions, cfg, opt["jobs"], start_epoch)
 
     out = Path(opt["out"])
     out.mkdir(parents=True, exist_ok=True)
-    cols = ["epoch", "function_id", "mean_return", "return_std", "grad_norm"]
-    if opt["timings"]:
-        cols.append("wallclock_ms")
     meta = {
         "epochs_done": cfg.epochs, "functions": opt["functions"], "dim": opt["dim"],
         "horizon": cfg.horizon, "rollouts": cfg.rollouts, "alpha": cfg.alpha,
@@ -260,22 +254,21 @@ def cmd_train(args) -> int:
         neural.save_weights(w, out / name, seed=cfg.seed, spec=cfg,
                             training_metadata={**meta, "epochs_done": epochs_done})
 
+    cols = [c for c in trainer.LOG_COLUMNS if opt["timings"] or c != "wallclock_ms"]
     log_fh = open(out / "train_log.csv", "w", newline="")
-    log = csv.writer(log_fh, lineterminator="\n")
-    log.writerow(cols)
+    log = csv.DictWriter(log_fh, cols, extrasaction="ignore", lineterminator="\n")
+    log.writeheader()
 
     def on_epoch(epoch, w, rows):
-        for row in rows:
-            log.writerow([_fmt(row[c]) if isinstance(row[c], float) else row[c]
-                          for c in cols])
+        log.writerows(rows)
         log_fh.flush()
         if opt["checkpoint_every"] > 0 and (epoch + 1) % opt["checkpoint_every"] == 0 \
                 and epoch + 1 < cfg.epochs:
             save(w, f"checkpoint_{epoch + 1:04d}.bin", epoch + 1)
 
     try:
-        w, _ = trainer.train(functions, cfg, jobs=opt["jobs"], weights=weights,
-                             start_epoch=start_epoch, on_epoch=on_epoch)
+        w = trainer.train(functions, cfg, jobs=opt["jobs"], weights=weights,
+                          start_epoch=start_epoch, on_epoch=on_epoch)
     except NumericFailure as exc:
         if exc.last_good is not None:
             save(exc.last_good["weights"], "weights_lastgood.bin", exc.last_good["epochs_done"])
@@ -363,14 +356,14 @@ def _write_comparison(out: Path, table: stats.ComparisonTable, report: str) -> N
     fns, algs = table.functions, table.algorithms
     runner.write_csv(out / "comparison.csv",
                      ["function_id", "algorithm_id", "mean_error", "std_error"],
-                     ([fid, alg, _fmt(table.mean[(fid, alg)]), _fmt(table.std[(fid, alg)])]
+                     ([fid, alg, table.mean[fid, alg], table.std[fid, alg]]
                       for fid in fns for alg in algs))
     runner.write_csv(out / "marks.csv",
                      ["function_id", "algorithm_a", "algorithm_b", "p_value", "mark"],
-                     ([fid, a, b, _fmt(table.p_value[(fid, a, b)]), table.mark[(fid, a, b)]]
+                     ([fid, a, b, table.p_value[fid, a, b], table.mark[fid, a, b]]
                       for fid in fns for a in algs for b in algs if a != b))
     runner.write_csv(out / "aps.csv", ["algorithm_id", "aps"],
-                     ([alg, _fmt(table.aps[alg])] for alg in algs))
+                     ([alg, table.aps[alg]] for alg in algs))
     with open(out / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report)
 

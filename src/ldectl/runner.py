@@ -18,7 +18,9 @@ Baselines (each generation is ``de_core.evolve`` or ``evolve_rand1``):
 
 ``batch_experiment`` fans (algorithm, function, run) tasks over a
 worker pool, but writes results in task order, so output files are
-byte-identical for any worker count.
+byte-identical for any worker count.  A ``results.csv`` row holds the
+``RESULT_COLUMNS`` fields of one ``RunResult``; csv writes each float as
+its shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from .trainer import ControllerStep
 
 BASELINES = ("de_rand1_fixed", "ctpb_fixed", "random_params")
 LEARNED = "lde"
+# the columns of results.csv: RunResult fields, in file order
+RESULT_COLUMNS = ("algorithm_id", "function_id", "seed", "best_error", "evals_used")
 
 
 @dataclass
@@ -175,11 +179,10 @@ def _write_trace(out_dir: Path, res: RunResult) -> None:
     tdir = out_dir / "traces"
     tdir.mkdir(parents=True, exist_ok=True)
     stem = f"{res.algorithm_id}__{res.function_id}__{res.seed:02d}"
-    write_csv(tdir / f"{stem}.csv", ["evals", "best_error"],
-              ([evals, repr(err)] for evals, err in res.error_trace))
+    write_csv(tdir / f"{stem}.csv", ["evals", "best_error"], res.error_trace)
     if res.param_trace is not None:
         write_csv(tdir / f"{stem}__params.csv", ["generation", "tercile", "mean_F", "mean_CR"],
-                  ([gen, terc, repr(mf), repr(mcr)] for gen, terc, mf, mcr in res.param_trace))
+                  res.param_trace)
 
 
 def batch_experiment(algorithms, functions, runs: int, term: Termination,
@@ -218,14 +221,13 @@ def batch_experiment(algorithms, functions, runs: int, term: Termination,
             out_path.mkdir(parents=True, exist_ok=True)
             fh = open(out_path / "results.csv", "w", newline="")
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["algorithm_id", "function_id", "seed", "best_error", "evals_used"])
+            writer.writerow(RESULT_COLUMNS)
         done = (pool.map(_run_task, payloads, chunksize=1) if pool is not None
                 else map(_run_task, payloads))
         for res in done:
             results.append(res)
             if writer is not None:
-                writer.writerow([res.algorithm_id, res.function_id, res.seed,
-                                 repr(res.best_error), res.evals_used])
+                writer.writerow([getattr(res, c) for c in RESULT_COLUMNS])
                 fh.flush()
                 _write_trace(out_path, res)
     finally:

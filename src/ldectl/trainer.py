@@ -285,41 +285,51 @@ def _groups(functions, jobs: int) -> list:
     return [(a, functions[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
-def train(functions, cfg: TrainConfig, jobs: int = 1,
-          weights: Optional[ControllerWeights] = None, start_epoch: int = 0,
-          on_epoch: Optional[Callable] = None):
-    """Train the controller; returns (weights, log_rows).
+# The columns of train_log.csv, one per key of a log row; the CLI writes
+# wallclock_ms only with --timings.
+LOG_COLUMNS = ("epoch", "function_id", "mean_return", "return_std", "grad_norm", "wallclock_ms")
 
-    ``functions`` is the training portfolio (equal dim and bounds).  Log
-    rows are dicts, one per (epoch, function).  ``weights``/``start_epoch``
-    resume from a checkpoint; because every epoch's streams are derived
-    from (seed, epoch), a resumed run reproduces the uninterrupted one.
-    Diverging weights raise NumericFailure carrying the last good state.
-    """
+
+def check_inputs(functions, cfg: TrainConfig, jobs: int = 1, start_epoch: int = 0) -> None:
+    """Refuse what train cannot start from: no functions, mixed dims or bounds,
+    a start_epoch outside [0, epochs] (only epochs may grow) or jobs below 1."""
     if not functions:
         raise ValueError("training needs at least one function")
-    dim = functions[0].dim
-    bounds = functions[0].bounds
-    for f in functions:
-        if f.dim != dim or f.bounds != bounds:
-            raise ValueError("training functions must share dim and bounds")
+    dim, bounds = functions[0].dim, functions[0].bounds
+    if any(f.dim != dim or f.bounds != bounds for f in functions):
+        raise ValueError("training functions must share dim and bounds")
     if not 0 <= start_epoch <= cfg.epochs:
-        raise ValueError(f"start_epoch {start_epoch} outside [0, {cfg.epochs}]")
+        raise ValueError(f"cannot resume after {start_epoch} epochs with epochs = {cfg.epochs}: "
+                         "only epochs may grow")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
+
+def train(functions, cfg: TrainConfig, jobs: int = 1,
+          weights: Optional[ControllerWeights] = None, start_epoch: int = 0,
+          on_epoch: Optional[Callable] = None) -> ControllerWeights:
+    """Train the controller; returns the weights.
+
+    ``functions`` is the training portfolio, checked by ``check_inputs``.
+    After each epoch, ``on_epoch(epoch, weights, rows)`` gets that epoch's
+    log rows: dicts keyed by ``LOG_COLUMNS``, one per function.
+    ``weights``/``start_epoch`` resume from a checkpoint; because every
+    epoch's streams are derived from (seed, epoch), a resumed run
+    reproduces the uninterrupted one.  Diverging weights raise
+    NumericFailure carrying the last good state.
+    """
+    check_inputs(functions, cfg, jobs, start_epoch)
     w = weights if weights is not None else init_weights(
         cfg.hidden, cfg.input_size, cfg.pop_size, stream(cfg.seed, "weights"))
 
-    log_rows = []
-    lo, hi = bounds
+    lo, hi = functions[0].bounds
     groups = _groups(list(functions), jobs)
     pool = ProcessPoolExecutor(max_workers=len(groups)) if len(groups) > 1 else None
     try:
         for epoch in range(start_epoch, cfg.epochs):
             t0 = time.perf_counter()
             members = stream(cfg.seed, "epoch", epoch, "init").uniform(
-                lo, hi, size=(cfg.pop_size, dim))
+                lo, hi, size=(cfg.pop_size, functions[0].dim))
             payloads = [(w, group, members, cfg, epoch, k0) for k0, group in groups]
             if pool is not None:
                 batches = list(pool.map(_rollout_task, payloads))
@@ -337,22 +347,15 @@ def train(functions, cfg: TrainConfig, jobs: int = 1,
             w = new_w
 
             ms = (time.perf_counter() - t0) * 1000.0
-            epoch_rows = []
-            for batch in batches:
-                for k, fid in enumerate(batch.function_ids):
-                    rets = batch.total_return[batch.rows(k)]
-                    epoch_rows.append({
-                        "epoch": epoch,
-                        "function_id": fid,
-                        "mean_return": float(np.mean(rets)),
-                        "return_std": float(np.std(rets)),
-                        "grad_norm": gnorm,
-                        "wallclock_ms": ms,
-                    })
-            log_rows.extend(epoch_rows)
             if on_epoch is not None:
-                on_epoch(epoch, w, epoch_rows)
+                rows = []
+                for batch in batches:
+                    for k, fid in enumerate(batch.function_ids):
+                        rets = batch.total_return[batch.rows(k)]
+                        rows.append(dict(zip(LOG_COLUMNS, (
+                            epoch, fid, float(np.mean(rets)), float(np.std(rets)), gnorm, ms))))
+                on_epoch(epoch, w, rows)
     finally:
         if pool is not None:
             pool.shutdown()
-    return w, log_rows
+    return w

@@ -1,12 +1,14 @@
 """Shared test helpers: scripted random streams, an evaluation counter, a
-parameter-range check, the brute-force rank-sum oracle, and hypothesis
-settings."""
+parameter-range check, the brute-force rank-sum oracle, a training call
+that keeps its log rows, and hypothesis settings."""
 
 import itertools
 
 import numpy as np
 from hypothesis import HealthCheck, settings
 from scipy import stats as sps
+
+from ldectl.trainer import train
 
 settings.register_profile(
     "default",
@@ -99,3 +101,11 @@ def oracle_exact_p(a, b):
         if abs(ranks[list(combo)].sum() - mean_w) >= dev:
             hits += 1
     return w_obs, hits / total
+
+
+def train_logged(functions, cfg, **kwargs):
+    """trainer.train's weights and every log row it passed to on_epoch."""
+    rows = []
+    w = train(functions, cfg, on_epoch=lambda epoch, weights, epoch_rows: rows.extend(epoch_rows),
+              **kwargs)
+    return w, rows

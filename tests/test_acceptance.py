@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import check_sheet_ranges
+from conftest import check_sheet_ranges, train_logged
 from ldectl import neural
 from ldectl.benchfn import error_value, make_suite
 from ldectl.cli import main
@@ -126,8 +126,8 @@ def desk_training():
     for seed in range(DESK_SEEDS):
         suite = make_suite(seed, DESK_DIM, DESK_TRAIN_FNS, DESK_TEST_FNS)
         cfg = TrainConfig(seed=seed)
-        w0, _ = train(suite.train, dataclasses.replace(cfg, epochs=0))
-        w, rows = train(suite.train, cfg)
+        w0 = train(suite.train, dataclasses.replace(cfg, epochs=0))
+        w, rows = train_logged(suite.train, cfg)
         per_epoch = np.asarray(
             [r["mean_return"] for r in rows]
         ).reshape(cfg.epochs, DESK_TRAIN_FNS).mean(axis=1)

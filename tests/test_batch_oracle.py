@@ -19,6 +19,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from conftest import train_logged
 from ldectl import cli
 from ldectl.benchfn import error_value, make_suite
 from ldectl.de_core import Population
@@ -30,7 +31,7 @@ from ldectl.neural import (
     init_weights,
 )
 from ldectl.rng import stream
-from ldectl.trainer import TrainConfig, epoch_gradient, sample_trajectory, train
+from ldectl.trainer import TrainConfig, epoch_gradient, sample_trajectory
 
 
 # ---------------------------------------------------------------- the oracle
@@ -267,7 +268,7 @@ def test_training_matches_the_per_rollout_oracle():
     cfg = TrainConfig(epochs=2, rollouts=3, horizon=6, pop_size=6, bins=2, window=3,
                       hidden=5, seed=11)
     functions = make_suite(cfg.seed, 3, 4, 0).train
-    w, rows = train(functions, cfg)
+    w, rows = train_logged(functions, cfg)
     w_oracle, rows_oracle = _oracle_train(functions, cfg)
     np.testing.assert_array_equal(w.theta, w_oracle.theta)
     assert [(r["mean_return"], r["return_std"]) for r in rows] == rows_oracle

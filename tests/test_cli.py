@@ -145,6 +145,24 @@ def test_train_resume_refuses_changed_settings(ws, capsys):
     assert not (ws / "trained").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--resume", "t/weights.bin", "--epochs", "1"],
+     "cannot resume after 2 epochs with epochs = 1: only epochs may grow"),
+    (["--suite", "mixed"], "training functions must share dim and bounds"),
+], ids=["resume-fewer-epochs", "mixed-dims"])
+def test_train_refuses_inputs_train_cannot_use_before_any_output(ws, capsys, argv, message):
+    _suite(ws, dim=2, train=1, test=0)
+    assert main(["train", *TINY_TRAIN, "--out", "t"]) == 0  # 2 epochs done
+    # train-00 at dim 2, train-01 at dim 3
+    for dim, train in (("3", "2"), ("2", "1")):
+        assert main(["suite", "--dim", dim, "--train", train, "--test", "0",
+                     "--out", "mixed"]) == 0
+    capsys.readouterr()
+    assert main(["train", *argv, "--out", "t2"]) == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not (ws / "t2").exists()
+
+
 def test_train_resume_adopts_recorded_settings(ws):
     _suite(ws)
     base = ["train", *TINY_TRAIN, "--epochs", "4", "--sigma", "0.2", "--alpha", "0.05",
@@ -166,6 +184,19 @@ def test_train_jobs_do_not_change_weights(ws):
     a = (ws / "j1" / "weights.bin").read_bytes()
     b = (ws / "j2" / "weights.bin").read_bytes()
     assert a == b
+
+
+# A train --out tree (log, one checkpoint, final weights) recorded before
+# the log rows were written by column name; any changed byte moves it.
+GOLDEN_TRAIN_TREE = "b14b131241204e3d345899df2c795d042bacb89f73d6ecf3dc14423bebdbfba3"
+
+
+def test_train_out_tree_keeps_its_bits(ws):
+    _suite(ws)
+    assert main(["train", *TINY_TRAIN, "--checkpoint-every", "1"]) == 0
+    assert sorted(p.name for p in (ws / "trained").iterdir()) == [
+        "checkpoint_0001.bin", "train_log.csv", "weights.bin"]
+    assert _tree_digest(ws / "trained") == GOLDEN_TRAIN_TREE
 
 
 # ---------------------------------------------------------------- run/compare
@@ -256,6 +287,27 @@ def test_run_rerun_and_jobs_byte_identical(ws):
         (ws / "r4" / "results.csv").read_bytes()
 
 
+# A run --out tree (results, error traces, parameter traces) recorded
+# before the writers left float formatting to csv: all four algorithms,
+# two runs each, on three dim-2 functions; some runs stop at --tol and
+# some spend the whole budget.  Any changed byte moves it.
+GOLDEN_RUN_TREE = "d92d1d6286c25d8e9d5445d5560e88bc63111929e9b2137b384d9ad04f8243b3"
+
+
+def test_run_out_tree_keeps_its_bits(ws):
+    _suite(ws, dim=2, train=2, test=3)
+    assert main(["train", *TINY_TRAIN]) == 0
+    assert main(["run", "--weights", "trained/weights.bin", "--runs", "2",
+                 "--budget", "300", "--tol", "1e-3", "--param-traces", "--out", "runs"]) == 0
+    with open(ws / "runs" / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["algorithm_id"] for r in rows} == {runner.LEARNED, *runner.BASELINES}
+    stopped = {int(r["evals_used"]) < 300 for r in rows}
+    assert stopped == {True, False}
+    assert len(list((ws / "runs" / "traces").glob("*__params.csv"))) == len(rows)
+    assert _tree_digest(ws / "runs") == GOLDEN_RUN_TREE
+
+
 def test_compare_reads_run_output(ws, capsys):
     _pipeline(ws)
     capsys.readouterr()
@@ -326,9 +378,10 @@ def _write_results(path, seed, n_fns, runs, algorithms=("lde", "de_rand1_fixed",
 
 
 def _tree_digest(root) -> str:
+    """SHA-256 over every file under root: its relative path, then its bytes."""
     h = hashlib.sha256()
-    for p in sorted(Path(root).iterdir()):
-        h.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
+    for p in sorted(q for q in Path(root).rglob("*") if q.is_file()):
+        h.update(p.relative_to(root).as_posix().encode() + b"\0" + p.read_bytes() + b"\0")
     return h.hexdigest()
 
 

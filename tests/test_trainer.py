@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import EvalCounter
+from conftest import EvalCounter, train_logged
 from ldectl.benchfn import FunctionInstance, error_value, make_suite
 from ldectl.de_core import Population, init_population
 from ldectl.errors import ConsistencyError, NumericFailure
@@ -338,7 +338,7 @@ def test_epoch_gradient_requires_trajectories():
 def test_train_zero_epochs_returns_seeded_init():
     cfg = _tiny_cfg(epochs=0)
     suite = make_suite(cfg.seed, 2, 2, 0)
-    w, rows = train(suite.train, cfg)
+    w, rows = train_logged(suite.train, cfg)
     init = init_weights(cfg.hidden, cfg.input_size, cfg.pop_size,
                         stream(cfg.seed, "weights"))
     np.testing.assert_array_equal(w.theta, init.theta)
@@ -348,7 +348,7 @@ def test_train_zero_epochs_returns_seeded_init():
 def test_train_alpha_zero_leaves_weights_unchanged():
     cfg = _tiny_cfg(alpha=0.0, epochs=3)
     suite = make_suite(cfg.seed, 2, 2, 0)
-    w, rows = train(suite.train, cfg)
+    w, rows = train_logged(suite.train, cfg)
     init = init_weights(cfg.hidden, cfg.input_size, cfg.pop_size,
                         stream(cfg.seed, "weights"))
     np.testing.assert_array_equal(w.theta, init.theta)
@@ -368,7 +368,7 @@ def test_train_evaluation_accounting():
 def test_train_log_rows_schema_and_order():
     cfg = _tiny_cfg(epochs=2)
     suite = make_suite(cfg.seed, 2, 3, 0)
-    _, rows = train(suite.train, cfg)
+    _, rows = train_logged(suite.train, cfg)
     assert len(rows) == 2 * 3
     want_keys = {"epoch", "function_id", "mean_return", "return_std",
                  "grad_norm", "wallclock_ms"}
@@ -382,8 +382,8 @@ def test_train_log_rows_schema_and_order():
 def test_train_worker_count_does_not_change_results():
     cfg = _tiny_cfg(epochs=2, rollouts=3)
     suite = make_suite(cfg.seed, 2, 2, 0)
-    w1, rows1 = train(suite.train, cfg, jobs=1)
-    w2, rows2 = train(suite.train, cfg, jobs=2)
+    w1, rows1 = train_logged(suite.train, cfg, jobs=1)
+    w2, rows2 = train_logged(suite.train, cfg, jobs=2)
     np.testing.assert_array_equal(w1.theta, w2.theta)
     for a, b in zip(rows1, rows2):
         for key in ("epoch", "function_id", "mean_return", "return_std", "grad_norm"):
@@ -393,11 +393,11 @@ def test_train_worker_count_does_not_change_results():
 def test_train_resume_is_bit_exact():
     cfg = _tiny_cfg(epochs=4)
     suite = make_suite(cfg.seed, 2, 2, 0)
-    w_full, rows_full = train(suite.train, cfg)
+    w_full, rows_full = train_logged(suite.train, cfg)
 
     half = _tiny_cfg(epochs=2)
-    w_half, rows_half = train(suite.train, half)
-    w_res, rows_res = train(suite.train, cfg, weights=w_half, start_epoch=2)
+    w_half, rows_half = train_logged(suite.train, half)
+    w_res, rows_res = train_logged(suite.train, cfg, weights=w_half, start_epoch=2)
     np.testing.assert_array_equal(w_full.theta, w_res.theta)
     full_tail = [(r["epoch"], r["mean_return"]) for r in rows_full[4:]]
     res_rows = [(r["epoch"], r["mean_return"]) for r in rows_res]

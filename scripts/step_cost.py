@@ -7,11 +7,13 @@ generations, then times each stage of the generation step in-process:
 ``assemble_state``, ``forward_step``, ``sample_action``, ``evolve`` and
 the parts of ``evolve`` (the draw block, mutation, crossover, repair,
 evaluation, selection), the whole ``ControllerStep`` call and, at a
-batch of one, ``run_lde`` per generation.  Stages are timed round-robin,
-one call each per round, and the median over the rounds is reported in
-microseconds, so a slow spell of the host hits every stage alike.  It
-also counts the Python-level calls (cProfile's count, functions and
-builtins alike) one call of each stage makes.
+batch of one, ``run_lde`` per generation.  At the large batch it also
+times ``epoch_gradient`` (the backward pass with its output gradients)
+over one epoch's K * L rollouts of ``--warmup`` generations.  Stages
+are timed round-robin, one call each per round, and the median over the
+rounds is reported in microseconds, so a slow spell of the host hits
+every stage alike.  It also counts the Python-level calls (cProfile's
+count, functions and builtins alike) one call of each stage makes.
 
 It reports a batch of one (a run) and a batch of K * L rows (a training
 epoch's cross-function batch).  Run with ``PYTHONPATH=src``:
@@ -26,6 +28,8 @@ import pstats
 import statistics
 import time
 
+import numpy as np
+
 from ldectl import de_core
 from ldectl.benchfn import make_suite
 from ldectl.neural import forward_step, init_weights
@@ -33,7 +37,8 @@ from ldectl.policy import sample_action
 from ldectl.rng import stream
 from ldectl.runner import RunConfig, Termination, run_lde
 from ldectl.state_feat import assemble_state
-from ldectl.trainer import ControllerStep, FunctionBlocks
+from ldectl.trainer import (ControllerStep, FunctionBlocks, TrainConfig, epoch_gradient,
+                            sample_trajectory)
 
 
 def _calls(fn) -> int:
@@ -88,6 +93,13 @@ def stages(functions, rollouts: int, cfg: RunConfig, w, seed: int, warmup: int) 
         run_rng = stream(seed, "step_cost", "run")
         calls["run_lde / generation"] = lambda: run_lde(
             w, functions[0], Termination(budget, error_tol=0.0), cfg, run_rng)
+    else:
+        tcfg = TrainConfig(**cfg.spec_dict(), rollouts=rollouts, horizon=warmup, hidden=w.hidden)
+        pop0 = de_core.Population(start.members.repeat(len(functions), axis=0),
+                                  np.array([f.evaluate_batch(start.members[0]) for f in functions]))
+        batch = sample_trajectory(w, functions, pop0, tcfg,
+                                  [stream(seed, "step_cost", "epoch", b) for b in range(B)])
+        calls["epoch_gradient"] = lambda: epoch_gradient(w, [batch], tcfg)
     return calls
 
 
@@ -128,7 +140,7 @@ def main(argv=None):
         columns.append((measure(calls, opts.rounds, per_call), counts))
     head = "".join(f"{f'B={B} us':>12}{'calls':>7}" for B in batches)
     print(f"{'stage':<28}{head}")
-    for name in batches[1]:
+    for name in dict.fromkeys(name for calls in batches.values() for name in calls):
         cells = "".join(f"{us[name]:>12.1f}{counts[name]:>7}" if name in us
                         else f"{'-':>12}{'-':>7}" for us, counts in columns)
         print(f"{name:<28}{cells}")

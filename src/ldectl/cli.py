@@ -242,6 +242,9 @@ def cmd_train(args) -> int:
         })
     cfg = _settings(trainer.TrainConfig, opt)
     trainer.check_inputs(functions, cfg, opt["jobs"], start_epoch)
+    if opt["checkpoint_every"] < 0:
+        raise UsageError(
+            f"checkpoint_every must be >= 0 (0 for none), got {opt['checkpoint_every']}")
 
     out = Path(opt["out"])
     out.mkdir(parents=True, exist_ok=True)

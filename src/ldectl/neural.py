@@ -25,7 +25,8 @@ bit-exact.
 
 Forward and backward advance a batch of B independent rollouts: inputs,
 states, tapes and output gradients carry a leading batch axis, and
-backward returns one gradient per rollout.  Every matrix-vector product
+backward returns one gradient per rollout, or adds them into one vector
+a block of rows at a time.  Every matrix-vector product
 is one stacked product (B, 1, K) @ (K, M), which gives each row the bits
 of its own W @ v whatever B is; a plain (B, K) @ (K, M) gemm does not.
 """
@@ -246,7 +247,8 @@ def grad_norm(g: ControllerWeights) -> float:
     return float(np.sqrt(sum(float(np.sum(getattr(g, k) ** 2)) for k in FIELD_ORDER)))
 
 
-def backward_through_time(w: ControllerWeights, tapes, out_grads) -> ControllerWeights:
+def backward_through_time(w: ControllerWeights, tapes, out_grads, block: int = 0,
+                          acc: Optional[np.ndarray] = None) -> ControllerWeights:
     """Exact gradient of sum_t <out_grads[t], mu_t> over B taped rollouts.
 
     Arguments
@@ -254,19 +256,27 @@ def backward_through_time(w: ControllerWeights, tapes, out_grads) -> ControllerW
     tapes : list of StepTape, oldest first, with (B, .) rows.
     out_grads : list of ndarray, shape (B, 2N)
         Gradient on the head outputs per step (scale-factor half first).
+    block : int
+        Rows whose weight gradients are formed together; 0 for all B.
+    acc : ndarray, shape (P,), optional
+        Where to add the per-rollout gradients, one row at a time in row
+        order; then only one block's rows are held at a time.
 
     Returns
     -------
-    ControllerWeights with theta of shape (B, P): row b is the gradient
-    of rollout b alone.  Its weight blocks are one product over the steps
-    each, (4H, T) @ (T, H + D) and (H, T) @ (T, 2N); its bias blocks are
-    sums over the steps, oldest first.
+    Without ``acc``, ControllerWeights with theta of shape (B, P): row b
+    is the gradient of rollout b alone.  Its weight blocks are one
+    product over the steps each, (4H, T) @ (T, H + D) and (H, T) @
+    (T, 2N); its bias blocks are sums over the steps, oldest first.
+    With ``acc``, the weights holding ``acc``.  The time loop runs once
+    over all B rows; each row's bits do not depend on B or ``block``.
     """
     if len(tapes) != len(out_grads):
         raise ValueError("tapes and out_grads must have equal length")
     if not tapes:
-        return w.like(np.zeros((0, w.theta.size)))
+        return w.like(np.zeros((0, w.theta.size)) if acc is None else acc)
     H, T, B = w.hidden, len(tapes), len(out_grads[0])
+    block = block or B
     # each step's gate and head pre-activation gradients, (T, B, .); the
     # weight gradients are then one product over time per rollout
     da_g = np.empty((T, B) + w.b_g.shape)
@@ -295,14 +305,20 @@ def backward_through_time(w: ControllerWeights, tapes, out_grads) -> ControllerW
         da_gates = np.concatenate([daf, dai, dao, dac], axis=1, out=da_g[t])
         dh_next = _stacked(w.W_g[:, :H].T, da_gates)
         dc_next = dc * tape.f
-    grad = w.like(np.empty((B, w.theta.size)))
-    Z = np.stack([tape.z for tape in tapes])     # (T, B, H + D)
-    Hs = np.stack([tape.h for tape in tapes])    # (T, B, H)
-    np.matmul(da_g.transpose(1, 2, 0), Z.transpose(1, 0, 2), out=grad.W_g)
-    np.matmul(Hs.transpose(1, 2, 0), da_h.transpose(1, 0, 2), out=grad.W_head)
-    np.sum(da_g, axis=0, out=grad.b_g)
-    np.sum(da_h, axis=0, out=grad.b_head)
-    return grad
+    theta = np.empty((B if acc is None else block, w.theta.size))
+    for r0 in range(0, B, block):
+        rows = slice(r0, min(r0 + block, B))
+        grad = w.like(theta[rows] if acc is None else theta[:rows.stop - r0])
+        Z = np.stack([tape.z[rows] for tape in tapes])     # (T, rows, H + D)
+        Hs = np.stack([tape.h[rows] for tape in tapes])    # (T, rows, H)
+        np.matmul(da_g[:, rows].transpose(1, 2, 0), Z.transpose(1, 0, 2), out=grad.W_g)
+        np.matmul(Hs.transpose(1, 2, 0), da_h[:, rows].transpose(1, 0, 2), out=grad.W_head)
+        np.sum(da_g[:, rows], axis=0, out=grad.b_g)
+        np.sum(da_h[:, rows], axis=0, out=grad.b_head)
+        if acc is not None:
+            for row in grad.theta:
+                acc += row
+    return w.like(theta if acc is None else acc)
 
 
 # ---------------------------------------------------------------------------

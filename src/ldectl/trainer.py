@@ -19,9 +19,10 @@ the runner drives the trained controller with, there with a batch of
 one), with a single stacked controller step and a single ``evolve``.
 Rows are function-major, so function k owns the L consecutive rows from
 k * L on, and each function evaluates only its own L * N trials, in one
-call per generation.  Backpropagation runs once per function, over row
-views of the batch's tapes.  With a worker pool, the functions are split
-into contiguous groups, one batch per worker.
+call per generation.  Backpropagation runs once per batch, one time
+loop over all its rows, and forms the weight gradients one function's
+rows at a time.  With a worker pool, the functions are split into
+contiguous groups, one batch per worker.
 
 Randomness is addressed per purpose -- ("weights"), ("epoch", e,
 "init"), ("epoch", e, "traj", k, l) -- and rollout l of function k draws
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -230,19 +231,14 @@ def step_advantages(batch: RolloutBatch) -> np.ndarray:
     return G
 
 
-def _row_view(record, rows: slice):
-    """The same dataclass, holding views of the given rows of its arrays."""
-    return type(record)(*(getattr(record, f.name)[rows] for f in fields(record)))
-
-
 def epoch_gradient(w: ControllerWeights, batches, cfg: TrainConfig) -> ControllerWeights:
     """Average REINFORCE gradient over one epoch's rollout batches.
 
-    Per-step advantages come from step_advantages.  Each function's
-    rollouts are back-propagated together, on row views of its batch's
-    tapes, and the per-rollout gradient rows are added into one vector
-    in list order, so the result does not depend on how the functions
-    were grouped into batches.
+    Per-step advantages come from step_advantages.  Each batch's rollouts
+    are back-propagated together in one time loop; their weight
+    gradients are formed one function's rows at a time and added into
+    one vector row by row, in list order, so the result does not depend
+    on how the functions were grouped into batches.
     """
     if not batches:
         raise ValueError("epoch_gradient needs at least one rollout batch")
@@ -253,14 +249,10 @@ def epoch_gradient(w: ControllerWeights, batches, cfg: TrainConfig) -> Controlle
     count = 0
     for batch in batches:
         adv = step_advantages(batch)
-        for k in range(len(batch.function_ids)):
-            rows = batch.rows(k)
-            out_grads = [adv[rows, t, None] * logprob_grad_mu(_row_view(s.action, rows),
-                                                              s.mu[rows], cfg)
-                         for t, s in enumerate(batch.steps)]
-            tapes = [_row_view(s.tape, rows) for s in batch.steps]
-            for row in backward_through_time(w, tapes, out_grads).theta:
-                acc += row
+        out_grads = [adv[:, t, None] * logprob_grad_mu(s.action, s.mu, cfg)
+                     for t, s in enumerate(batch.steps)]
+        backward_through_time(w, [s.tape for s in batch.steps], out_grads,
+                              block=batch.rollouts, acc=acc)
         count += batch.size
     acc *= 1.0 / count
     return w.like(acc)

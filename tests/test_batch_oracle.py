@@ -3,14 +3,16 @@
 Training advances all of an epoch's rollouts together, K functions of L
 rollouts each, function-major: one stacked controller step and one
 evolve per generation, each function evaluating only its own L * N
-trials, then backpropagation per function over row views of the batch.
+trials, then one backpropagation time loop over every row of the batch,
+with the weight gradients formed one function's rows at a time.
 The oracle below is the per-rollout loop that engine replaced, kept as
 plain scalar code: one rollout at a time on 1-D arrays, matrix-vector
 products as W @ v, each function's leave-one-out baseline pooled over
 its own rollouts, and the per-trajectory gradients added in list order.
 Rewards, raw actions, head means, the epoch gradient and whole training
 runs must match it bit for bit, and train output must not depend on
---jobs.
+--jobs.  At small and odd widths, the epoch gradient must not depend on
+how the functions are grouped into batches.
 """
 
 import math
@@ -18,6 +20,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import train_logged
 from ldectl import cli
@@ -289,3 +292,44 @@ def test_train_output_is_byte_identical_for_any_jobs(tmp_path):
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert set(outs[0]) == {"train_log.csv", "weights.bin", "checkpoint_0001.bin"}
     assert all(out == outs[0] for out in outs[1:])
+
+
+# ------------------------------------------------- grouping at odd widths
+def _start(cfg, functions, dim):
+    w = init_weights(cfg.hidden, cfg.input_size, cfg.pop_size, stream(cfg.seed, "w"))
+    members = stream(cfg.seed, "p0").uniform(*functions[0].bounds, size=(cfg.pop_size, dim))
+    return w, members
+
+
+def _batch(w, functions, members, cfg):
+    """The rollouts of the given functions as one batch from one shared
+    start; each rollout's stream is keyed by its function, not its row."""
+    pop0 = Population(np.repeat(members[None], len(functions), axis=0),
+                      np.array([f.evaluate_batch(members) for f in functions]))
+    return sample_trajectory(w, functions, pop0, cfg, [
+        stream(cfg.seed, "t", f.id, l) for f in functions for l in range(cfg.rollouts)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.integers(4, 9), H=st.integers(1, 9), bins=st.integers(1, 3),
+       K=st.integers(1, 3), L=st.integers(1, 5), seed=st.integers(0, 999))
+def test_epoch_gradient_does_not_depend_on_grouping_at_odd_widths(N, H, bins, K, L, seed):
+    cfg = TrainConfig(pop_size=N, bins=bins, window=2, hidden=H, rollouts=L, horizon=4,
+                      seed=seed)
+    functions = make_suite(seed, 3, K, 0).train
+    w, members = _start(cfg, functions, 3)
+    whole = epoch_gradient(w, [_batch(w, functions, members, cfg)], cfg)
+    apart = epoch_gradient(w, [_batch(w, [f], members, cfg) for f in functions], cfg)
+    np.testing.assert_array_equal(whole.theta, apart.theta)
+
+
+def test_odd_width_batch_matches_the_per_rollout_oracle():
+    cfg = TrainConfig(pop_size=7, bins=3, window=2, hidden=5, rollouts=3, horizon=6, seed=8)
+    functions = make_suite(cfg.seed, 3, 3, 0).train
+    w, members = _start(cfg, functions, 3)
+    grad = epoch_gradient(w, [_batch(w, functions, members, cfg)], cfg)
+    oracle = [[_rollout(w, f, members, f.evaluate_batch(members), cfg,
+                        stream(cfg.seed, "t", f.id, l)) for l in range(cfg.rollouts)]
+              for f in functions]
+    for k, want in _oracle_gradient(w, oracle, cfg).items():
+        np.testing.assert_array_equal(getattr(grad, k), want, err_msg=k)

@@ -85,6 +85,14 @@ def test_train_log_has_epoch_by_function_rows(ws):
     assert [r["epoch"] for r in rows] == ["0", "0", "1", "1"]
 
 
+@pytest.mark.parametrize("every", ["-1", "-3"])
+def test_train_refuses_negative_checkpoint_every(ws, capsys, every):
+    _suite(ws)
+    assert main(["train", *TINY_TRAIN, "--checkpoint-every", every]) == 1
+    assert f"checkpoint_every must be >= 0 (0 for none), got {every}" in capsys.readouterr().err
+    assert not (ws / "trained").exists()
+
+
 def test_train_timings_flag_adds_wallclock_column(ws):
     _suite(ws)
     assert main(["train", *TINY_TRAIN, "--timings"]) == 0

@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -291,6 +292,68 @@ def test_bptt_equals_the_sum_of_outer_products_at_desk_scale():
     for k in FIELD_ORDER:
         err = np.abs(getattr(got, k) - want[k])
         assert np.all(err <= 1e-12 * size[k]), (k, float(np.max(err / size[k])))
+
+
+def _rows_of(tape, rows):
+    return neural.StepTape(**{k: v[rows] for k, v in vars(tape).items()})
+
+
+@pytest.mark.parametrize("H, D, N", [(5, 7, 4), (32, 30, 20)])
+def test_bptt_rows_do_not_depend_on_the_batch_or_the_block(H, D, N):
+    # one call over all B rows gives each row the bits of a separate call
+    # on its own row block, whatever block the weight products are formed in
+    T, B, L = 6, 12, 3
+    rng = np.random.default_rng(23)
+    w = init_weights(H, D, N, rng)
+    state, tapes = zero_state(H, B), []
+    for _ in range(T):
+        _, state, tape = forward_step(w, rng.uniform(0.0, 1.0, (B, D)), state)
+        tapes.append(tape)
+    out_grads = [rng.normal(size=(B, 2 * N)) for _ in range(T)]
+    whole = backward_through_time(w, tapes, out_grads).theta
+    assert whole.shape == (B, w.theta.size)
+    for r0 in range(0, B, L):
+        rows = slice(r0, r0 + L)
+        apart = backward_through_time(w, [_rows_of(t, rows) for t in tapes],
+                                      [og[rows] for og in out_grads])
+        np.testing.assert_array_equal(apart.theta, whole[rows])
+    for block in (1, L, 5, B):  # 5 leaves a short last block
+        np.testing.assert_array_equal(
+            backward_through_time(w, tapes, out_grads, block=block).theta, whole)
+        # with an accumulator, the rows are added into it one by one, in row order
+        start = rng.normal(size=w.theta.size)
+        want = start.copy()
+        for row in whole:
+            want += row
+        acc = start.copy()
+        got = backward_through_time(w, tapes, out_grads, block=block, acc=acc)
+        assert got.theta is acc
+        np.testing.assert_array_equal(acc, want)
+
+
+def test_bptt_into_an_accumulator_holds_one_block_of_rows():
+    H, D, N, T, B, L = 16, 10, 8, 4, 30, 3
+    rng = np.random.default_rng(5)
+    w = init_weights(H, D, N, rng)
+    state, tapes = zero_state(H, B), []
+    for _ in range(T):
+        _, state, tape = forward_step(w, rng.uniform(0.0, 1.0, (B, D)), state)
+        tapes.append(tape)
+    out_grads = [rng.normal(size=(B, 2 * N)) for _ in range(T)]
+    acc = np.zeros_like(w.theta)
+    all_rows = B * w.theta.nbytes  # one (B, P) gradient matrix
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: backward_through_time(w, tapes, out_grads)) >= all_rows
+    assert peak(lambda: backward_through_time(w, tapes, out_grads, block=L, acc=acc)) \
+        < all_rows / 2
 
 
 def test_bptt_zero_out_grads_zero_gradient():

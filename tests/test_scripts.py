@@ -59,11 +59,14 @@ def test_step_cost_times_every_stage_at_both_batch_sizes(capsys):
     assert list(rows) == ["assemble_state", "forward_step", "sample_action", "evolve",
                           "draw_generation", "mutate_current_to_pbest",
                           "binomial_crossover_batch", "repair_bounds", "evaluate_batch",
-                          "select", "ControllerStep", "run_lde / generation"]
+                          "select", "ControllerStep", "run_lde / generation", "epoch_gradient"]
+    # run_lde times a batch of one, epoch_gradient an epoch's K * L rows
+    only = {"run_lde / generation": slice(0, 2), "epoch_gradient": slice(2, 4)}
     for name, cells in rows.items():
-        timed = cells if name != "run_lde / generation" else cells[:2]
+        timed = cells[only.get(name, slice(None))]
         assert all(float(us) > 0 and int(calls) > 0 for us, calls in zip(timed[::2], timed[1::2]))
     assert rows["run_lde / generation"][2:] == ["-", "-"]
+    assert rows["epoch_gradient"][:2] == ["-", "-"]
     # the parts of evolve are calls evolve makes
     part_calls = sum(int(rows[name][1]) for name in list(rows)[4:10])
     assert part_calls < int(rows["evolve"][1])

@@ -1,6 +1,7 @@
 """REINFORCE trainer: estimator oracle, accounting, determinism, resume."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,27 @@ def test_epoch_gradient_requires_one_batch_per_function():
     long = sample_trajectory(w, [f], pop0, _tiny_cfg(horizon=3), [stream(4, "t", 1)])
     with pytest.raises(ValueError):
         epoch_gradient(w, [short, long], _tiny_cfg())
+
+
+def test_epoch_gradient_holds_one_functions_rows_at_a_time():
+    # the per-rollout gradients are formed one function's L rows at a time,
+    # so no (K * L, P) matrix is held however many functions a batch has
+    K, L = 12, 2
+    cfg = _tiny_cfg(rollouts=L, hidden=16, pop_size=8, bins=2)
+    functions = make_suite(7, 2, K, 0).train
+    w = init_weights(cfg.hidden, cfg.input_size, cfg.pop_size, stream(cfg.seed, "w"))
+    start = init_population(functions[0], cfg.pop_size, stream(cfg.seed, "p0"))
+    pop0 = Population(start.members.repeat(K, axis=0),
+                      np.array([f.evaluate_batch(start.members[0]) for f in functions]))
+    batch = sample_trajectory(w, functions, pop0, cfg, [stream(5, "t", b) for b in range(K * L)])
+    epoch_gradient(w, [batch], cfg)  # first-call set-up is not the gradient's
+    tracemalloc.start()
+    try:
+        epoch_gradient(w, [batch], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < batch.size * w.theta.nbytes / 2
 
 
 def _toy_batch(w, xs, target, cfg, rng, rollouts):

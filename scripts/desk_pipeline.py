@@ -16,10 +16,13 @@ from ldectl.cli import main as cli
 
 
 def sh(argv):
+    """Run one CLI stage, then print its wallclock as "<stage> took <s>s"."""
     print(f"$ ldectl {' '.join(argv)}", flush=True)
+    t0 = time.perf_counter()
     code = cli(argv)
     if code != 0:
         sys.exit(code)
+    print(f"{argv[0]} took {time.perf_counter() - t0:.3f}s", flush=True)
 
 
 def given(**flags) -> list:
@@ -46,7 +49,7 @@ def run(opts):
     sh(["compare", "--results", str(runs / "results.csv"), "--ref", "lde",
         "--out", str(cmp_dir)])
 
-    print(f"\nfinished in {time.perf_counter() - t0:.0f}s; "
+    print(f"\nfinished in {time.perf_counter() - t0:.3f}s; "
           f"report at {cmp_dir / 'report.txt'}")
 
 

@@ -189,40 +189,40 @@ def error_value(inst, f_found: float) -> float:
     return e
 
 
-def _random_rotation(rng, n):
-    # modified Gram-Schmidt on a Gaussian draw; redraw on (measure-zero) rank loss
-    while True:
-        A = rng.standard_normal((n, n))
-        Q = np.empty_like(A)
-        ok = True
-        for j in range(n):
-            v = A[:, j].copy()
+def _gram_schmidt(A):
+    """Modified Gram-Schmidt on each matrix of the stack A (m, n, n).
+
+    Returns (Q, lost): Q holds the orthonormalised columns, lost marks the
+    matrices whose column norm fell below 1e-12 (their Q is garbage).  Every
+    projection and norm is one stacked product that numpy forms as one BLAS
+    dot per matrix, with the strides of the 1-D ``Q[:, k] @ v`` and
+    ``np.linalg.norm(v)``, so each Q has the bits of a matrix done alone.
+    """
+    Q = np.empty_like(A)
+    lost = np.zeros(len(A), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(A.shape[2]):
+            v = A[:, :, j].copy()
             for k in range(j):
-                v -= (Q[:, k] @ v) * Q[:, k]
-            norm = np.linalg.norm(v)
-            if norm < 1e-12:
-                ok = False
-                break
-            Q[:, j] = v / norm
-        if ok:
-            return Q
+                v -= (Q[:, None, :, k] @ v[:, :, None])[:, 0] * Q[:, :, k]
+            norm = np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+            lost |= norm[:, 0] < 1e-12
+            Q[:, :, j] = v / norm
+    return Q, lost
 
 
-def _make_instance(seed: int, role: str, index: int, dim: int) -> FunctionInstance:
-    family = FAMILY_CYCLE[index % len(FAMILY_CYCLE)]
-    rng = stream(seed, "suite", role, index)
-    lo, hi = DEFAULT_BOUNDS
-    shift = rng.uniform(0.8 * lo, 0.8 * hi, size=dim)
-    f_star = 100.0 * float(rng.integers(-10, 11))
-    rotation = None if family == "sphere" else _random_rotation(rng, dim)
-    return FunctionInstance(
-        id=f"{role}-{index:02d}-{family}",
-        dim=dim,
-        base=family,
-        f_star=f_star,
-        shift=shift,
-        rotation=rotation,
-    )
+def _random_rotations(rngs, n):
+    """One rotation per generator: Gram-Schmidt on an (n, n) Gaussian draw
+    from each, all at once; a draw that loses rank (measure zero) is
+    replaced by its generator's next draw."""
+    Q, lost = _gram_schmidt(np.array([rng.standard_normal((n, n)) for rng in rngs])
+                            .reshape(-1, n, n))
+    for b in np.flatnonzero(lost):
+        again = True
+        while again:
+            q, (again,) = _gram_schmidt(rngs[b].standard_normal((1, n, n)))
+        Q[b] = q[0]
+    return Q
 
 
 @dataclass
@@ -234,21 +234,43 @@ class Suite:
 
 
 def make_suite(seed: int, dim: int, count_train: int, count_test: int) -> Suite:
-    """Build disjoint train/test instances cycling through the base families."""
+    """Build disjoint train/test instances cycling through the base families.
+
+    Instance i of a role draws its shift, its f_star and then its rotation's
+    Gaussian matrix from ``stream(seed, "suite", role, i)``; the rotations of
+    all instances are orthonormalised together."""
     if count_train < 0 or count_test < 0:
         raise ValueError("instance counts must be non-negative")
-    train = [_make_instance(seed, "train", i, dim) for i in range(count_train)]
-    test = [_make_instance(seed, "test", i, dim) for i in range(count_test)]
-    return Suite(train=train, test=test)
+    lo, hi = DEFAULT_BOUNDS
+    draws = []
+    for role, count in (("train", count_train), ("test", count_test)):
+        for index in range(count):
+            family = FAMILY_CYCLE[index % len(FAMILY_CYCLE)]
+            rng = stream(seed, "suite", role, index)
+            shift = rng.uniform(0.8 * lo, 0.8 * hi, size=dim)
+            f_star = 100.0 * float(rng.integers(-10, 11))
+            draws.append((role, index, family, shift, f_star, rng))
+    rotations = iter(_random_rotations(
+        [rng for _, _, family, _, _, rng in draws if family != "sphere"], dim))
+    suite = Suite()
+    for role, index, family, shift, f_star, _ in draws:
+        getattr(suite, role).append(FunctionInstance(
+            id=f"{role}-{index:02d}-{family}",
+            dim=dim,
+            base=family,
+            f_star=f_star,
+            shift=shift,
+            rotation=None if family == "sphere" else next(rotations),
+        ))
+    return suite
 
 
 def format_instance(inst: FunctionInstance) -> str:
     """Serialise to the plain-text instance format."""
     lines = [f"{inst.id} {inst.dim} {inst.base} {repr(inst.f_star)}"]
-    lines.append(" ".join(repr(float(v)) for v in inst.shift))
+    lines.append(" ".join(map(repr, inst.shift.tolist())))
     if inst.rotation is not None:
-        for row in inst.rotation:
-            lines.append(" ".join(repr(float(v)) for v in row))
+        lines.extend(" ".join(map(repr, row)) for row in inst.rotation.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -202,7 +202,13 @@ def _load_instances(directory: str, role: str):
     paths = sorted(p for p in d.glob("*.fn") if p.name.startswith(prefixes))
     if not paths:
         raise UsageError(f"no {role} instances in {directory}")
-    return [benchfn.load_instance(p) for p in paths]
+    functions = [benchfn.load_instance(p) for p in paths]
+    first = {}
+    for p, f in zip(paths, functions):
+        other = first.setdefault(f.id, p)
+        if other != p:
+            raise UsageError(f"{other} and {p} both hold instance {f.id}")
+    return functions
 
 
 def _settings(cls, opt: dict):

@@ -20,6 +20,7 @@ from ldectl.benchfn import (
 )
 from conftest import EvalCounter
 from ldectl.errors import ConsistencyError
+from ldectl.rng import stream
 
 
 # ---------------------------------------------------------------- oracles
@@ -187,6 +188,113 @@ def test_suite_instance_invariants_hold():
             else:
                 R = inst.rotation
                 np.testing.assert_allclose(R.T @ R, np.eye(3), atol=1e-9)
+
+
+# ---------------------------------------------------------------- rotations
+def _serial_rotation(rng, n):
+    """The one-matrix-at-a-time modified Gram-Schmidt the batched kernel
+    replaces: redraw on rank loss, 1-D dot per projection."""
+    while True:
+        A = rng.standard_normal((n, n))
+        Q = np.empty_like(A)
+        ok = True
+        for j in range(n):
+            v = A[:, j].copy()
+            for k in range(j):
+                v -= (Q[:, k] @ v) * Q[:, k]
+            norm = np.linalg.norm(v)
+            if norm < 1e-12:
+                ok = False
+                break
+            Q[:, j] = v / norm
+        if ok:
+            return Q
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_batched_rotations_match_the_serial_oracle(n):
+    for seed in (0, 1, 2):
+        for m in (1, 5):
+            got = benchfn._random_rotations(
+                [np.random.default_rng([seed, n, b]) for b in range(m)], n)
+            assert len(got) == m
+            for b, Q in enumerate(got):
+                _assert_same_bits(Q, _serial_rotation(np.random.default_rng([seed, n, b]), n))
+
+
+def test_gram_schmidt_flags_only_the_matrix_that_loses_rank():
+    A = np.random.default_rng(4).standard_normal((4, 5, 5))
+    A[2, :, 3] = A[2, :, 1]  # two equal columns
+    Q, lost = benchfn._gram_schmidt(A)
+    assert lost.tolist() == [False, False, True, False]
+    for b in (0, 1, 3):
+        alone, (flag,) = benchfn._gram_schmidt(A[b:b + 1])
+        assert not flag
+        _assert_same_bits(Q[b], alone[0])
+        np.testing.assert_allclose(Q[b].T @ Q[b], np.eye(5), atol=1e-12)
+
+
+class _SingularFirstDraw:
+    """A generator whose first Gaussian matrix repeats a column; every
+    draw, that one included, still consumes the wrapped stream."""
+
+    def __init__(self, rng):
+        self._rng, self._first = rng, True
+
+    def standard_normal(self, size):
+        A = self._rng.standard_normal(size)
+        if self._first:
+            self._first = False
+            A[..., :, 2] = A[..., :, 0]
+        return A
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_make_suite_redraws_a_singular_draw_from_its_own_stream(monkeypatch):
+    seed, dim, singular = 3, 6, ("suite", "train", 2)
+    plain = make_suite(seed, dim, 4, 3)
+
+    def patched(master, *path):
+        rng = stream(master, *path)
+        return _SingularFirstDraw(rng) if path == singular else rng
+
+    monkeypatch.setattr(benchfn, "stream", patched)
+    got = make_suite(seed, dim, 4, 3)
+    for a, b in zip(plain.train + plain.test, got.train + got.test):
+        assert a.id == b.id
+        if a.rotation is None:
+            assert b.rotation is None
+        elif a.id != "train-02-ellipsoid":
+            _assert_same_bits(b.rotation, a.rotation)
+    redrawn = got.train[2]
+    assert not np.array_equal(redrawn.rotation, plain.train[2].rotation)
+    rng = patched(seed, *singular)
+    lo, hi = DEFAULT_BOUNDS
+    _assert_same_bits(redrawn.shift, rng.uniform(0.8 * lo, 0.8 * hi, size=dim))
+    assert redrawn.f_star == 100.0 * float(rng.integers(-10, 11))
+    _assert_same_bits(redrawn.rotation, _serial_rotation(rng, dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 10, 16, 30])
+def test_make_suite_rotations_match_the_serial_oracle(dim):
+    lo, hi = DEFAULT_BOUNDS
+    for seed in range(3):
+        suite = make_suite(seed, dim, 8, 3)
+        for role, insts in (("train", suite.train), ("test", suite.test)):
+            for index, inst in enumerate(insts):
+                rng = stream(seed, "suite", role, index)
+                _assert_same_bits(inst.shift, rng.uniform(0.8 * lo, 0.8 * hi, size=dim))
+                assert inst.f_star == 100.0 * float(rng.integers(-10, 11))
+                if inst.base == "sphere":
+                    assert inst.rotation is None
+                else:
+                    _assert_same_bits(inst.rotation, _serial_rotation(rng, dim))
 
 
 # ---------------------------------------------------------------- error value

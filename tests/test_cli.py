@@ -59,6 +59,39 @@ def test_suite_zero_train_count_is_usage_error(ws, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+# suite --out trees recorded while each rotation was orthonormalised alone;
+# any changed byte of a shift, f_star or rotation moves a digest.
+GOLDEN_SUITE_TREES = {
+    ("0", "10", "6", "8"): "0b12808accc87e51c98bbda43a2a5e5817b1ea094cfd951771c74974000c1987",
+    ("3", "1", "8", "8"): "cd963d870f686ad95f9a12f2cb164cf456694821bd24d20a3547faaa01d9803c",
+    ("5", "30", "3", "5"): "696747f280d7cfdb68daeb90314bab7c5388a0922fc31bee9b5fdfc71524e1b3",
+}
+
+
+@pytest.mark.parametrize("seed, dim, train, test", GOLDEN_SUITE_TREES,
+                         ids=["desk", "dim1", "dim30"])
+def test_suite_out_tree_keeps_its_bits(ws, seed, dim, train, test):
+    assert main(["suite", "--seed", seed, "--dim", dim, "--train", train,
+                 "--test", test, "--out", "s"]) == 0
+    assert _tree_digest(ws / "s") == GOLDEN_SUITE_TREES[seed, dim, train, test]
+
+
+@pytest.mark.parametrize("role, argv", [
+    ("train", ["train", *TINY_TRAIN, "--out", "out"]),
+    ("test", ["run", "--algorithms", "ctpb_fixed", "--runs", "2",
+              "--budget", "60", "--pop-size", "6", "--out", "out"]),
+], ids=["train", "run"])
+def test_two_files_with_one_instance_id_are_refused_before_any_output(ws, capsys, role, argv):
+    _suite(ws, dim=2)
+    original, copy = Path("suite", f"{role}-00-sphere.fn"), Path("suite", f"{role}-00-copy.fn")
+    copy.write_bytes(original.read_bytes())
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert (f"usage error: {copy} and {original} both hold instance {role}-00-sphere"
+            in capsys.readouterr().err)
+    assert not (ws / "out").exists()
+
+
 # ---------------------------------------------------------------- train
 def test_train_zero_epochs_equals_seeded_init(ws):
     _suite(ws)

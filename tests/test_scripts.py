@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import re
 from pathlib import Path
 
 from ldectl import neural
@@ -23,7 +24,10 @@ def test_desk_pipeline_runs_suite_to_comparison(tmp_path, capsys):
         "--dim", "2", "--train-functions", "2", "--test-functions", "2",
         "--epochs", "1", "--hidden", "4", "--runs", "2", "--budget", "200",
         "--out", str(out)]))
-    assert "report at" in capsys.readouterr().out
+    out_text = capsys.readouterr().out
+    assert "report at" in out_text
+    stages = re.findall(r"^(\w+) took \d+\.\d{3}s$", out_text, re.MULTILINE)
+    assert stages == ["suite", "train", "run", "compare"]
 
     _, manifest = neural.load_weights(out / "trained" / "weights.bin")
     assert manifest["format_version"] == neural.FORMAT_VERSION

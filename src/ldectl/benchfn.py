@@ -287,17 +287,12 @@ def parse_instance(text: str) -> FunctionInstance:
     body = rows[1:]
     if len(body) not in (1, 1 + dim):
         raise ValueError(f"expected 1 or {1 + dim} data lines, got {len(body)}")
-    shift = np.array([float(v) for v in body[0]], dtype=float)
-    if shift.shape != (dim,):
-        raise ValueError("shift line has wrong arity")
-    rotation = None
+    rotation = None  # FunctionInstance checks the shapes
     if len(body) == 1 + dim:
         rotation = np.array([[float(v) for v in row] for row in body[1:]], dtype=float)
-        if rotation.shape != (dim, dim):
-            raise ValueError("rotation block has wrong arity")
     return FunctionInstance(
         id=inst_id, dim=dim, base=base, f_star=float(fstar_s),
-        shift=shift, rotation=rotation,
+        shift=np.array([float(v) for v in body[0]], dtype=float), rotation=rotation,
     )
 
 

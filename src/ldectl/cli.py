@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -87,11 +88,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     build_parser; main has already put the config file's values into the
     unset flags."""
     defaults = build_parser().commands[args.command].option_defaults
-    merged = {key: dflt if getattr(args, key) is None else getattr(args, key)
-              for key, dflt in defaults.items()}
-    if merged.get("jobs", 1) < 1:
-        raise UsageError(f"jobs must be >= 1, got {merged['jobs']}")
-    return merged
+    return {key: dflt if getattr(args, key) is None else getattr(args, key)
+            for key, dflt in defaults.items()}
 
 
 def _command(sub, name: str, handler, help: str, **defaults) -> _Parser:
@@ -186,6 +184,13 @@ def cmd_suite(args) -> int:
         raise UsageError("dim and train count must be positive, test count non-negative")
     suite = benchfn.make_suite(opt["seed"], opt["dim"], opt["train"], opt["test"])
     out = Path(opt["out"])
+    # train and run load every instance file there, so another suite's would mix in
+    ours = {f"{inst.id}.fn" for inst in suite.train + suite.test}
+    other = sorted(n for n in (os.listdir(out) if out.is_dir() else ())
+                   if n.startswith(("train-", "test-")) and n.endswith(".fn") and n not in ours)
+    if other:
+        raise UsageError(f"{out / other[0]} is not an instance of this suite; "
+                         "give an --out without another suite's instance files")
     out.mkdir(parents=True, exist_ok=True)
     for role, insts in (("train", suite.train), ("test", suite.test)):
         for inst in insts:

@@ -157,7 +157,7 @@ def _sigmoid(z):
 
 
 # ---------------------------------------------------------------------------
-# multiply-add accounting (used by the cost-scaling harness)
+# multiply-add accounting (read by the benchmark's tracer and acceptance criterion 9)
 
 class MacCounter:
     def __init__(self):

@@ -16,17 +16,17 @@ Baselines (each generation is ``de_core.evolve`` or ``evolve_rand1``):
                      F ~ U(f_min, 1], CR ~ U[0, 1] resampled every
                      generation
 
-``batch_experiment`` fans (algorithm, function, run) tasks over a
-worker pool, but writes results in task order, so output files are
-byte-identical for any worker count.  A ``results.csv`` row holds the
-``RESULT_COLUMNS`` fields of one ``RunResult``; csv writes each float as
-its shortest round-trip repr.
+``batch_experiment`` fans (algorithm, function, run) tasks out through
+``trainer.worker_map``, the one place where work fans out, and writes
+results in task order, so output files are byte-identical for any
+worker count.  A ``results.csv`` row holds the ``RESULT_COLUMNS`` fields
+of one ``RunResult``; csv writes each float as its shortest round-trip
+repr.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -38,7 +38,7 @@ from .de_core import ParamSheet, evolve, evolve_rand1, init_population
 from .neural import ControllerWeights
 from .policy import PolicyConfig
 from .rng import stream
-from .trainer import ControllerStep
+from .trainer import ControllerStep, worker_map
 
 BASELINES = ("de_rand1_fixed", "ctpb_fixed", "random_params")
 LEARNED = "lde"
@@ -213,26 +213,21 @@ def batch_experiment(algorithms, functions, runs: int, term: Termination,
 
     out_path = Path(out_dir) if out_dir is not None else None
     results = []
-    writer = None
     fh = None
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
         if out_path is not None:
             out_path.mkdir(parents=True, exist_ok=True)
             fh = open(out_path / "results.csv", "w", newline="")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(RESULT_COLUMNS)
-        done = (pool.map(_run_task, payloads, chunksize=1) if pool is not None
-                else map(_run_task, payloads))
-        for res in done:
-            results.append(res)
-            if writer is not None:
-                writer.writerow([getattr(res, c) for c in RESULT_COLUMNS])
-                fh.flush()
-                _write_trace(out_path, res)
+        with worker_map(jobs) as fan_out:
+            for res in fan_out(_run_task, payloads):
+                results.append(res)
+                if fh is not None:
+                    writer.writerow([getattr(res, c) for c in RESULT_COLUMNS])
+                    fh.flush()
+                    _write_trace(out_path, res)
     finally:
-        if pool is not None:
-            pool.shutdown()
         if fh is not None:
             fh.close()
     return results

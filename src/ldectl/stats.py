@@ -16,8 +16,8 @@ integer products of that function's count matrix, and only the exact
 pairs are tested one by one.
 
 The average performance score of algorithm i is the number of rivals
-that significantly beat it (lower mean error, p below alpha), averaged
-over functions; lower is better.
+that i's significance mark calls significantly better ('+' against
+them), averaged over functions; lower is better.
 """
 
 from __future__ import annotations
@@ -206,14 +206,10 @@ def aps_rank(samples: dict, alpha: float = DEFAULT_ALPHA, p_values: dict = None,
     for fid in fn_ids:
         per_fn = samples[fid]
         p_table = p_values[fid] if p_values is not None else pair_p_values(per_fn, algs)
-        for i in algs:
-            beaten_by = 0
-            for j in algs:
-                if j == i:
-                    continue
-                if p_table[i, j] < alpha and means[fid, j] < means[fid, i]:
-                    beaten_by += 1
-            scores[i] += beaten_by
+        for i in algs:  # the rivals i is marked worse than ('+'), as in marks.csv
+            scores[i] += sum(significance_mark(p_table[i, j], means[fid, i], means[fid, j],
+                                               alpha) == MARK_WORSE
+                             for j in algs if j != i)
     return {alg: scores[alg] / len(fn_ids) for alg in algs}
 
 

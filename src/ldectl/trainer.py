@@ -21,8 +21,9 @@ Rows are function-major, so function k owns the L consecutive rows from
 k * L on, and each function evaluates only its own L * N trials, in one
 call per generation.  Backpropagation runs once per batch, one time
 loop over all its rows, and forms the weight gradients one function's
-rows at a time.  With a worker pool, the functions are split into
-contiguous groups, one batch per worker.
+rows at a time.  With more than one job, the functions are split into
+contiguous groups, one batch per worker process; ``worker_map`` is the
+one place where work fans out, here and in the runner.
 
 Randomness is addressed per purpose -- ("weights"), ("epoch", e,
 "init"), ("epoch", e, "traj", k, l) -- and rollout l of function k draws
@@ -32,8 +33,10 @@ and batch layout, and training can resume from a checkpoint bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -277,6 +280,17 @@ def _groups(functions, jobs: int) -> list:
     return [(a, functions[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
+@contextmanager
+def worker_map(jobs: int):
+    """An ordered map over ``jobs`` workers: the builtin map for one job,
+    else a process pool's map, one task at a time, shut down on exit."""
+    if jobs == 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield functools.partial(pool.map, chunksize=1)
+
+
 # The columns of train_log.csv, one per key of a log row; the CLI writes
 # wallclock_ms only with --timings.
 LOG_COLUMNS = ("epoch", "function_id", "mean_return", "return_std", "grad_norm", "wallclock_ms")
@@ -316,17 +330,13 @@ def train(functions, cfg: TrainConfig, jobs: int = 1,
 
     lo, hi = functions[0].bounds
     groups = _groups(list(functions), jobs)
-    pool = ProcessPoolExecutor(max_workers=len(groups)) if len(groups) > 1 else None
-    try:
+    with worker_map(len(groups)) as fan_out:
         for epoch in range(start_epoch, cfg.epochs):
             t0 = time.perf_counter()
             members = stream(cfg.seed, "epoch", epoch, "init").uniform(
                 lo, hi, size=(cfg.pop_size, functions[0].dim))
             payloads = [(w, group, members, cfg, epoch, k0) for k0, group in groups]
-            if pool is not None:
-                batches = list(pool.map(_rollout_task, payloads))
-            else:
-                batches = [_rollout_task(p) for p in payloads]
+            batches = list(fan_out(_rollout_task, payloads))
 
             grad = epoch_gradient(w, batches, cfg)
             gnorm = grad_norm(grad)
@@ -347,7 +357,4 @@ def train(functions, cfg: TrainConfig, jobs: int = 1,
                         rows.append(dict(zip(LOG_COLUMNS, (
                             epoch, fid, float(np.mean(rets)), float(np.std(rets)), gnorm, ms))))
                 on_epoch(epoch, w, rows)
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return w

@@ -277,7 +277,11 @@ def test_training_matches_the_per_rollout_oracle():
     assert [(r["mean_return"], r["return_std"]) for r in rows] == rows_oracle
 
 
-def test_train_output_is_byte_identical_for_any_jobs(tmp_path):
+@pytest.mark.parametrize("widths", [
+    ["--hidden", "4", "--pop-size", "6", "--bins", "2"],
+    ["--hidden", "5", "--pop-size", "7", "--bins", "3"],  # odd widths
+], ids=["even", "odd"])
+def test_train_output_is_byte_identical_for_any_jobs(tmp_path, widths):
     # five functions: 2, 3, 4 and 8 jobs split them into uneven groups,
     # and 8 is more than there are functions
     assert cli.main(["suite", "--seed", "4", "--dim", "3", "--train", "5", "--test", "0",
@@ -286,8 +290,7 @@ def test_train_output_is_byte_identical_for_any_jobs(tmp_path):
     for jobs in ("1", "2", "3", "4", "8"):
         out = tmp_path / f"jobs{jobs}"
         assert cli.main(["train", "--seed", "4", "--suite", str(tmp_path / "suite"),
-                         "--epochs", "2", "--rollouts", "3", "--horizon", "5",
-                         "--hidden", "4", "--pop-size", "6", "--bins", "2",
+                         "--epochs", "2", "--rollouts", "3", "--horizon", "5", *widths,
                          "--checkpoint-every", "1", "--jobs", jobs, "--out", str(out)]) == 0
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert set(outs[0]) == {"train_log.csv", "weights.bin", "checkpoint_0001.bin"}

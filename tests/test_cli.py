@@ -54,6 +54,20 @@ def test_suite_rerun_identical_files(ws):
     assert first == second
 
 
+def test_suite_refuses_an_out_holding_another_suites_instances(ws, capsys):
+    # train and run load every instance file in a directory
+    assert main(["suite", "--seed", "1", "--dim", "2", "--train", "6", "--test", "0",
+                 "--out", "s"]) == 0
+    before = {p.name: p.read_bytes() for p in (ws / "s").iterdir()}
+    assert len(before) == 6
+    capsys.readouterr()
+    assert main(["suite", "--seed", "2", "--dim", "2", "--train", "2", "--test", "0",
+                 "--out", "s"]) == 1
+    assert ("usage error: s/train-02-ellipsoid.fn is not an instance of this suite"
+            in capsys.readouterr().err)
+    assert {p.name: p.read_bytes() for p in (ws / "s").iterdir()} == before
+
+
 def test_suite_zero_train_count_is_usage_error(ws, capsys):
     assert main(["suite", "--train", "0"]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -176,10 +190,10 @@ def test_train_resume_refuses_changed_settings(ws, capsys):
         assert main([*resume, flag, value]) == 1
         assert f"weights were trained with {key}=" in capsys.readouterr().err
     # the suite fixes dim and the function count
-    _suite(ws, dim=4, train=2, test=0, seed=0)
+    main(["suite", "--dim", "4", "--train", "2", "--test", "0", "--out", "suite4"])
     main(["suite", "--dim", "3", "--train", "3", "--test", "0", "--out", "suite3"])
     capsys.readouterr()
-    assert main([*resume, "--suite", "suite"]) == 1
+    assert main([*resume, "--suite", "suite4"]) == 1
     assert "weights were trained with dim=3" in capsys.readouterr().err
     assert main([*resume, "--suite", "suite3"]) == 1
     assert "weights were trained with functions=2" in capsys.readouterr().err
@@ -195,9 +209,9 @@ def test_train_refuses_inputs_train_cannot_use_before_any_output(ws, capsys, arg
     _suite(ws, dim=2, train=1, test=0)
     assert main(["train", *TINY_TRAIN, "--out", "t"]) == 0  # 2 epochs done
     # train-00 at dim 2, train-01 at dim 3
-    for dim, train in (("3", "2"), ("2", "1")):
-        assert main(["suite", "--dim", dim, "--train", train, "--test", "0",
-                     "--out", "mixed"]) == 0
+    assert main(["suite", "--dim", "3", "--train", "2", "--test", "0", "--out", "mixed"]) == 0
+    fn = "train-00-sphere.fn"
+    (ws / "mixed" / fn).write_bytes((ws / "suite" / fn).read_bytes())
     capsys.readouterr()
     assert main(["train", *argv, "--out", "t2"]) == 1
     assert f"usage error: {message}" in capsys.readouterr().err

@@ -7,8 +7,10 @@ exactly 0.0, as ``run`` reports a solved run), then times in-process the
 stages of ``ldectl compare --out``: reading and grouping the file
 (``parse``), ``stats.build_comparison`` with the exact null counts
 already cached (``table``) and with the cache cleared first
-(``table_cold``, what a one-shot ``ldectl compare`` pays),
-``stats.render_report`` (``render``), writing the four output files
+(``table_cold``, what a one-shot ``ldectl compare`` pays), one warm
+``stats.ranksum_test`` on the first function's first two algorithms
+(``ranksum``: the exact path at ``--runs`` <= 10, the normal path
+above), ``stats.render_report`` (``render``), writing the four output files
 (``write``) and the whole ``cli.main`` call (``compare``).  Stages are
 timed round-robin, one call each per round, and the median over the
 rounds is reported in microseconds, so a slow spell of the host hits
@@ -51,6 +53,8 @@ def write_results(path: Path, seed: int, functions: int, algorithms: int, runs: 
 def stages(path: Path, out: Path) -> dict:
     """name -> zero-argument call of that stage of one compare call."""
     samples, algorithms = cli._read_results(str(path))
+    first = samples[next(iter(samples))]
+    pair = first[algorithms[0]], first[algorithms[1]]
     table = stats.build_comparison(samples, algorithms=algorithms)
     report = stats.render_report(table)
     argv = ["compare", "--results", str(path), "--out", str(out / "main")]
@@ -67,6 +71,7 @@ def stages(path: Path, out: Path) -> dict:
         "parse": lambda: cli._read_results(str(path)),
         "table": lambda: stats.build_comparison(samples, algorithms=algorithms),
         "table_cold": table_cold,
+        "ranksum": lambda: stats.ranksum_test(*pair),
         "render": lambda: stats.render_report(table),
         "write": lambda: cli._write_comparison(out / "stages", table, report),
         "compare": whole,

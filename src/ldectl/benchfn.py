@@ -275,11 +275,13 @@ def format_instance(inst: FunctionInstance) -> str:
 
 
 def parse_instance(text: str) -> FunctionInstance:
-    """Inverse of :func:`format_instance`; absent rotation rows mean identity."""
-    rows = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
+    """Inverse of :func:`format_instance`; absent rotation rows mean identity.
+    A shift or rotation line that is not ``dim`` numbers is refused with its
+    1-based line number."""
+    rows = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not rows:
         raise ValueError("empty instance text")
-    head = rows[0]
+    head = rows[0][1]
     if len(head) != 4:
         raise ValueError(f"malformed header {' '.join(head)!r}")
     inst_id, dim_s, base, fstar_s = head
@@ -287,12 +289,20 @@ def parse_instance(text: str) -> FunctionInstance:
     body = rows[1:]
     if len(body) not in (1, 1 + dim):
         raise ValueError(f"expected 1 or {1 + dim} data lines, got {len(body)}")
-    rotation = None  # FunctionInstance checks the shapes
-    if len(body) == 1 + dim:
-        rotation = np.array([[float(v) for v in row] for row in body[1:]], dtype=float)
+
+    def numbers(lineno, fields):
+        if len(fields) != dim:
+            raise ValueError(f"line {lineno}: expected {dim} numbers, got {len(fields)}")
+        try:
+            return [float(v) for v in fields]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+
+    vectors = [numbers(i, fields) for i, fields in body]
     return FunctionInstance(
         id=inst_id, dim=dim, base=base, f_star=float(fstar_s),
-        shift=np.array([float(v) for v in body[0]], dtype=float), rotation=rotation,
+        shift=np.array(vectors[0], dtype=float),
+        rotation=np.array(vectors[1:], dtype=float) if len(vectors) > 1 else None,
     )
 
 

@@ -207,7 +207,12 @@ def _load_instances(directory: str, role: str):
     paths = sorted(p for p in d.glob("*.fn") if p.name.startswith(prefixes))
     if not paths:
         raise UsageError(f"no {role} instances in {directory}")
-    functions = [benchfn.load_instance(p) for p in paths]
+    functions = []
+    for p in paths:
+        try:
+            functions.append(benchfn.load_instance(p))
+        except ValueError as exc:  # UnicodeDecodeError too: the file, then why
+            raise UsageError(f"{p}: {exc}") from None
     first = {}
     for p, f in zip(paths, functions):
         other = first.setdefault(f.id, p)

@@ -1,19 +1,20 @@
 """Two-sided Wilcoxon rank-sum comparison and average performance scores.
 
-Ties take midranks.  Every test starts from one sort of the pooled
-values into a count matrix: distinct values x samples.  When both samples
-hold at most EXACT_LIMIT values the p-value is exact: the n-subsets of
+Ties take midranks.  When both samples hold at most EXACT_LIMIT values
+the p-value is exact: the pair's pooled values are sorted once, and a
+value's doubled midrank, 2·below + ties + 1, is its left plus right
+binary-search position in the sorted pool, plus one.  The n-subsets of
 the pooled midranks are counted by rank sum (the shift algorithm of
-Streitberg and Röhmel, 1986) and the two-sided tail mass of |W - E[W]| is
-read off the counts.  Doubled midranks are integers, so the counts equal
-those of enumerating every subset.  The counts depend only on the
+Streitberg and Röhmel, 1986) and the two-sided tail mass of |W - E[W]|
+is read off the counts.  Doubled midranks are integers, so the counts
+equal those of enumerating every subset.  The counts depend only on the
 pooled midranks and n, not on which sample holds which value, so each
 pool and n is counted once and kept in a bounded cache.  Above that the
 normal approximation applies, with the usual tie-corrected variance and
 a 0.5 continuity correction.  A comparison sorts each function's samples
-once: the rank sums and tie terms of all its normal-path pairs are
-integer products of that function's count matrix, and only the exact
-pairs are tested one by one.
+once into a count matrix (distinct values x samples): the rank sums and
+tie terms of all its normal-path pairs are integer products of that
+matrix, and only the exact pairs are tested one by one.
 
 The average performance score of algorithm i is the number of rivals
 that i's significance mark calls significantly better ('+' against
@@ -41,14 +42,21 @@ MARK_WORSE = "+"
 MARK_SIMILAR = "≈"
 
 
-def _value_counts(samples) -> np.ndarray:
-    """How often each distinct pooled value (rows, ascending) occurs in
-    each sample (columns): one sort of the pooled values."""
+def _pooled(samples) -> np.ndarray:
+    """The samples' values in one new array, once each is known to be a
+    non-empty 1-D array of finite values."""
     if any(x.ndim != 1 or x.size == 0 for x in samples):
         raise ValueError("samples must be non-empty 1-D arrays")
     pooled = np.concatenate(samples)
     if not np.isfinite(pooled).all():
         raise ValueError("samples must be finite")
+    return pooled
+
+
+def _value_counts(samples) -> np.ndarray:
+    """How often each distinct pooled value (rows, ascending) occurs in
+    each sample (columns): one sort of the pooled values."""
+    pooled = _pooled(samples)
     k = len(samples)
     label = np.repeat(np.arange(k), [x.size for x in samples])
     order = np.argsort(pooled, kind="stable")
@@ -76,8 +84,13 @@ def _exact_p(ranks2: tuple, n: int, w2_obs: int) -> float:
     from its mean as ``w2_obs`` does; all in doubled ranks."""
     row = _null_counts(ranks2, n)
     centre = n * (len(ranks2) + 1)
-    far = np.abs(np.arange(row.size) - centre) >= abs(w2_obs - centre)
-    return int(row[far].sum()) / math.comb(len(ranks2), n)
+    d = abs(w2_obs - centre)
+    if d == 0:
+        return 1.0
+    # S <= centre - d, then S >= centre + d.  The observed doubled rank sum
+    # lies in [0, 2·centre], so centre - d >= 0 and the first slice never wraps.
+    far = int(row[:centre - d + 1].sum()) + int(row[centre + d:].sum())
+    return far / math.comb(len(ranks2), n)
 
 
 def _normal_pairs(counts: np.ndarray):
@@ -125,14 +138,17 @@ def ranksum_test(sample_a, sample_b) -> RankSumResult:
     """Two-sided rank-sum test of identical distributions."""
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
-    counts = _value_counts([a, b])
     if a.size <= EXACT_LIMIT and b.size <= EXACT_LIMIT:
-        group = counts.sum(axis=1)
-        ranks2 = 2 * np.cumsum(group) - group + 1  # doubled midrank of each distinct value
-        w2_obs = int(counts[:, 0] @ ranks2)
-        pooled = tuple(np.repeat(ranks2, group).tolist())
-        return RankSumResult(w2_obs / 2.0, _exact_p(pooled, a.size, w2_obs), "exact")
-    w, p = _normal_pairs(counts)
+        pool = _pooled([a, b])
+        pool.sort()
+        size = pool.size
+        values = np.concatenate((pool, a))
+        # left + right search position = 2·below + ties = doubled midrank - 1
+        r = pool.searchsorted(values, "left") + pool.searchsorted(values, "right")
+        w2_obs = int(r[size:].sum()) + a.size
+        ranks2 = tuple((r[:size] + 1).tolist())  # ascending, each value once per copy
+        return RankSumResult(w2_obs / 2.0, _exact_p(ranks2, a.size, w2_obs), "exact")
+    w, p = _normal_pairs(_value_counts([a, b]))
     return RankSumResult(w[0][1], p[0][1], "normal")
 
 

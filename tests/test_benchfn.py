@@ -369,6 +369,19 @@ def test_parse_rejects_malformed_records():
         parse_instance(good.rsplit("\n", 2)[0])  # truncated rotation block
 
 
+def test_parse_names_the_line_of_a_short_or_long_vector():
+    lines = format_instance(make_suite(0, 3, 2, 0).train[1]).splitlines()
+    assert len(lines) == 5  # header, shift, three rotation rows
+    for k, cut in ((1, "expected 3 numbers, got 2"), (4, "expected 3 numbers, got 4")):
+        bad = list(lines)
+        bad[k] = bad[k].rsplit(" ", 1)[0] if k == 1 else bad[k] + " 0.5"
+        with pytest.raises(ValueError, match=f"^line {k + 1}: {cut}$"):
+            parse_instance("\n".join(bad))
+    spaced = "\n\n".join(lines[:3] + [lines[3].rsplit(" ", 1)[0]] + lines[4:])
+    with pytest.raises(ValueError, match="^line 7: expected 3 numbers, got 2$"):
+        parse_instance(spaced)  # blank lines count: the number is the file's
+
+
 @given(st.integers(0, 10_000), st.integers(1, 6))
 def test_parse_format_round_trip_random_instances(seed, dim):
     inst = make_suite(seed, dim, 1, 1).test[0]

@@ -106,6 +106,39 @@ def test_two_files_with_one_instance_id_are_refused_before_any_output(ws, capsys
     assert not (ws / "out").exists()
 
 
+@pytest.mark.parametrize("k, edit, message", [
+    (1, lambda ln: ln.rsplit(" ", 1)[0], "line 2: expected 3 numbers, got 2"),
+    (3, lambda ln: ln + " 0.5", "line 4: expected 3 numbers, got 4"),
+    (2, lambda ln: ln.replace(" ", " x", 1), "line 3: could not convert string to float: 'x"),
+], ids=["cut-shift", "ragged-rotation", "bad-token"])
+@pytest.mark.parametrize("role, argv", [
+    ("train", ["train", *TINY_TRAIN, "--out", "out"]),
+    ("test", ["run", "--algorithms", "ctpb_fixed", "--runs", "2",
+              "--budget", "60", "--pop-size", "6", "--out", "out"]),
+], ids=["train", "run"])
+def test_an_instance_file_that_does_not_parse_is_refused_by_name(ws, capsys, role, argv,
+                                                                 k, edit, message):
+    _suite(ws, dim=3)
+    path = Path("suite", f"{role}-01-rastrigin.fn")  # shift line, then 3 rotation rows
+    lines = path.read_text().splitlines()
+    lines[k] = edit(lines[k])
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert f"usage error: {path}: {message}" in capsys.readouterr().err
+    assert not (ws / "out").exists()
+
+
+def test_an_instance_file_that_is_not_ascii_is_refused_by_name(ws, capsys):
+    _suite(ws, dim=3)
+    path = Path("suite", "train-00-sphere.fn")
+    path.write_bytes(path.read_bytes().replace(b"sphere ", "sphère ".encode(), 1))
+    capsys.readouterr()
+    assert main(["train", *TINY_TRAIN, "--out", "out"]) == 1
+    assert f"usage error: {path}: 'ascii' codec can't decode" in capsys.readouterr().err
+    assert not (ws / "out").exists()
+
+
 # ---------------------------------------------------------------- train
 def test_train_zero_epochs_equals_seeded_init(ws):
     _suite(ws)

@@ -85,5 +85,6 @@ def test_compare_cost_times_every_stage_of_one_call(capsys):
         assert lines[0] == f"functions 2 algorithms 3 runs {runs} seed 0 rounds 3"
         assert lines[1].split() == ["stage", "us"]
         rows = {line.split()[0]: float(line.split()[1]) for line in lines[2:]}
-        assert list(rows) == ["parse", "table", "table_cold", "render", "write", "compare"]
+        assert list(rows) == ["parse", "table", "table_cold", "ranksum", "render", "write",
+                              "compare"]
         assert all(us > 0 for us in rows.values())

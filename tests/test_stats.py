@@ -100,6 +100,60 @@ def test_exact_p_symmetric_in_sample_order():
     assert p_ab == pytest.approx(p_ba)
 
 
+def _count_matrix_exact(sample_a, sample_b):
+    """The exact branch the sorted-pool searches replace: doubled midranks
+    from the cumulative counts of the pair's count matrix, the tail mass
+    from a |S - centre| mask over the whole null row."""
+    a = np.asarray(sample_a, dtype=float)
+    counts = stats._value_counts([a, np.asarray(sample_b, dtype=float)])
+    group = counts.sum(axis=1)
+    ranks2 = 2 * np.cumsum(group) - group + 1
+    w2_obs = int(counts[:, 0] @ ranks2)
+    pooled = tuple(np.repeat(ranks2, group).tolist())
+    row = stats._null_counts(pooled, a.size)
+    centre = a.size * (len(pooled) + 1)
+    far = np.abs(np.arange(row.size) - centre) >= abs(w2_obs - centre)
+    p = int(row[far].sum()) / math.comb(len(pooled), a.size)
+    return stats.RankSumResult(w2_obs / 2.0, p, "exact")
+
+
+@st.composite
+def _exact_pair(draw):
+    """Two samples of 1..EXACT_LIMIT values from one pool of 1-4 values
+    (heavy ties) or up to 2·EXACT_LIMIT: ±0.0 and magnitudes 1e-300..1e300
+    of either sign."""
+    magnitude = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
+    value = st.one_of(st.sampled_from([0.0, -0.0]), magnitude, magnitude.map(lambda x: -x))
+    pool = draw(st.lists(value, min_size=1, max_size=draw(st.sampled_from([4, 2 * EXACT_LIMIT]))))
+    sample = st.lists(st.sampled_from(pool), min_size=1, max_size=EXACT_LIMIT)
+    return draw(sample), draw(sample)
+
+
+@settings(max_examples=300)
+@given(pair=_exact_pair())
+def test_exact_branch_equals_the_count_matrix_oracle(pair):
+    for a, b in (pair, pair[::-1]):
+        got, want = ranksum_test(a, b), _count_matrix_exact(a, b)
+        assert got.method == "exact"
+        assert (got.statistic.hex(), got.p_value.hex()) == (want.statistic.hex(),
+                                                            want.p_value.hex())
+
+
+@pytest.mark.parametrize("partner", [[0.5], [0.5] * (EXACT_LIMIT + 2)],
+                         ids=["exact", "normal"])
+@pytest.mark.parametrize("bad, message", [
+    ([], "samples must be non-empty 1-D arrays"),
+    (np.float64(1.0), "samples must be non-empty 1-D arrays"),
+    ([[1.0, 2.0]], "samples must be non-empty 1-D arrays"),
+    ([1.0, np.nan], "samples must be finite"),
+    ([1.0, np.inf], "samples must be finite"),
+], ids=["empty", "0-d", "2-D", "nan", "inf"])
+def test_refusals_name_what_is_wrong_on_both_branches(bad, message, partner):
+    for a, b in ((bad, partner), (partner, bad)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ranksum_test(a, b)
+
+
 # ---------------------------------------------------------------- null-count cache
 @settings(max_examples=40)
 @given(

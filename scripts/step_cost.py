@@ -7,7 +7,9 @@ generations, then times each stage of the generation step in-process:
 ``assemble_state``, ``forward_step``, ``sample_action``, ``evolve`` and
 the parts of ``evolve`` (the draw block, mutation, crossover, repair,
 evaluation, selection), the whole ``ControllerStep`` call and, at a
-batch of one, ``run_lde`` per generation.  At the large batch it also
+batch of one, ``run_lde`` and ``run_baseline`` (ctpb_fixed and
+random_params, which draw a chunk of generations per generator call)
+per generation.  At the large batch it also
 times ``epoch_gradient`` (the backward pass with its output gradients)
 over one epoch's K * L rollouts of ``--warmup`` generations.  Stages
 are timed round-robin, one call each per round, and the median over the
@@ -35,10 +37,14 @@ from ldectl.benchfn import make_suite
 from ldectl.neural import forward_step, init_weights
 from ldectl.policy import sample_action
 from ldectl.rng import stream
-from ldectl.runner import RunConfig, Termination, run_lde
+from ldectl.runner import RunConfig, Termination, run_baseline, run_lde
 from ldectl.state_feat import assemble_state
 from ldectl.trainer import (ControllerStep, FunctionBlocks, TrainConfig, epoch_gradient,
                             sample_trajectory)
+
+
+BASELINE_ROWS = ("ctpb_fixed", "random_params")
+NAME_WIDTH = 40  # the stage column
 
 
 def _calls(fn) -> int:
@@ -91,8 +97,11 @@ def stages(functions, rollouts: int, cfg: RunConfig, w, seed: int, warmup: int) 
     if B == 1:
         budget = (warmup + 1) * N
         run_rng = stream(seed, "step_cost", "run")
-        calls["run_lde / generation"] = lambda: run_lde(
-            w, functions[0], Termination(budget, error_tol=0.0), cfg, run_rng)
+        term = Termination(budget, error_tol=0.0)
+        calls["run_lde / generation"] = lambda: run_lde(w, functions[0], term, cfg, run_rng)
+        for kind in BASELINE_ROWS:
+            calls[f"run_baseline {kind} / generation"] = (
+                lambda kind=kind: run_baseline(kind, functions[0], term, cfg, run_rng))
     else:
         tcfg = TrainConfig(**cfg.spec_dict(), rollouts=rollouts, horizon=warmup, hidden=w.hidden)
         pop0 = de_core.Population(start.members.repeat(len(functions), axis=0),
@@ -135,15 +144,21 @@ def main(argv=None):
           f"rounds {opts.rounds}")
     columns = []
     for B, calls in batches.items():
-        per_call = {"run_lde / generation": opts.warmup} if B == 1 else {}
+        per_call = dict.fromkeys([name for name in calls if name.startswith("run_")],
+                                 opts.warmup)
         counts = {name: _calls(fn) // per_call.get(name, 1) for name, fn in calls.items()}
-        columns.append((measure(calls, opts.rounds, per_call), counts))
+        # the baseline runs get their own rounds: their chunk buffers, between
+        # the other stages, would evict those stages' arrays from the caches
+        chunked = {name: fn for name, fn in calls.items() if name.startswith("run_baseline")}
+        rest = {name: fn for name, fn in calls.items() if name not in chunked}
+        columns.append(({**measure(rest, opts.rounds, per_call),
+                         **measure(chunked, opts.rounds, per_call)}, counts))
     head = "".join(f"{f'B={B} us':>12}{'calls':>7}" for B in batches)
-    print(f"{'stage':<28}{head}")
+    print(f"{'stage':<{NAME_WIDTH}}{head}")
     for name in dict.fromkeys(name for calls in batches.values() for name in calls):
         cells = "".join(f"{us[name]:>12.1f}{counts[name]:>7}" if name in us
                         else f"{'-':>12}{'-':>7}" for us, counts in columns)
-        print(f"{name:<28}{cells}")
+        print(f"{name:<{NAME_WIDTH}}{cells}")
     return 0
 
 

@@ -30,6 +30,17 @@ computed over all rows at once.  A row takes the generator's own
 generator is not PCG64, when it holds a pending 32-bit half-word, when
 the block's integer draws use an odd number of words, or when any word
 would be redrawn; such a row is first rewound to where it started.
+
+A caller that draws nothing else between generations (a baseline run)
+can take a chunk of G generations per call: ``lead`` uniforms per
+generation come first (random_params' sheet), and one ``random_raw``
+call per row covers the whole chunk, converted at once, with the bits
+of G one-generation calls.  The chunk stops before the first generation
+that any row could not take from its block; the rows are rewound
+(``advance``) to its start, and that generation is drawn alone, as
+above, by the next call.  ``rewind_generations`` steps back over the
+unused generations of a chunk, so a run that stops early leaves its
+generator where one call per generation would.
 """
 
 from __future__ import annotations
@@ -108,70 +119,109 @@ def gather_members(X, indices) -> np.ndarray:
     return X.reshape(B * N, n).take(flat, axis=0)
 
 
-@lru_cache(maxsize=16)
-def _lemire_bounds(live: tuple, N: int):
-    """Per 32-bit word of a block: its bound h, and the low product half
-    below which numpy redraws the word, (2^32 - h) mod h."""
-    h = np.repeat(np.array(live, dtype=np.uint64), N)
-    threshold = ((2 ** 32 - h) % h).astype(np.uint32)
-    h.flags.writeable = threshold.flags.writeable = False
-    return h, threshold
+@lru_cache(maxsize=64)
+def _draw_plan(highs: tuple, N: int, n: int):
+    """What a generation's draws for ``highs`` need, made once per shape.
 
-
-def draw_generation(rngs, highs, N: int, n: int) -> list:
-    """One generation's draws for every batch row, in the documented order.
-
-    Per row: N integers from [0, h) for each h in highs, in that order,
-    then N * (n - 1) uniforms from [0, 1), bit for bit the draws of the
-    row's own ``integers`` and ``random`` calls (see the module notes).
-    Returns one (B, N) integer array per h, then the uniforms, shape
-    (B, N, n - 1).
+    Returns, per bound, its index among the bounds above 1 (None for a
+    bound of 1, which draws nothing); per 32-bit word of the integer
+    draws, its bound h and the low product half below which numpy redraws
+    the word, (2^32 - h) mod h; and k, the number of those words.  A bad
+    bound raises on every call: lru_cache keeps no exception.
     """
     if min(highs) < 1 or max(highs) > 2 ** 32:
         raise ValueError(f"integer bounds must lie in [1, 2^32], got {highs}")
+    slots, live = [], []
+    for h in highs:
+        slots.append(len(live) if h > 1 else None)
+        if h > 1:
+            live.append(h)
+    h = np.repeat(np.array(live, dtype=np.uint64), N)
+    threshold = ((2 ** 32 - h) % h).astype(np.uint32)
+    h.flags.writeable = threshold.flags.writeable = False
+    return tuple(slots), h, threshold, len(h)
+
+
+def draw_generation(rngs, highs: tuple, N: int, n: int, lead: int = 0, generations=None) -> list:
+    """One generation's draws for every batch row, in the documented order;
+    with ``generations`` G, a chunk of 1 to G successive generations.
+
+    Per row and generation: ``lead`` uniforms from [0, 1), then N
+    integers from [0, h) for each h in highs, in that order, then
+    N * (n - 1) uniforms, bit for bit the draws of the row's own
+    ``random`` and ``integers`` calls (see the module notes).  Returns the
+    (B, lead) leading uniforms if lead > 0, then one (B, N) integer array
+    per h, then the uniforms, shape (B, N, n - 1); with ``generations``, a
+    list of such lists, one per generation, and every generator where
+    that many one-generation calls leave it.  Every generation of a chunk
+    of two or more came from the raw blocks.
+    """
+    slots, h, threshold, k = _draw_plan(highs, N, n)
+    if generations is not None and generations < 1:
+        raise ValueError(f"generations must be >= 1, got {generations}")
     B = len(rngs)
-    # a bound of 1 draws nothing; built from a list, because tuple() of a
-    # generator shrinks a 10-slot tuple, which moves one tuple per call into
-    # CPython's free list for the smaller size (up to 2,000 kept)
-    live = tuple([h for h in highs if h > 1])
-    k = N * len(live)  # 32-bit words of the integer draws
-    width = k // 2 + N * (n - 1)
-    blocks, own = [], []  # own: rows that make the generator's own calls
+    width = lead + k // 2 + N * (n - 1)  # 64-bit outputs per row and generation
+    served, own = [], []  # per row its PCG64 bit generator or None; rows making own calls
     for b, rng in enumerate(rngs):
         bits = getattr(rng, "bit_generator", None)
         if k % 2 == 0 and type(bits) is np.random.PCG64 and not bits.state["has_uint32"]:
-            blocks.append(bits.random_raw(width))
+            served.append(bits)
         else:
-            blocks.append(np.zeros(width, dtype=np.uint64))
+            served.append(None)
             own.append(b)
+    span = 1 if own or generations is None else generations
+    count = 1  # generations returned
     if len(own) < B:
+        blocks = [np.zeros((span, width), dtype=np.uint64) if bits is None
+                  else bits.random_raw((span, width)) for bits in served]
         # little-endian views put each output's low 32-bit half first
         raw = (blocks[0][None] if B == 1 else np.array(blocks)).astype("<u8", copy=False)
-        h, threshold = _lemire_bounds(live, N)
         # u * h per word: its high half is the draw, its low half the redraw test
-        m = raw[:, :k // 2].view("<u4").astype(np.uint64) * h
-        ints = (m >> 32).astype(np.int64).reshape(B, len(live), N)
+        m = raw[:, :, lead:lead + k // 2].view("<u4").astype(np.uint64) * h
+        ints = (m >> 32).astype(np.int64).reshape(B, span, k // N, N)
         redrawn = m.astype(np.uint32) < threshold
-        if redrawn.any():
-            for b in np.flatnonzero(redrawn.any(axis=1)):
-                if b not in own:  # rewind the row to where it started
-                    rngs[b].bit_generator.advance(-width)
-                    own.append(b)
         # raw >> 11 lies below 2^53, so the float conversion is exact
-        uniforms = ((raw[:, k // 2:] >> 11).astype(float) * 2.0 ** -53).reshape(B, N, n - 1)
+        doubles = (raw >> 11).astype(float) * 2.0 ** -53
+        count = span
+        if own or redrawn.any():
+            stop = redrawn.any(axis=2)  # (B, span): the row's generation has a redrawn word
+            stop[own, 0] = True
+            first = int(stop.any(axis=0).argmax())
+            count = first or 1
+            own = np.flatnonzero(stop[:, 0]).tolist() if first == 0 else []
+            for b, bits in enumerate(served):  # rewind to the first generation not returned,
+                back = span - count + (b in own)  # or to where the row's own calls start
+                if bits is not None and back:
+                    bits.advance(-back * width)
     else:
-        ints = np.empty((B, len(live), N), dtype=np.int64)
-        uniforms = np.empty((B, N, n - 1))
+        ints = np.empty((B, 1, k // N, N), dtype=np.int64)
+        doubles = np.empty((B, 1, width))
     for b in own:
         rng = rngs[b]
+        if lead:
+            doubles[b, 0, :lead] = rng.random(lead)
         drawn = [rng.integers(0, h, size=N) for h in highs]
-        if live:
-            ints[b] = [d for d, h in zip(drawn, highs) if h > 1]
+        if k:
+            ints[b, 0] = [d for d, h in zip(drawn, highs) if h > 1]
         if n > 1:
-            uniforms[b] = rng.random((N, n - 1))
-    per_bound = iter(ints.transpose(1, 0, 2))
-    return [next(per_bound) if h > 1 else np.zeros((B, N), dtype=np.int64)
-            for h in highs] + [uniforms]
+            doubles[b, 0, width - N * (n - 1):] = rng.random((N, n - 1)).ravel()
+    uniforms = doubles[:, :, width - N * (n - 1):].reshape(B, span, N, n - 1)
+    chunk = []
+    for g in range(count):
+        draws = [np.zeros((B, N), dtype=np.int64) if s is None else ints[:, g, s] for s in slots]
+        draws.append(uniforms[:, g])
+        chunk.append([doubles[:, g, :lead]] + draws if lead else draws)
+    return chunk[0] if generations is None else chunk
+
+
+def rewind_generations(rngs, highs: tuple, N: int, n: int, lead: int, generations: int) -> None:
+    """Step every row's generator back over its last ``generations``
+    generations of ``draw_generation(rngs, highs, N, n, lead, G)`` draws,
+    which must come from a chunk of two or more (so from its raw blocks):
+    each took the same number of 64-bit outputs."""
+    k = _draw_plan(highs, N, n)[3]
+    for rng in rngs:
+        rng.bit_generator.advance(-generations * (lead + k // 2 + N * (n - 1)))
 
 
 def distinct_indices(offsets) -> list:
@@ -277,27 +327,48 @@ def select(pop: Population, trials, trial_fitness) -> Population:
     )
 
 
-def _generation(pop: Population, objective, sheet: ParamSheet, rngs, highs, mutate) -> Population:
-    """Draw, mutate(*integer draws), cross over, repair, evaluate and select every row."""
+def pbest_highs(N: int, n: int, p: float) -> tuple:
+    """The integer bounds of a current-to-pbest/1/bin generation's draws:
+    the pbest picks, the r1 and r2 offsets, the forced coordinates."""
+    return (math.ceil(N * p), N - 1, N - 2, n)
+
+
+def rand1_highs(N: int, n: int) -> tuple:
+    """The integer bounds of a DE/rand/1/bin generation's draws: the r1, r2
+    and r3 offsets, the forced coordinates."""
+    return (N - 1, N - 2, N - 3, n)
+
+
+def _generation(pop: Population, objective, sheet: ParamSheet, rngs, highs, draws,
+                mutate) -> Population:
+    """Draw (unless ``draws`` holds the generation's draws), mutate(*integer
+    draws), cross over, repair, evaluate and select every row."""
     B, N, n = pop.members.shape
     if len(rngs) != B:
         raise ValueError(f"need one generator per batch row: {len(rngs)} for {B} rows")
-    *ints, j_rand, u = draw_generation(rngs, highs + (n,), N, n)
+    if draws is None:
+        draws = draw_generation(rngs, highs, N, n)
+    *ints, j_rand, u = draws
     trials = binomial_crossover_batch(pop.members, mutate(*ints), sheet.CR, j_rand, u)
     trials = repair_bounds(trials, objective.bounds)
     fitness = objective.evaluate_batch(trials.reshape(B * N, n)).reshape(B, N)
     return select(pop, trials, fitness)
 
 
-def evolve(pop: Population, objective, sheet: ParamSheet, p: float, rngs) -> Population:
-    """One current-to-pbest/1/bin generation of every row."""
-    N = pop.members.shape[1]
-    return _generation(pop, objective, sheet, rngs, (math.ceil(N * p), N - 1, N - 2),
+def evolve(pop: Population, objective, sheet: ParamSheet, p: float, rngs,
+           draws=None) -> Population:
+    """One current-to-pbest/1/bin generation of every row; ``draws``, if
+    given, is that generation's ``draw_generation`` list for
+    ``pbest_highs``, drawn ahead by the caller."""
+    _, N, n = pop.members.shape
+    return _generation(pop, objective, sheet, rngs, pbest_highs(N, n, p), draws,
                        lambda picks, *rs: mutate_current_to_pbest(pop, sheet, p, picks, rs))
 
 
-def evolve_rand1(pop: Population, objective, sheet: ParamSheet, rngs) -> Population:
-    """One DE/rand/1/bin generation of every row."""
-    N = pop.members.shape[1]
-    return _generation(pop, objective, sheet, rngs, (N - 1, N - 2, N - 3),
+def evolve_rand1(pop: Population, objective, sheet: ParamSheet, rngs,
+                 draws=None) -> Population:
+    """One DE/rand/1/bin generation of every row; ``draws`` as in ``evolve``,
+    for ``rand1_highs``."""
+    _, N, n = pop.members.shape
+    return _generation(pop, objective, sheet, rngs, rand1_highs(N, n), draws,
                        lambda *offsets: mutate_rand1(pop, sheet, offsets))

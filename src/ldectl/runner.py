@@ -16,6 +16,13 @@ Baselines (each generation is ``de_core.evolve`` or ``evolve_rand1``):
                      F ~ U(f_min, 1], CR ~ U[0, 1] resampled every
                      generation
 
+A baseline draws nothing between its generations' draws, so it draws a
+chunk of up to ``CHUNK_GENERATIONS`` generations per generator call
+(``de_core.draw_generation``) with the bits of one call per generation,
+and rewinds the unused ones when it stops at the tolerance.  The learned
+optimizer cannot: its Gaussian draws consume a varying number of raw
+outputs.
+
 ``batch_experiment`` fans (algorithm, function, run) tasks out through
 ``trainer.worker_map``, the one place where work fans out, and writes
 results in task order, so output files are byte-identical for any
@@ -34,7 +41,8 @@ from typing import Optional
 import numpy as np
 
 from .benchfn import error_value
-from .de_core import ParamSheet, evolve, evolve_rand1, init_population
+from .de_core import (ParamSheet, draw_generation, evolve, evolve_rand1, init_population,
+                      pbest_highs, rand1_highs, rewind_generations)
 from .neural import ControllerWeights
 from .policy import PolicyConfig
 from .rng import stream
@@ -42,6 +50,8 @@ from .trainer import ControllerStep, worker_map
 
 BASELINES = ("de_rand1_fixed", "ctpb_fixed", "random_params")
 LEARNED = "lde"
+# generations a baseline run draws per generator call, at most
+CHUNK_GENERATIONS = 64
 # the columns of results.csv: RunResult fields, in file order
 RESULT_COLUMNS = ("algorithm_id", "function_id", "seed", "best_error", "evals_used")
 
@@ -128,35 +138,62 @@ def run_lde(w: ControllerWeights, objective, term: Termination, cfg: RunConfig,
     return _drive(LEARNED, objective, term, cfg, rng, gen_step, run_seed)
 
 
+def random_sheet(doubles, N: int, f_min: float) -> ParamSheet:
+    """random_params' sheet from 2N uniforms from [0, 1), as numpy's
+    ``uniform(f_min, 1.0)`` then ``uniform(0.0, 1.0)`` form it from the same
+    doubles: low + (high - low) * double."""
+    return ParamSheet(f_min + (1.0 - f_min) * doubles[:, :N], doubles[:, N:])
+
+
 def run_baseline(kind: str, objective, term: Termination, cfg: RunConfig,
                  rng, run_seed: int = 0) -> RunResult:
-    """Drive one of the fixed-parameter baselines."""
-    n = cfg.pop_size
+    """Drive one of the fixed-parameter baselines, its draws a chunk of up
+    to ``CHUNK_GENERATIONS`` generations, no more than the budget allows,
+    per generator call (see the module notes)."""
+    N, n = cfg.pop_size, objective.dim
+    lead = 0  # uniforms each generation draws before evolve's
 
     if kind == "de_rand1_fixed":
-        sheet = ParamSheet(np.full((1, n), 0.5), np.full((1, n), 0.8))
+        sheet = ParamSheet(np.full((1, N), 0.5), np.full((1, N), 0.8))
+        highs = rand1_highs(N, n)
 
-        def gen_step(pop, rngs):
-            return evolve_rand1(pop, objective, sheet, rngs), sheet
+        def step(pop, rngs, draws):
+            return evolve_rand1(pop, objective, sheet, rngs, draws), sheet
 
     elif kind == "ctpb_fixed":
-        sheet = ParamSheet(np.full((1, n), 0.5), np.full((1, n), 0.9))
+        sheet = ParamSheet(np.full((1, N), 0.5), np.full((1, N), 0.9))
+        highs = pbest_highs(N, n, cfg.p_best)
 
-        def gen_step(pop, rngs):
-            return evolve(pop, objective, sheet, cfg.p_best, rngs), sheet
+        def step(pop, rngs, draws):
+            return evolve(pop, objective, sheet, cfg.p_best, rngs, draws), sheet
 
     elif kind == "random_params":
+        highs, lead = pbest_highs(N, n, cfg.p_best), 2 * N
 
-        def gen_step(pop, rngs):
-            rng, = rngs
-            sheet = ParamSheet(rng.uniform(cfg.f_min, 1.0, size=(1, n)),
-                               rng.uniform(0.0, 1.0, size=(1, n)))
-            return evolve(pop, objective, sheet, cfg.p_best, rngs), sheet
+        def step(pop, rngs, draws):
+            doubles, *draws = draws
+            sheet = random_sheet(doubles, N, cfg.f_min)
+            return evolve(pop, objective, sheet, cfg.p_best, rngs, draws), sheet
 
     else:
         raise ValueError(f"unknown baseline {kind!r}; pick one of {BASELINES}")
 
-    return _drive(kind, objective, term, cfg, rng, gen_step, run_seed)
+    pending = []  # generations drawn but not yet run, the next one last
+    drawn = 0
+
+    def gen_step(pop, rngs):
+        nonlocal drawn
+        if not pending:
+            left = term.max_evals // N - 1 - drawn  # generations the budget allows
+            chunk = draw_generation(rngs, highs, N, n, lead, min(CHUNK_GENERATIONS, left))
+            drawn += len(chunk)
+            pending.extend(reversed(chunk))
+        return step(pop, rngs, pending.pop())
+
+    result = _drive(kind, objective, term, cfg, rng, gen_step, run_seed)
+    if pending:  # stopped at the tolerance inside a chunk of two or more
+        rewind_generations([rng], highs, N, n, lead, len(pending))
+    return result
 
 
 def _run_task(payload):

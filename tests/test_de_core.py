@@ -20,6 +20,7 @@ from ldectl.de_core import (
     mutate_current_to_pbest,
     mutate_rand1,
     repair_bounds,
+    rewind_generations,
     select,
 )
 
@@ -135,6 +136,92 @@ def test_draw_generation_own_call_order_is_pinned():
 def test_draw_generation_rejects_empty_bounds():
     with pytest.raises(ValueError):
         draw_generation([np.random.default_rng(0)], (0, 3), 4, 2)
+
+
+def test_a_bad_bound_is_refused_on_every_call():
+    for _ in range(3):  # the draw plan is cached, its refusal is not
+        with pytest.raises(ValueError, match="integer bounds"):
+            draw_generation([np.random.default_rng(0)], (2 ** 32 + 1, 3), 4, 2)
+    with pytest.raises(ValueError, match="generations must be >= 1"):
+        draw_generation([np.random.default_rng(0)], (1, 3), 4, 2, generations=0)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("make_rng, highs, N, n, lead", [
+    (_pcg, (1, 19, 18, 10), 20, 10, 0),            # desk evolve
+    (_pcg, (1, 19, 18, 10), 20, 10, 40),           # desk random_params: 2N sheet uniforms first
+    (_pcg, (19, 18, 17, 10), 20, 10, 0),           # desk rand/1
+    (_pcg, (3 * 2 ** 30, 19, 18, 10), 20, 10, 4),  # a quarter of the pbest words redrawn
+    (_pcg, (2 ** 32 - 2 ** 28, 7, 6, 5), 8, 5, 0),  # a sixteenth: chunks stop part way
+    (_pcg, (1, 4, 3, 3), 5, 3, 2),                 # odd word count: the generator's own calls
+    (_pending_half_word, (1, 19, 18, 10), 20, 10, 40),
+    (_mt19937, (1, 19, 18, 10), 20, 10, 40),       # not PCG64
+    (_mixed, (1, 19, 18, 10), 20, 10, 40),
+    (_pcg, (3, 2, 1, 1), 6, 1, 0),                 # n = 1: no uniforms
+])
+def test_a_chunk_is_successive_generations(make_rng, highs, N, n, lead, batch):
+    # chunks of up to G generations against one-generation calls, each of
+    # which is the generator's own calls; the states must agree after
+    # every chunk, so a chunk that stops early rewinds exactly
+    for seed in range(4):
+        rngs = [make_rng(seed, b) for b in range(batch)]
+        ones = [make_rng(seed, b) for b in range(batch)]
+        own = [make_rng(seed, b) for b in range(batch)]
+        G, got = 40, 0
+        while got < G:
+            chunk = draw_generation(rngs, highs, N, n, lead, G - got)
+            assert 1 <= len(chunk) <= G - got
+            for draws in chunk:
+                one = draw_generation(ones, highs, N, n, lead)
+                assert len(draws) == len(one) == len(highs) + 1 + bool(lead)
+                for a, b in zip(draws, one):
+                    assert a.shape == b.shape and a.dtype == b.dtype
+                    np.testing.assert_array_equal(a, b)
+                for b, rng in enumerate(own):
+                    leading = rng.random(lead)
+                    want_ints, want_u = _per_call(rng, highs, N, n)
+                    want = ([leading] if lead else []) + want_ints + [want_u]
+                    for a, w in zip(draws, want):
+                        np.testing.assert_array_equal(a[b], w)
+            got += len(chunk)
+            assert [_state(r) for r in rngs] == [_state(r) for r in ones] \
+                == [_state(r) for r in own]
+
+
+def test_a_desk_chunk_comes_from_one_raw_block_per_row():
+    class RawOnly:  # a PCG64 generator whose own draw calls must not be used
+        def __init__(self, seed):
+            self.bit_generator = np.random.PCG64(seed)
+
+        def integers(self, *args, **kwargs):
+            raise AssertionError("per-call draw at a size the raw block covers")
+
+        random = integers
+
+    rngs = [RawOnly(s) for s in range(3)]
+    chunk = draw_generation(rngs, (1, 19, 18, 10), 20, 10, lead=40, generations=64)
+    assert len(chunk) == 64
+    width = 40 + 3 * 20 // 2 + 20 * 9  # 64-bit outputs per generation
+    for s, rng in enumerate(rngs):
+        fresh = np.random.PCG64(s).advance(64 * width)
+        assert rng.bit_generator.state == fresh.state
+        np.testing.assert_array_equal(chunk[5][0][s], np.random.Generator(
+            np.random.PCG64(s).advance(5 * width)).random(40))
+
+
+def test_rewind_generations_steps_back_over_a_chunk():
+    rngs = [_pcg(0, b) for b in range(2)]
+    chunk = draw_generation(rngs, (1, 19, 18, 10), 20, 10, 40, 10)
+    assert len(chunk) == 10
+    rewind_generations(rngs, (1, 19, 18, 10), 20, 10, 40, 7)
+    refs = [_pcg(0, b) for b in range(2)]
+    for _ in range(3):
+        draw_generation(refs, (1, 19, 18, 10), 20, 10, 40)
+    assert [_state(r) for r in rngs] == [_state(r) for r in refs]
+    again = draw_generation(rngs, (1, 19, 18, 10), 20, 10, 40, 7)
+    for g, draws in enumerate(again):
+        for a, b in zip(draws, chunk[3 + g]):
+            np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------- mutation

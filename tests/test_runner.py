@@ -1,11 +1,13 @@
 """Run harness: budget compliance, traces, baselines, batch orchestration."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from conftest import EvalCounter
+from ldectl import runner
 from ldectl.benchfn import make_suite
 from ldectl.de_core import ParamSheet, Population, mutate_rand1
 from ldectl.neural import init_weights
@@ -16,6 +18,7 @@ from ldectl.runner import (
     RunConfig,
     Termination,
     batch_experiment,
+    random_sheet,
     run_baseline,
     run_lde,
 )
@@ -324,3 +327,68 @@ def test_batch_of_one_runs_keep_their_bits():
             assert res.evals_used == 2000
             got[inst.id, alg] = hashlib.sha256(repr(res.error_trace).encode()).hexdigest()
     assert got == GOLDEN_TRACES
+
+
+# ---------------------------------------------------------------- chunked draws
+def _final_state(rng):
+    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
+
+
+@pytest.mark.parametrize("kind", BASELINES)
+def test_the_chunk_size_does_not_change_a_run(kind, monkeypatch):
+    ellipsoid, rastrigin = make_suite(0, 3, 0, 3).test[2], make_suite(0, 3, 0, 3).test[1]
+    cases = [  # (instance, config, termination, generator)
+        (ellipsoid, RunConfig(), Termination(20000), lambda: stream(0, "chunk", kind)),  # stops at tol
+        (rastrigin, RunConfig(), Termination(2990), lambda: stream(0, "chunk", kind)),   # at budget
+        (_inst(dim=2), RunConfig(pop_size=7), Termination(1000),                         # odd k for
+         lambda: stream(2, "chunk", kind)),                                              # pbest
+        (ellipsoid, RunConfig(), Termination(3000),
+         lambda: np.random.Generator(np.random.MT19937(3))),                             # not PCG64
+    ]
+    outcomes = {}
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(runner, "CHUNK_GENERATIONS", chunk)
+        got = []
+        for inst, cfg, term, make_rng in cases:
+            rng = make_rng()
+            res = run_baseline(kind, inst, term, cfg, rng)
+            got.append((res.error_trace, res.best_error, res.evals_used, _final_state(rng)))
+        outcomes[chunk] = got
+    assert outcomes[1] == outcomes[7] == outcomes[64]
+    assert outcomes[1][0][2] < 20000 and outcomes[1][1][2] == 2980
+
+
+def test_a_run_stopped_at_the_tolerance_mid_chunk_rewinds_its_unused_draws():
+    inst = make_suite(0, 3, 0, 3).test[2]  # each baseline stops at 1e-8 past its first chunk
+    cfg = RunConfig()
+    N, n = cfg.pop_size, inst.dim
+    for kind, live in (("de_rand1_fixed", 4), ("ctpb_fixed", 3), ("random_params", 3)):
+        rng = stream(0, "chunk", kind)
+        res = run_baseline(kind, inst, Termination(20000), cfg, rng)
+        generations = res.evals_used // N - 1
+        assert res.best_error <= 1e-8 and generations > runner.CHUNK_GENERATIONS
+        assert generations % runner.CHUNK_GENERATIONS
+        # per generation: random_params' 2N sheet uniforms, N integers per
+        # bound above 1 (two to a 64-bit output), N (n - 1) crossover uniforms
+        width = (2 * N if kind == "random_params" else 0) + live * N // 2 + N * (n - 1)
+        fresh = stream(0, "chunk", kind)
+        fresh.bit_generator.advance(N * n + generations * width)  # start population first
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_random_sheet_is_numpys_uniform_bit_for_bit():
+    # random_params forms its sheet from raw doubles as numpy's uniform does;
+    # a numpy whose C code fuses low + range * double into one FMA would
+    # round differently, and chunked runs would then drift from the bits
+    # of the generator's own uniform calls
+    N = 50_000
+    for f_min in (RunConfig().f_min, 0.3, 0.9):
+        sheet = random_sheet(stream(0, "sheet").random((1, 2 * N)), N, f_min)
+        rng = stream(0, "sheet")
+        F, CR = rng.uniform(f_min, 1.0, size=(1, N)), rng.uniform(0.0, 1.0, size=(1, N))
+        bad = np.flatnonzero(sheet.F != F)
+        assert bad.size == 0, (
+            f"numpy's uniform({f_min}, 1.0) is not low + (high - low) * double at {bad.size} "
+            f"of {N} draws (first: {F[0, bad[0]]!r} against {sheet.F[0, bad[0]]!r}); this numpy "
+            "build rounds uniform differently, so random_params' chunked sheets would change bits")
+        np.testing.assert_array_equal(sheet.CR, CR)

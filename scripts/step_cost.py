@@ -4,18 +4,21 @@
 At desk scale (dim 10, N 20, H 32, b 5, g 5; untrained weights seeded as
 ``train --epochs 0`` seeds them) the script warms a batch up for some
 generations, then times each stage of the generation step in-process:
-``assemble_state``, ``forward_step``, ``sample_action``, ``evolve`` and
-the parts of ``evolve`` (the draw block, mutation, crossover, repair,
-evaluation, selection), the whole ``ControllerStep`` call and, at a
-batch of one, ``run_lde`` and ``run_baseline`` (ctpb_fixed and
-random_params, which draw a chunk of generations per generator call)
-per generation.  At the large batch it also
-times ``epoch_gradient`` (the backward pass with its output gradients)
-over one epoch's K * L rollouts of ``--warmup`` generations.  Stages
-are timed round-robin, one call each per round, and the median over the
-rounds is reported in microseconds, so a slow spell of the host hits
-every stage alike.  It also counts the Python-level calls (cProfile's
-count, functions and builtins alike) one call of each stage makes.
+``assemble_state``, ``forward_step``, the draw (``de_core.DrawSource``:
+the action's normals and evolve's integers and uniforms),
+``sample_action``, ``evolve`` with those draws and its parts (mutation,
+crossover, repair, evaluation, selection), the whole ``ControllerStep``
+call and, at a batch of one, ``run_lde`` and ``run_baseline``
+(ctpb_fixed and random_params) per generation.  The draw and the step
+take a chunk of max(1, ``CHUNK_GENERATIONS`` // B) generations per
+timed call, as a run (64) or a desk epoch (1) takes them, and report
+per generation.  At the large batch it also times ``epoch_gradient``
+(the backward pass with its output gradients) over one epoch's K * L
+rollouts of ``--warmup`` generations.  Stages are timed round-robin, one
+call each per round, and the median over the rounds is reported in
+microseconds, so a slow spell of the host hits every stage alike.  It
+also counts the Python-level calls (cProfile's count, functions and
+builtins alike) one call of each stage makes, per generation.
 
 It reports a batch of one (a run) and a batch of K * L rows (a training
 epoch's cross-function batch).  Run with ``PYTHONPATH=src``:
@@ -25,7 +28,6 @@ epoch's cross-function batch).  Run with ``PYTHONPATH=src``:
 
 import argparse
 import cProfile
-import math
 import pstats
 import statistics
 import time
@@ -57,9 +59,10 @@ def _calls(fn) -> int:
     return pstats.Stats(prof).total_calls - 2  # less the lambda and disable()
 
 
-def stages(functions, rollouts: int, cfg: RunConfig, w, seed: int, warmup: int) -> dict:
-    """name -> zero-argument call of that stage, on a batch of
-    len(functions) * rollouts rows warmed up for ``warmup`` generations."""
+def stages(functions, rollouts: int, cfg: RunConfig, w, seed: int, warmup: int):
+    """(name -> zero-argument call of that stage, name -> generations one
+    call covers), on a batch of len(functions) * rollouts rows warmed up
+    for ``warmup`` generations."""
     B = len(functions) * rollouts
     objective = functions[0] if B == 1 else FunctionBlocks(functions, rollouts)
     rngs = [stream(seed, "step_cost", b) for b in range(B)]
@@ -67,14 +70,18 @@ def stages(functions, rollouts: int, cfg: RunConfig, w, seed: int, warmup: int) 
     pop = de_core.Population(start.members.repeat(B, axis=0), start.fitness.repeat(B, axis=0))
     pop.fitness[:] = objective.evaluate_batch(pop.members.reshape(B * cfg.pop_size, -1)
                                               ).reshape(B, cfg.pop_size)
-    step = ControllerStep(w, cfg, batch=B)
-    for _ in range(warmup):
-        pop, record = step(pop, objective, rngs)
-
     N, n, p = cfg.pop_size, pop.members.shape[2], cfg.p_best
+    step = ControllerStep(w, cfg, rngs, n, 10 ** 9)
+    for _ in range(warmup):
+        pop, record = step(pop, objective)
+
+    # a chunk's generations per call: the draw and the step are timed over
+    # whole chunks, as a run or an epoch takes them
+    chunk = max(1, de_core.CHUNK_GENERATIONS // B)
     x, mu, sheet = record.tape.z[:, w.hidden:], record.mu, record.action
-    highs = (math.ceil(N * p), N - 1, N - 2, n)
-    picks, r1, r2, j_rand, u = de_core.draw_generation(rngs, highs, N, n)
+    source = de_core.DrawSource(rngs, de_core.pbest_highs(N, n, p), N, n, 10 ** 9, normals=2 * N)
+    z, *draws = source()
+    picks, r1, r2, j_rand, u = draws
     mutants = de_core.mutate_current_to_pbest(pop, sheet, p, picks, (r1, r2))
     trials = de_core.binomial_crossover_batch(pop.members, mutants, sheet.CR, j_rand, u)
     trials = de_core.repair_bounds(trials, objective.bounds)
@@ -82,9 +89,9 @@ def stages(functions, rollouts: int, cfg: RunConfig, w, seed: int, warmup: int) 
     calls = {
         "assemble_state": lambda: assemble_state(pop, step.ring, cfg.bins),
         "forward_step": lambda: forward_step(w, x, step.state),
-        "sample_action": lambda: sample_action(mu, cfg, rngs),
-        "evolve": lambda: de_core.evolve(pop, objective, sheet, p, rngs),
-        "  draw_generation": lambda: de_core.draw_generation(rngs, highs, N, n),
+        "draw / generation": lambda: [source() for _ in range(chunk)],
+        "sample_action": lambda: sample_action(mu, cfg, z),
+        "evolve": lambda: de_core.evolve(pop, objective, sheet, p, rngs, draws),
         "  mutate_current_to_pbest":
             lambda: de_core.mutate_current_to_pbest(pop, sheet, p, picks, (r1, r2)),
         "  binomial_crossover_batch":
@@ -92,8 +99,9 @@ def stages(functions, rollouts: int, cfg: RunConfig, w, seed: int, warmup: int) 
         "  repair_bounds": lambda: de_core.repair_bounds(trials, objective.bounds),
         "  evaluate_batch": lambda: objective.evaluate_batch(trials.reshape(B * N, n)),
         "  select": lambda: de_core.select(pop, trials, fitness),
-        "ControllerStep": lambda: step(pop, objective, rngs),
+        "ControllerStep / generation": lambda: [step(pop, objective) for _ in range(chunk)],
     }
+    per_call = {name: chunk for name in calls if name.endswith("/ generation")}
     if B == 1:
         budget = (warmup + 1) * N
         run_rng = stream(seed, "step_cost", "run")
@@ -102,6 +110,8 @@ def stages(functions, rollouts: int, cfg: RunConfig, w, seed: int, warmup: int) 
         for kind in BASELINE_ROWS:
             calls[f"run_baseline {kind} / generation"] = (
                 lambda kind=kind: run_baseline(kind, functions[0], term, cfg, run_rng))
+        per_call.update(dict.fromkeys([name for name in calls if name.startswith("run_")],
+                                      warmup))
     else:
         tcfg = TrainConfig(**cfg.spec_dict(), rollouts=rollouts, horizon=warmup, hidden=w.hidden)
         pop0 = de_core.Population(start.members.repeat(len(functions), axis=0),
@@ -109,7 +119,7 @@ def stages(functions, rollouts: int, cfg: RunConfig, w, seed: int, warmup: int) 
         batch = sample_trajectory(w, functions, pop0, tcfg,
                                   [stream(seed, "step_cost", "epoch", b) for b in range(B)])
         calls["epoch_gradient"] = lambda: epoch_gradient(w, [batch], tcfg)
-    return calls
+    return calls, per_call
 
 
 def measure(calls: dict, rounds: int, per_call: dict) -> dict:
@@ -143,19 +153,18 @@ def main(argv=None):
     print(f"dim {opts.dim} N {cfg.pop_size} H {opts.hidden} seed {opts.seed} "
           f"rounds {opts.rounds}")
     columns = []
-    for B, calls in batches.items():
-        per_call = dict.fromkeys([name for name in calls if name.startswith("run_")],
-                                 opts.warmup)
+    for B, (calls, per_call) in batches.items():
         counts = {name: _calls(fn) // per_call.get(name, 1) for name, fn in calls.items()}
-        # the baseline runs get their own rounds: their chunk buffers, between
-        # the other stages, would evict those stages' arrays from the caches
-        chunked = {name: fn for name, fn in calls.items() if name.startswith("run_baseline")}
+        # the stages that take whole chunks get their own rounds: their chunk
+        # buffers, between the other stages, would evict those stages' arrays
+        # from the caches
+        chunked = {name: fn for name, fn in calls.items() if name in per_call}
         rest = {name: fn for name, fn in calls.items() if name not in chunked}
         columns.append(({**measure(rest, opts.rounds, per_call),
                          **measure(chunked, opts.rounds, per_call)}, counts))
     head = "".join(f"{f'B={B} us':>12}{'calls':>7}" for B in batches)
     print(f"{'stage':<{NAME_WIDTH}}{head}")
-    for name in dict.fromkeys(name for calls in batches.values() for name in calls):
+    for name in dict.fromkeys(name for calls, _ in batches.values() for name in calls):
         cells = "".join(f"{us[name]:>12.1f}{counts[name]:>7}" if name in us
                         else f"{'-':>12}{'-':>7}" for us, counts in columns)
         print(f"{name:<{NAME_WIDTH}}{cells}")

@@ -11,36 +11,38 @@ rows share its batch.
 
 All operators are pure (inputs never mutated); mutation and crossover
 take their random draws as arrays.  Draw order is part of the contract.
-A generation draws one block per row (``draw_generation``): N integers
-from [0, h) for each bound h in turn -- the pbest picks then the r1 and
-r2 offsets (``evolve``) or the r1, r2 and r3 offsets (``evolve_rand1``),
-then the crossover's forced coordinates -- then one uniform per
-remaining coordinate, member by member.  These are the bits the
-generator's own ``integers(0, h, size=N)`` and
-``random((N, n - 1))`` calls would consume in that order; a bound of 1
-consumes none.
+A generation draws one block per row (``DrawSource``): the learned
+optimizer's 2N standard normals first (its action's z, from the row's
+own ``standard_normal``), then N integers from [0, h) for each bound h
+in turn -- the pbest picks then the r1 and r2 offsets (``evolve``) or
+the r1, r2 and r3 offsets (``evolve_rand1``), then the crossover's
+forced coordinates -- then one uniform per remaining coordinate, member
+by member.  These are the bits the generator's own ``integers(0, h,
+size=N)`` and ``random((N, n - 1))`` calls would consume in that order;
+a bound of 1 consumes none.  random_params draws 2N uniforms (its
+sheet) before the integers.
 
-For numpy's default bit generator, PCG64, the block comes from one
-``random_raw`` call per row.  numpy's bounded integers are Lemire's
-multiply-shift on 32-bit words, the low half of each 64-bit output
-first, redrawing a word whose low product half falls below
-(2^32 - h) mod h; its uniforms are (raw >> 11) * 2^-53.  Both are
-computed over all rows at once.  A row takes the generator's own
-``integers``/``random`` calls instead, in the order above, when its bit
-generator is not PCG64, when it holds a pending 32-bit half-word, when
-the block's integer draws use an odd number of words, or when any word
-would be redrawn; such a row is first rewound to where it started.
+For numpy's default bit generator, PCG64, a generation's block after the
+normals comes from one ``random_raw`` call per row.  numpy's bounded
+integers are Lemire's multiply-shift on 32-bit words, the low half of
+each 64-bit output first, redrawing a word whose low product half falls
+below (2^32 - h) mod h; its uniforms are (raw >> 11) * 2^-53.  Both are
+computed over all rows and generations of a chunk at once.  A row takes
+the generator's own ``integers``/``random`` calls instead, in the order
+above, when its bit generator is not PCG64, when it holds a pending
+32-bit half-word, when the block's integer draws use an odd number of
+words, or when any word would be redrawn.
 
-A caller that draws nothing else between generations (a baseline run)
-can take a chunk of G generations per call: ``lead`` uniforms per
-generation come first (random_params' sheet), and one ``random_raw``
-call per row covers the whole chunk, converted at once, with the bits
-of G one-generation calls.  The chunk stops before the first generation
-that any row could not take from its block; the rows are rewound
-(``advance``) to its start, and that generation is drawn alone, as
-above, by the next call.  ``rewind_generations`` steps back over the
-unused generations of a chunk, so a run that stops early leaves its
-generator where one call per generation would.
+No caller draws anything else between generations, so a ``DrawSource``
+draws a chunk of generations ahead, per row and generation one
+``standard_normal`` and one ``random_raw`` call (one ``random_raw`` call
+per chunk without normals), with the bits of one-generation draws.  The
+normals take a varying number of outputs, so the source keeps one
+``state`` snapshot per row per chunk instead of stepping back with
+``advance``: a row is restored to it, and its kept generations drawn
+again, when the chunk stops before a generation that some row cannot
+take from its block (drawn alone, as above, by the next chunk) and when
+the caller stops part way through a chunk (``rewind``).
 """
 
 from __future__ import annotations
@@ -142,86 +144,132 @@ def _draw_plan(highs: tuple, N: int, n: int):
     return tuple(slots), h, threshold, len(h)
 
 
-def draw_generation(rngs, highs: tuple, N: int, n: int, lead: int = 0, generations=None) -> list:
-    """One generation's draws for every batch row, in the documented order;
-    with ``generations`` G, a chunk of 1 to G successive generations.
+# row-generations a DrawSource draws per chunk at most: a run (one row) takes
+# up to this many generations at a time, a batch of B rows 1/B of them
+CHUNK_GENERATIONS = 64
 
-    Per row and generation: ``lead`` uniforms from [0, 1), then N
-    integers from [0, h) for each h in highs, in that order, then
-    N * (n - 1) uniforms, bit for bit the draws of the row's own
-    ``random`` and ``integers`` calls (see the module notes).  Returns the
-    (B, lead) leading uniforms if lead > 0, then one (B, N) integer array
-    per h, then the uniforms, shape (B, N, n - 1); with ``generations``, a
-    list of such lists, one per generation, and every generator where
-    that many one-generation calls leave it.  Every generation of a chunk
-    of two or more came from the raw blocks.
+
+class DrawSource:
+    """A batch's draws for successive generations, drawn a chunk ahead.
+
+    Each call returns the next generation's draws, in the documented
+    order (see the module notes): the (B, normals) standard normals if
+    normals > 0, the (B, lead) leading uniforms if lead > 0, one (B, N)
+    integer array from [0, h) per h in highs, then the uniforms, shape
+    (B, N, n - 1).  A chunk holds at most ``CHUNK_GENERATIONS``
+    row-generations, and no more generations than the ``generations``
+    the caller has left to take.
     """
-    slots, h, threshold, k = _draw_plan(highs, N, n)
-    if generations is not None and generations < 1:
-        raise ValueError(f"generations must be >= 1, got {generations}")
-    B = len(rngs)
-    width = lead + k // 2 + N * (n - 1)  # 64-bit outputs per row and generation
-    served, own = [], []  # per row its PCG64 bit generator or None; rows making own calls
-    for b, rng in enumerate(rngs):
-        bits = getattr(rng, "bit_generator", None)
-        if k % 2 == 0 and type(bits) is np.random.PCG64 and not bits.state["has_uint32"]:
-            served.append(bits)
-        else:
-            served.append(None)
-            own.append(b)
-    span = 1 if own or generations is None else generations
-    count = 1  # generations returned
-    if len(own) < B:
-        blocks = [np.zeros((span, width), dtype=np.uint64) if bits is None
-                  else bits.random_raw((span, width)) for bits in served]
-        # little-endian views put each output's low 32-bit half first
-        raw = (blocks[0][None] if B == 1 else np.array(blocks)).astype("<u8", copy=False)
-        # u * h per word: its high half is the draw, its low half the redraw test
-        m = raw[:, :, lead:lead + k // 2].view("<u4").astype(np.uint64) * h
-        ints = (m >> 32).astype(np.int64).reshape(B, span, k // N, N)
-        redrawn = m.astype(np.uint32) < threshold
-        # raw >> 11 lies below 2^53, so the float conversion is exact
-        doubles = (raw >> 11).astype(float) * 2.0 ** -53
-        count = span
-        if own or redrawn.any():
-            stop = redrawn.any(axis=2)  # (B, span): the row's generation has a redrawn word
+
+    def __init__(self, rngs, highs: tuple, N: int, n: int, generations: int = 1,
+                 lead: int = 0, normals: int = 0):
+        self.plan = _draw_plan(highs, N, n)
+        self.rngs, self.highs, self.N, self.n = rngs, highs, N, n
+        self.lead, self.normals, self.left = lead, normals, generations
+        self.width = lead + self.plan[3] // 2 + N * (n - 1)  # 64-bit outputs a generation
+        self.pending = []  # the chunk's generations not yet taken, the next one last
+        self.snapshots = []  # per row its PCG64 state at the chunk's start, or None
+        self.drawn = 0  # generations in the chunk
+
+    def __call__(self) -> list:
+        if not self.pending:
+            self.pending = self.draw(max(1, min(CHUNK_GENERATIONS // len(self.rngs), self.left)))
+            self.pending.reverse()
+        return self.pending.pop()
+
+    def rewind(self) -> None:
+        """Leave every generator where one draw per generation taken would."""
+        if self.pending:
+            for b in range(len(self.rngs)):
+                self._replay(b, self.drawn - len(self.pending))
+            self.pending = []
+
+    def _replay(self, b: int, generations: int) -> None:
+        """Put row b back at the chunk's start, then past its first ``generations``
+        generations (standard_normal takes a varying number of outputs)."""
+        rng = self.rngs[b]
+        rng.bit_generator.state = self.snapshots[b]
+        for _ in range(generations):
+            rng.standard_normal(self.normals)
+            rng.bit_generator.advance(self.width)
+
+    def draw(self, span: int) -> list:
+        """A chunk of 1 to ``span`` successive generations' draws, each a list
+        as a call returns it; every generator is left where that many
+        one-generation draws leave it, and every generation of a chunk of
+        two or more came from the raw blocks."""
+        if span < 1:
+            raise ValueError(f"generations must be >= 1, got {span}")
+        slots, h, threshold, k = self.plan
+        rngs, N, n, lead, width = self.rngs, self.N, self.n, self.lead, self.width
+        B = len(rngs)
+        own = []  # rows making the generator's own calls
+        self.snapshots = []
+        for b, rng in enumerate(rngs):
+            bits = getattr(rng, "bit_generator", None)
+            state = bits.state if k % 2 == 0 and type(bits) is np.random.PCG64 else None
+            if state is None or state["has_uint32"]:
+                own.append(b)
+                state = None
+            self.snapshots.append(state)
+        span = 1 if own else span
+        z = np.empty((B, span, self.normals))
+        count = span  # generations returned
+        if len(own) < B:
+            # little-endian, so each output's low 32-bit half comes first
+            raw = np.zeros((B, span, width), dtype="<u8")
+            for b, state in enumerate(self.snapshots):
+                if state is not None and self.normals:
+                    normal, bits = rngs[b].standard_normal, rngs[b].bit_generator
+                    for g in range(span):
+                        normal(out=z[b, g])
+                        raw[b, g] = bits.random_raw(width)
+                elif state is not None:
+                    raw[b] = rngs[b].bit_generator.random_raw((span, width))
+            # u * h per word: its high half is the draw, its low half the redraw test
+            m = raw[:, :, lead:lead + k // 2].view("<u4").astype(np.uint64) * h
+            ints = (m >> 32).astype(np.int64).reshape(B, span, k // N, N)
+            stop = (m.astype(np.uint32) < threshold).any(axis=2)  # (B, span): a word redrawn
+            # raw >> 11 lies below 2^53, so the float conversion is exact
+            doubles = (raw >> 11).astype(float) * 2.0 ** -53
             stop[own, 0] = True
-            first = int(stop.any(axis=0).argmax())
-            count = first or 1
-            own = np.flatnonzero(stop[:, 0]).tolist() if first == 0 else []
-            for b, bits in enumerate(served):  # rewind to the first generation not returned,
-                back = span - count + (b in own)  # or to where the row's own calls start
-                if bits is not None and back:
-                    bits.advance(-back * width)
-    else:
-        ints = np.empty((B, 1, k // N, N), dtype=np.int64)
-        doubles = np.empty((B, 1, width))
-    for b in own:
-        rng = rngs[b]
-        if lead:
-            doubles[b, 0, :lead] = rng.random(lead)
-        drawn = [rng.integers(0, h, size=N) for h in highs]
-        if k:
-            ints[b, 0] = [d for d, h in zip(drawn, highs) if h > 1]
-        if n > 1:
-            doubles[b, 0, width - N * (n - 1):] = rng.random((N, n - 1)).ravel()
-    uniforms = doubles[:, :, width - N * (n - 1):].reshape(B, span, N, n - 1)
-    chunk = []
-    for g in range(count):
-        draws = [np.zeros((B, N), dtype=np.int64) if s is None else ints[:, g, s] for s in slots]
-        draws.append(uniforms[:, g])
-        chunk.append([doubles[:, g, :lead]] + draws if lead else draws)
-    return chunk[0] if generations is None else chunk
+            if stop.any():
+                first = int(stop.any(axis=0).argmax())
+                count = first or 1
+                own = np.flatnonzero(stop[:, 0]).tolist() if first == 0 else []
+                for b, state in enumerate(self.snapshots):  # to the first generation not
+                    if state is not None and (count < span or b in own):  # returned, or to
+                        self._replay(b, count - (b in own))  # where the own calls start
+        else:
+            ints = np.empty((B, 1, k // N, N), dtype=np.int64)
+            doubles = np.empty((B, 1, width))
+        for b in own:
+            rng = rngs[b]
+            if self.normals:
+                rng.standard_normal(out=z[b, 0])
+            if lead:
+                doubles[b, 0, :lead] = rng.random(lead)
+            drawn = [rng.integers(0, h, size=N) for h in self.highs]
+            if k:
+                ints[b, 0] = [d for d, h in zip(drawn, self.highs) if h > 1]
+            if n > 1:
+                doubles[b, 0, width - N * (n - 1):] = rng.random((N, n - 1)).ravel()
+        self.left -= count
+        self.drawn = count
+        uniforms = doubles[:, :, width - N * (n - 1):].reshape(B, span, N, n - 1)
+        zero = np.zeros((B, N), dtype=np.int64)  # the draws of a bound of 1
+        heads = [a for a, size in ((z, self.normals), (doubles[:, :, :lead], lead)) if size]
+        return [[a[:, g] for a in heads] + [zero if s is None else ints[:, g, s] for s in slots]
+                + [uniforms[:, g]] for g in range(count)]
 
 
-def rewind_generations(rngs, highs: tuple, N: int, n: int, lead: int, generations: int) -> None:
-    """Step every row's generator back over its last ``generations``
-    generations of ``draw_generation(rngs, highs, N, n, lead, G)`` draws,
-    which must come from a chunk of two or more (so from its raw blocks):
-    each took the same number of 64-bit outputs."""
-    k = _draw_plan(highs, N, n)[3]
-    for rng in rngs:
-        rng.bit_generator.advance(-generations * (lead + k // 2 + N * (n - 1)))
+def draw_generation(rngs, highs: tuple, N: int, n: int, lead: int = 0, generations=None) -> list:
+    """One generation's draws for every batch row, a ``DrawSource`` call
+    without normals; with ``generations`` G, a chunk of 1 to G successive
+    generations (``DrawSource.draw``)."""
+    if generations is None:
+        return DrawSource(rngs, highs, N, n, lead=lead).draw(1)[0]
+    return DrawSource(rngs, highs, N, n, lead=lead).draw(generations)
 
 
 def distinct_indices(offsets) -> list:

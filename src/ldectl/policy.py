@@ -8,7 +8,7 @@ relative drop of the population's best error value, which lands in
 [0, 1] under elitist selection regardless of the function's scale.
 
 Actions, head means and rewards carry a leading batch axis, one row per
-rollout; each row draws from its own generator.
+rollout; each row's normals come from its own generator.
 """
 
 from __future__ import annotations
@@ -81,20 +81,19 @@ class Action(ParamSheet):
     raw: np.ndarray
 
 
-def sample_action(mu, cfg: PolicyConfig, rngs) -> Action:
-    """Draw raw ~ N(mu, sigma^2), row b from rngs[b], and clip the two
-    halves into range.
+def sample_action(mu, cfg: PolicyConfig, z) -> Action:
+    """raw = mu + sigma * z, a draw from N(mu, sigma^2) per row, with the
+    two halves clipped into range.
 
-    raw = mu + sigma * z with z from standard_normal: the same draws, and
-    the same bits, as normal(mu, sigma), without its per-call overhead.
+    z holds each row's standard normals, drawn from the row's generator
+    (``de_core.DrawSource``): the same draws, and the same bits, as
+    normal(mu, sigma), without its per-call overhead.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 2 or mu.shape[1] % 2 != 0 or mu.shape[1] == 0:
         raise ValueError(f"mu must be 2-D with even row length, got shape {mu.shape}")
-    if len(rngs) != mu.shape[0]:
-        raise ValueError(f"need one generator per row: {len(rngs)} for {mu.shape[0]} rows")
-    z = [rng.standard_normal(mu.shape[1]) for rng in rngs]
-    z = z[0][None] if len(z) == 1 else np.array(z)  # a batch of one needs no stacking
+    if np.shape(z) != mu.shape:
+        raise ValueError(f"need one normal per head mean: z {np.shape(z)} for mu {mu.shape}")
     return clip_action(mu + cfg.sigma * z, cfg)
 
 

@@ -18,8 +18,15 @@ makes worker-pool scheduling irrelevant to the results.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
+
+
+@lru_cache(maxsize=1024)  # a run's labels are a few purposes, algorithms and functions
+def _text_word(text: str) -> int:
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "little")
 
 
 def _label_word(label) -> int:
@@ -27,8 +34,7 @@ def _label_word(label) -> int:
         if label < 0:
             raise ValueError(f"stream labels must be non-negative, got {label}")
         return int(label)
-    digest = hashlib.sha256(str(label).encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "little")
+    return _text_word(str(label))
 
 
 def stream(master_seed: int, *path) -> np.random.Generator:
@@ -36,4 +42,5 @@ def stream(master_seed: int, *path) -> np.random.Generator:
     # built from a list: tuple() of a generator shrinks an over-allocated
     # tuple, which leaves one tuple per call in CPython's free list
     key = tuple([_label_word(p) for p in path])
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
+    # what default_rng does with a SeedSequence, without its type checks
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=key)))

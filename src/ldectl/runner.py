@@ -16,12 +16,11 @@ Baselines (each generation is ``de_core.evolve`` or ``evolve_rand1``):
                      F ~ U(f_min, 1], CR ~ U[0, 1] resampled every
                      generation
 
-A baseline draws nothing between its generations' draws, so it draws a
-chunk of up to ``CHUNK_GENERATIONS`` generations per generator call
-(``de_core.draw_generation``) with the bits of one call per generation,
-and rewinds the unused ones when it stops at the tolerance.  The learned
-optimizer cannot: its Gaussian draws consume a varying number of raw
-outputs.
+Every run takes its draws from one ``de_core.DrawSource``, a chunk of
+up to ``de_core.CHUNK_GENERATIONS`` generations ahead, no more than the
+budget allows, with the bits of one draw per generation (the learned
+optimizer's through its ``ControllerStep``, normals first); a run that
+stops at the tolerance part way through a chunk rewinds the rest.
 
 ``batch_experiment`` fans (algorithm, function, run) tasks out through
 ``trainer.worker_map``, the one place where work fans out, and writes
@@ -41,8 +40,8 @@ from typing import Optional
 import numpy as np
 
 from .benchfn import error_value
-from .de_core import (ParamSheet, draw_generation, evolve, evolve_rand1, init_population,
-                      pbest_highs, rand1_highs, rewind_generations)
+from .de_core import (DrawSource, ParamSheet, evolve, evolve_rand1, init_population,
+                      pbest_highs, rand1_highs)
 from .neural import ControllerWeights
 from .policy import PolicyConfig
 from .rng import stream
@@ -50,8 +49,6 @@ from .trainer import ControllerStep, worker_map
 
 BASELINES = ("de_rand1_fixed", "ctpb_fixed", "random_params")
 LEARNED = "lde"
-# generations a baseline run draws per generator call, at most
-CHUNK_GENERATIONS = 64
 # the columns of results.csv: RunResult fields, in file order
 RESULT_COLUMNS = ("algorithm_id", "function_id", "seed", "best_error", "evals_used")
 
@@ -96,10 +93,11 @@ def _tercile_rows(gen, order, sheet, out):
 
 
 def _drive(algorithm_id, objective, term: Termination, cfg: RunConfig, rng,
-           gen_step, run_seed: int = 0) -> RunResult:
-    """Shared budgeted loop over a batch of one; gen_step(pop, rngs) ->
+           gen_step, draws: DrawSource, run_seed: int = 0) -> RunResult:
+    """Shared budgeted loop over a batch of one; gen_step(pop) ->
     (new_pop, params), where params carries the generation's
-    per-individual F and CR and rngs is [rng]."""
+    per-individual F and CR, drawn from ``draws``, which is rewound when
+    the loop ends."""
     if term.max_evals < cfg.pop_size:
         raise ValueError(f"budget {term.max_evals} below one generation ({cfg.pop_size} evals)")
     pop = init_population(objective, cfg.pop_size, rng)
@@ -108,11 +106,10 @@ def _drive(algorithm_id, objective, term: Termination, cfg: RunConfig, rng,
     trace = [(evals, best)]
     params = [] if cfg.param_traces else None
     gen = 0
-    rngs = [rng]
     while evals + cfg.pop_size <= term.max_evals and best > term.error_tol:
         if params is not None:  # terciles of the population the sheet acts on
             order = np.argsort(pop.fitness[0], kind="stable")
-        pop, sheet = gen_step(pop, rngs)
+        pop, sheet = gen_step(pop)
         evals += cfg.pop_size
         gen += 1
         if params is not None:
@@ -121,6 +118,7 @@ def _drive(algorithm_id, objective, term: Termination, cfg: RunConfig, rng,
         if b < best:
             best = b
             trace.append((evals, b))
+    draws.rewind()
     if trace[-1][0] != evals:
         trace.append((evals, best))
     return RunResult(algorithm_id, objective.id, run_seed, best, evals, trace, params)
@@ -129,13 +127,14 @@ def _drive(algorithm_id, objective, term: Termination, cfg: RunConfig, rng,
 def run_lde(w: ControllerWeights, objective, term: Termination, cfg: RunConfig,
             rng, run_seed: int = 0) -> RunResult:
     """Drive the learned controller on one function."""
-    step = ControllerStep(w, cfg, sample=not cfg.deterministic)
+    step = ControllerStep(w, cfg, [rng], objective.dim, term.max_evals // cfg.pop_size - 1,
+                          sample=not cfg.deterministic)
 
-    def gen_step(pop, rngs):
-        pop, record = step(pop, objective, rngs)
+    def gen_step(pop):
+        pop, record = step(pop, objective)
         return pop, record.action
 
-    return _drive(LEARNED, objective, term, cfg, rng, gen_step, run_seed)
+    return _drive(LEARNED, objective, term, cfg, rng, gen_step, step.draws, run_seed)
 
 
 def random_sheet(doubles, N: int, f_min: float) -> ParamSheet:
@@ -147,30 +146,29 @@ def random_sheet(doubles, N: int, f_min: float) -> ParamSheet:
 
 def run_baseline(kind: str, objective, term: Termination, cfg: RunConfig,
                  rng, run_seed: int = 0) -> RunResult:
-    """Drive one of the fixed-parameter baselines, its draws a chunk of up
-    to ``CHUNK_GENERATIONS`` generations, no more than the budget allows,
-    per generator call (see the module notes)."""
+    """Drive one of the fixed-parameter baselines, its draws a chunk of
+    generations ahead (see the module notes)."""
     N, n = cfg.pop_size, objective.dim
-    lead = 0  # uniforms each generation draws before evolve's
+    rngs, lead = [rng], 0  # lead: uniforms each generation draws before evolve's
 
     if kind == "de_rand1_fixed":
         sheet = ParamSheet(np.full((1, N), 0.5), np.full((1, N), 0.8))
         highs = rand1_highs(N, n)
 
-        def step(pop, rngs, draws):
+        def step(pop, draws):
             return evolve_rand1(pop, objective, sheet, rngs, draws), sheet
 
     elif kind == "ctpb_fixed":
         sheet = ParamSheet(np.full((1, N), 0.5), np.full((1, N), 0.9))
         highs = pbest_highs(N, n, cfg.p_best)
 
-        def step(pop, rngs, draws):
+        def step(pop, draws):
             return evolve(pop, objective, sheet, cfg.p_best, rngs, draws), sheet
 
     elif kind == "random_params":
         highs, lead = pbest_highs(N, n, cfg.p_best), 2 * N
 
-        def step(pop, rngs, draws):
+        def step(pop, draws):
             doubles, *draws = draws
             sheet = random_sheet(doubles, N, cfg.f_min)
             return evolve(pop, objective, sheet, cfg.p_best, rngs, draws), sheet
@@ -178,22 +176,9 @@ def run_baseline(kind: str, objective, term: Termination, cfg: RunConfig,
     else:
         raise ValueError(f"unknown baseline {kind!r}; pick one of {BASELINES}")
 
-    pending = []  # generations drawn but not yet run, the next one last
-    drawn = 0
-
-    def gen_step(pop, rngs):
-        nonlocal drawn
-        if not pending:
-            left = term.max_evals // N - 1 - drawn  # generations the budget allows
-            chunk = draw_generation(rngs, highs, N, n, lead, min(CHUNK_GENERATIONS, left))
-            drawn += len(chunk)
-            pending.extend(reversed(chunk))
-        return step(pop, rngs, pending.pop())
-
-    result = _drive(kind, objective, term, cfg, rng, gen_step, run_seed)
-    if pending:  # stopped at the tolerance inside a chunk of two or more
-        rewind_generations([rng], highs, N, n, lead, len(pending))
-    return result
+    draws = DrawSource(rngs, highs, N, n, term.max_evals // N - 1, lead)
+    return _drive(kind, objective, term, cfg, rng, lambda pop: step(pop, draws()), draws,
+                  run_seed)
 
 
 def _run_task(payload):

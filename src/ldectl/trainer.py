@@ -16,7 +16,9 @@ through the recurrence by full backpropagation through time.
 All of an epoch's rollouts advance together as one batch: each
 generation is one ``ControllerStep`` over the K * L rows (the same step
 the runner drives the trained controller with, there with a batch of
-one), with a single stacked controller step and a single ``evolve``.
+one), with a single stacked controller step and a single ``evolve``; its
+draws come a chunk of ``de_core.CHUNK_GENERATIONS`` row-generations
+ahead (one generation at desk size, K * L = 60).
 Rows are function-major, so function k owns the L consecutive rows from
 k * L on, and each function evaluates only its own L * N trials, in one
 call per generation.  Backpropagation runs once per batch, one time
@@ -43,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .benchfn import error_value
-from .de_core import Population, evolve
+from .de_core import DrawSource, Population, evolve, pbest_highs
 from .errors import NumericFailure
 from .neural import (
     ControllerWeights,
@@ -132,26 +134,34 @@ class RolloutBatch:
 class ControllerStep:
     """One generation of the learned optimizer, for training and running alike.
 
-    Holds the histogram ring and LSTM state of a batch of rollouts.  Each
+    Holds the histogram ring, the LSTM state and the draw source of a
+    batch of rollouts, one generator per row in ``rngs``, on functions of
+    dimension ``dim``; ``generations`` is the most the caller will take,
+    which bounds the chunks drawn ahead (``de_core.DrawSource``).  Each
     call featurises the population batch, steps the controller, draws the
     actions (or, with ``sample=False``, clips the head means) and evolves
     one generation; it returns the next population and the step's record.
     """
 
-    def __init__(self, w: ControllerWeights, spec: PolicyConfig, batch: int = 1,
-                 sample: bool = True):
+    def __init__(self, w: ControllerWeights, spec: PolicyConfig, rngs, dim: int,
+                 generations: int, sample: bool = True):
         spec.check_weights(w)
         self.w = w
         self.spec = spec
         self.sample = sample
         self.ring = HistRing(spec.window)
-        self.state = zero_state(w.hidden, batch)
+        self.state = zero_state(w.hidden, len(rngs))
+        N = spec.pop_size
+        self.draws = DrawSource(rngs, pbest_highs(N, dim, spec.p_best), N, dim, generations,
+                                normals=2 * N if sample else 0)
 
-    def __call__(self, pop: Population, objective, rngs):
+    def __call__(self, pop: Population, objective):
         x = assemble_state(pop, self.ring, self.spec.bins)
         mu, self.state, tape = forward_step(self.w, x, self.state)
-        action = sample_action(mu, self.spec, rngs) if self.sample else clip_action(mu, self.spec)
-        pop = evolve(pop, objective, action, self.spec.p_best, rngs)
+        draws = self.draws()  # the action's normals first, when sampling
+        action = (sample_action(mu, self.spec, draws.pop(0)) if self.sample
+                  else clip_action(mu, self.spec))
+        pop = evolve(pop, objective, action, self.spec.p_best, self.draws.rngs, draws)
         return pop, StepRecord(tape, action, mu)
 
 
@@ -204,13 +214,13 @@ def sample_trajectory(w: ControllerWeights, functions, pop0: Population,
         raise ValueError(f"{len(rngs)} generators do not split evenly over {K} functions")
     L = len(rngs) // K
     objective = FunctionBlocks(functions, L)
-    step = ControllerStep(w, cfg, batch=K * L)
+    step = ControllerStep(w, cfg, rngs, pop0.members.shape[2], cfg.horizon)
     pop = Population(np.repeat(pop0.members, L, axis=0), np.repeat(pop0.fitness, L, axis=0))
     err_prev = _best_errors(objective, pop)
     rewards = np.empty((K * L, cfg.horizon))
     steps = []
     for t in range(cfg.horizon):
-        pop, record = step(pop, objective, rngs)
+        pop, record = step(pop, objective)
         err_next = _best_errors(objective, pop)
         rewards[:, t] = reward(err_prev, err_next)
         steps.append(record)

@@ -22,16 +22,13 @@ class ScriptedRng:
     """Replays pre-written draws in the documented operator draw order.
 
     ``ints`` feeds successive ``integers`` calls, ``uniforms`` successive
-    ``random`` calls, ``normals`` successive standard-normal draws consumed
-    through ``standard_normal(size)`` or ``normal(mu, sigma)``.  Exhausting
-    a script is an error: tests pin the exact number of draws an operator
-    makes.
+    ``random`` calls.  Exhausting a script is an error: tests pin the exact
+    number of draws an operator makes.
     """
 
-    def __init__(self, ints=(), uniforms=(), normals=()):
+    def __init__(self, ints=(), uniforms=()):
         self._ints = [np.asarray(a) for a in ints]
         self._uniforms = [np.asarray(a, dtype=float) for a in uniforms]
-        self._normals = [np.asarray(a, dtype=float) for a in normals]
 
     def integers(self, low, high, size=None):
         draw = self._ints.pop(0)
@@ -46,18 +43,8 @@ class ScriptedRng:
         assert draw.shape == want, f"scripted uniform shape {draw.shape} != {want}"
         return draw
 
-    def standard_normal(self, size=None):
-        draw = self._normals.pop(0)
-        want = (size,) if np.isscalar(size) else tuple(size or ())
-        assert draw.shape == want, f"scripted normal shape {draw.shape} != {want}"
-        return draw
-
-    def normal(self, loc, scale):
-        z = self._normals.pop(0)
-        return np.asarray(loc, dtype=float) + scale * z
-
     def exhausted(self) -> bool:
-        return not (self._ints or self._uniforms or self._normals)
+        return not (self._ints or self._uniforms)
 
 
 class EvalCounter:

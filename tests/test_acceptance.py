@@ -246,7 +246,7 @@ def _policy_cases():
     cases = 0
     for _ in range(10_000):
         mu = rng.uniform(-0.5, 1.5, (1, 6))
-        act = sample_action(mu, cfg, [rng])
+        act = sample_action(mu, cfg, rng.standard_normal((1, 6)))
         assert np.all((act.F >= cfg.f_min) & (act.F <= 1.0))
         assert np.all((act.CR >= 0.0) & (act.CR <= 1.0))
         g = logprob_grad_mu(act, mu, cfg)

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import EvalCounter, ScriptedRng, check_sheet_ranges
+from ldectl import de_core
 from ldectl.benchfn import FunctionInstance, make_suite
 from ldectl.de_core import (
+    DrawSource,
     ParamSheet,
     Population,
     binomial_crossover_batch,
@@ -20,7 +22,6 @@ from ldectl.de_core import (
     mutate_current_to_pbest,
     mutate_rand1,
     repair_bounds,
-    rewind_generations,
     select,
 )
 
@@ -211,17 +212,51 @@ def test_a_desk_chunk_comes_from_one_raw_block_per_row():
 
 def test_rewind_generations_steps_back_over_a_chunk():
     rngs = [_pcg(0, b) for b in range(2)]
-    chunk = draw_generation(rngs, (1, 19, 18, 10), 20, 10, 40, 10)
-    assert len(chunk) == 10
-    rewind_generations(rngs, (1, 19, 18, 10), 20, 10, 40, 7)
+    source = DrawSource(rngs, (1, 19, 18, 10), 20, 10, generations=10, lead=40)
+    chunk = [source() for _ in range(3)]  # the first 3 of a 10-generation chunk
+    assert source.drawn == 10
+    source.rewind()
     refs = [_pcg(0, b) for b in range(2)]
     for _ in range(3):
         draw_generation(refs, (1, 19, 18, 10), 20, 10, 40)
     assert [_state(r) for r in rngs] == [_state(r) for r in refs]
-    again = draw_generation(rngs, (1, 19, 18, 10), 20, 10, 40, 7)
+    chunk += draw_generation(rngs, (1, 19, 18, 10), 20, 10, 40, 7)
+    again = draw_generation(refs, (1, 19, 18, 10), 20, 10, 40, 7)
     for g, draws in enumerate(again):
         for a, b in zip(draws, chunk[3 + g]):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("make_rng, highs, N, n", [
+    (_pcg, (1, 19, 18, 10), 20, 10),              # desk evolve
+    (_pcg, (2 ** 31 + 1, 19, 18, 10), 20, 10),    # about half the pbest words redrawn
+    (_pcg, (2 ** 32 - 2 ** 28, 7, 6, 5), 8, 5),   # a sixteenth: chunks stop part way
+    (_pcg, (1, 4, 3, 3), 5, 3),                   # odd word count: the generator's own calls
+    (_pending_half_word, (1, 19, 18, 10), 20, 10),
+    (_mt19937, (1, 19, 18, 10), 20, 10),          # not PCG64
+    (_mixed, (1, 19, 18, 10), 20, 10),
+])
+def test_a_chunk_with_normals_is_standard_normal_then_one_generation(make_rng, highs, N, n,
+                                                                    batch, monkeypatch):
+    # per generation, each row's 2N standard normals and then its block, as
+    # the generator's own calls draw them; taken short of the horizon and
+    # rewound, the states must equal those of the generations taken
+    monkeypatch.setattr(de_core, "CHUNK_GENERATIONS", 24)
+    for seed in range(3):
+        rngs = [make_rng(seed, b) for b in range(batch)]
+        refs = [make_rng(seed, b) for b in range(batch)]
+        source = DrawSource(rngs, highs, N, n, generations=45, normals=2 * N)
+        for _ in range(40):
+            z, *draws = source()
+            assert z.shape == (batch, 2 * N)
+            for b, ref in enumerate(refs):
+                np.testing.assert_array_equal(z[b], ref.standard_normal(2 * N))
+                want_ints, want_u = _per_call(ref, highs, N, n)
+                for got, want in zip(draws, want_ints + [want_u]):
+                    np.testing.assert_array_equal(got[b], want)
+        source.rewind()
+        assert [_state(r) for r in rngs] == [_state(r) for r in refs]
 
 
 # ---------------------------------------------------------------- mutation

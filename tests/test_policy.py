@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ScriptedRng, check_sheet_ranges
+from conftest import check_sheet_ranges
 from ldectl.de_core import ParamSheet
 from ldectl.errors import ConsistencyError
 from ldectl.policy import (
@@ -26,51 +26,47 @@ CFG = PolicyConfig(sigma=0.1, f_min=1e-3)  # the examples below are worked at si
 
 # ---------------------------------------------------------------- sampling
 def test_sample_pinned_standard_normal_draw():
-    rng = ScriptedRng(normals=[np.full(2, 2.0)])  # z = 2 everywhere
-    action = sample_action(np.array([[0.5, 0.5]]), CFG, [rng])
+    action = sample_action(np.array([[0.5, 0.5]]), CFG, np.full((1, 2), 2.0))  # z = 2 everywhere
     np.testing.assert_allclose(action.raw, [[0.7, 0.7]], atol=1e-15)
     np.testing.assert_allclose(action.F, [[0.7]], atol=1e-15)
     np.testing.assert_allclose(action.CR, [[0.7]], atol=1e-15)
 
 
 def test_sample_draws_each_row_from_its_own_generator():
-    rngs = [ScriptedRng(normals=[np.full(2, 1.0)]), ScriptedRng(normals=[np.full(2, -1.0)])]
-    action = sample_action(np.full((2, 2), 0.5), CFG, rngs)
+    z = np.array([[1.0, 1.0], [-1.0, -1.0]])  # row b's normals, from its own generator
+    action = sample_action(np.full((2, 2), 0.5), CFG, z)
     np.testing.assert_allclose(action.raw, [[0.6, 0.6], [0.4, 0.4]], atol=1e-15)
-    assert all(r.exhausted() for r in rngs)
 
 
 def test_sample_degenerate_sigma_returns_clamped_mu():
     cfg = PolicyConfig(sigma=1e-12)
     mu = np.array([[0.3, 0.8, 0.1, 0.9]])
-    action = sample_action(mu, cfg, [np.random.default_rng(0)])
+    action = sample_action(mu, cfg, np.random.default_rng(0).standard_normal(mu.shape))
     np.testing.assert_allclose(action.F, mu[:, :2], atol=1e-9)
     np.testing.assert_allclose(action.CR, mu[:, 2:], atol=1e-9)
 
 
 def test_sample_clips_f_to_f_min():
     cfg = PolicyConfig(sigma=0.1, f_min=0.01)
-    rng = ScriptedRng(normals=[np.array([-8.0, 0.0])])  # raw F = -0.3
-    action = sample_action(np.array([[0.5, 0.5]]), cfg, [rng])
+    action = sample_action(np.array([[0.5, 0.5]]), cfg, np.array([[-8.0, 0.0]]))  # raw F = -0.3
     assert action.raw[0, 0] == pytest.approx(-0.3)  # stored pre-clip
     assert action.F[0, 0] == 0.01
 
 
 def test_sample_halves_map_to_f_then_cr():
-    rng = ScriptedRng(normals=[np.zeros(6)])
     mu = np.array([[0.2, 0.3, 0.4, 0.6, 0.7, 0.8]])
-    action = sample_action(mu, CFG, [rng])
+    action = sample_action(mu, CFG, np.zeros((1, 6)))
     np.testing.assert_array_equal(action.F, mu[:, :3])
     np.testing.assert_array_equal(action.CR, mu[:, 3:])
 
 
 def test_sample_validates_mu_shape():
     with pytest.raises(ValueError):
-        sample_action(np.zeros((1, 3)), CFG, [np.random.default_rng(0)])  # odd length
+        sample_action(np.zeros((1, 3)), CFG, np.zeros((1, 3)))  # odd length
     with pytest.raises(ValueError):
-        sample_action(np.zeros(2), CFG, [np.random.default_rng(0)])  # no batch axis
+        sample_action(np.zeros(2), CFG, np.zeros(2))  # no batch axis
     with pytest.raises(ValueError):
-        sample_action(np.zeros((2, 2)), CFG, [np.random.default_rng(0)])  # one generator
+        sample_action(np.zeros((2, 2)), CFG, np.zeros((1, 2)))  # one row's normals
 
 
 @given(st.integers(0, 500), st.sampled_from([0.05, 0.1, 0.2]))
@@ -78,7 +74,7 @@ def test_sample_ranges_always_hold(seed, sigma):
     cfg = PolicyConfig(sigma=sigma)
     rng = np.random.default_rng(seed)
     mu = rng.uniform(0, 1, (1, 8))
-    action = sample_action(mu, cfg, [rng])
+    action = sample_action(mu, cfg, rng.standard_normal((1, 8)))
     assert np.all(action.F >= cfg.f_min) and np.all(action.F <= 1.0)
     assert np.all(action.CR >= 0.0) and np.all(action.CR <= 1.0)
     np.testing.assert_array_equal(action.F, np.clip(action.raw[:, :4], cfg.f_min, 1.0))
@@ -119,7 +115,7 @@ def test_logprob_grad_examples():
 
 def test_logprob_grad_uses_raw_not_clipped():
     mu = np.full((1, 2), 0.5)
-    action = sample_action(mu, CFG, [ScriptedRng(normals=[np.array([8.0, -8.0])])])
+    action = sample_action(mu, CFG, np.array([[8.0, -8.0]]))
     assert action.F[0, 0] == 1.0 and action.CR[0, 0] == 0.0  # both clipped
     np.testing.assert_allclose(logprob_grad_mu(action, mu, CFG),
                                [[0.8 / 0.01, -0.8 / 0.01]])

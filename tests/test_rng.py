@@ -1,6 +1,9 @@
 """Seed-stream addressing: per-purpose generators must be stable and disjoint."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from ldectl.rng import stream
 
@@ -40,3 +43,29 @@ def test_stream_scheme_stability_pin():
     # reproducibility contract, so the first draw is frozen here.
     got = stream(0, "weights").random()
     assert got == 0.8731928062714769, got
+
+
+def _default_rng(master_seed, *path):
+    """The documented scheme through default_rng: integer labels as they are,
+    any other label as the first 4 bytes of its text's SHA-256, little-endian."""
+    key = tuple(int(p) if isinstance(p, (int, np.integer)) else
+                int.from_bytes(hashlib.sha256(str(p).encode()).digest()[:4], "little")
+                for p in path)
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
+
+
+@pytest.mark.parametrize("master_seed, path", [
+    (0, ()),
+    (0, ("weights",)),
+    (7, ("epoch", 3, "init")),
+    (2 ** 40, ("epoch", np.int64(12), "traj", np.uint32(5), 9)),
+    (1, ("run", "lde", "test-07-weierstrass_lite", 50)),
+    (3, ("run", "random_params", "test-00-sphere", np.int16(0))),
+    (5, ("x", 1, "1", 2 ** 31, "é", "")),
+])
+def test_stream_is_default_rngs_stream(master_seed, path):
+    for _ in range(2):  # the second call reads the cached label words
+        got, want = stream(master_seed, *path), _default_rng(master_seed, *path)
+        assert type(got.bit_generator) is np.random.PCG64
+        assert got.bit_generator.state == want.bit_generator.state
+        np.testing.assert_array_equal(got.random(5), want.random(5))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import EvalCounter
-from ldectl import runner
+from ldectl import de_core, runner
 from ldectl.benchfn import make_suite
 from ldectl.de_core import ParamSheet, Population, mutate_rand1
 from ldectl.neural import init_weights
@@ -334,7 +334,16 @@ def _final_state(rng):
     return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
 
 
-@pytest.mark.parametrize("kind", BASELINES)
+def _run_kind(kind, inst, term, cfg, rng):
+    """A baseline run, or an lde run (untrained weights), sampled or with
+    ``-deterministic`` its head means."""
+    if kind.startswith(LEARNED):
+        cfg = RunConfig(**cfg.spec_dict(), deterministic=kind != LEARNED)
+        return run_lde(_weights(cfg), inst, term, cfg, rng)
+    return run_baseline(kind, inst, term, cfg, rng)
+
+
+@pytest.mark.parametrize("kind", BASELINES + (LEARNED, "lde-deterministic"))
 def test_the_chunk_size_does_not_change_a_run(kind, monkeypatch):
     ellipsoid, rastrigin = make_suite(0, 3, 0, 3).test[2], make_suite(0, 3, 0, 3).test[1]
     cases = [  # (instance, config, termination, generator)
@@ -347,11 +356,11 @@ def test_the_chunk_size_does_not_change_a_run(kind, monkeypatch):
     ]
     outcomes = {}
     for chunk in (1, 7, 64):
-        monkeypatch.setattr(runner, "CHUNK_GENERATIONS", chunk)
+        monkeypatch.setattr(de_core, "CHUNK_GENERATIONS", chunk)
         got = []
         for inst, cfg, term, make_rng in cases:
             rng = make_rng()
-            res = run_baseline(kind, inst, term, cfg, rng)
+            res = _run_kind(kind, inst, term, cfg, rng)
             got.append((res.error_trace, res.best_error, res.evals_used, _final_state(rng)))
         outcomes[chunk] = got
     assert outcomes[1] == outcomes[7] == outcomes[64]
@@ -366,14 +375,40 @@ def test_a_run_stopped_at_the_tolerance_mid_chunk_rewinds_its_unused_draws():
         rng = stream(0, "chunk", kind)
         res = run_baseline(kind, inst, Termination(20000), cfg, rng)
         generations = res.evals_used // N - 1
-        assert res.best_error <= 1e-8 and generations > runner.CHUNK_GENERATIONS
-        assert generations % runner.CHUNK_GENERATIONS
+        assert res.best_error <= 1e-8 and generations > de_core.CHUNK_GENERATIONS
+        assert generations % de_core.CHUNK_GENERATIONS
         # per generation: random_params' 2N sheet uniforms, N integers per
         # bound above 1 (two to a 64-bit output), N (n - 1) crossover uniforms
         width = (2 * N if kind == "random_params" else 0) + live * N // 2 + N * (n - 1)
         fresh = stream(0, "chunk", kind)
         fresh.bit_generator.advance(N * n + generations * width)  # start population first
         assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_an_lde_run_stopped_at_the_tolerance_mid_chunk_replays_its_kept_draws():
+    inst = make_suite(0, 3, 0, 3).test[2]
+    cfg = RunConfig()
+    N, n = cfg.pop_size, inst.dim
+    rng = stream(0, "chunk", LEARNED)
+    res = run_lde(_weights(cfg), inst, Termination(20000), cfg, rng)
+    generations = res.evals_used // N - 1
+    assert res.best_error <= 1e-8 and generations > de_core.CHUNK_GENERATIONS
+    assert generations % de_core.CHUNK_GENERATIONS
+    # a fresh stream, one generation at a time through the generator's own
+    # calls: the start population, then per generation the action's 2N
+    # normals and evolve's integers and crossover uniforms
+    fresh = stream(0, "chunk", LEARNED)
+    fresh.uniform(*inst.bounds, size=(N, n))
+    for _ in range(generations):
+        fresh.standard_normal(2 * N)
+        for h in de_core.pbest_highs(N, n, cfg.p_best):
+            fresh.integers(0, h, size=N)
+        fresh.random((N, n - 1))
+    # uinteger is left out: the own calls keep a spent half-word there, unread
+    # while has_uint32 is 0
+    got, want = rng.bit_generator.state, fresh.bit_generator.state
+    assert (got["state"], got["has_uint32"]) == (want["state"], want["has_uint32"]) \
+        and want["has_uint32"] == 0
 
 
 def test_random_sheet_is_numpys_uniform_bit_for_bit():

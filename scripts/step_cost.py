@@ -5,20 +5,21 @@ At desk scale (dim 10, N 20, H 32, b 5, g 5; untrained weights seeded as
 ``train --epochs 0`` seeds them) the script warms a batch up for some
 generations, then times each stage of the generation step in-process:
 ``assemble_state``, ``forward_step``, the draw (``de_core.DrawSource``:
-the action's normals and evolve's integers and uniforms),
-``sample_action``, ``evolve`` with those draws and its parts (mutation,
-crossover, repair, evaluation, selection), the whole ``ControllerStep``
-call and, at a batch of one, ``run_lde`` and ``run_baseline``
-(ctpb_fixed and random_params) per generation.  The draw and the step
-take a chunk of max(1, ``CHUNK_GENERATIONS`` // B) generations per
-timed call, as a run (64) or a desk epoch (1) takes them, and report
-per generation.  At the large batch it also times ``epoch_gradient``
-(the backward pass with its output gradients) over one epoch's K * L
-rollouts of ``--warmup`` generations.  Stages are timed round-robin, one
-call each per round, and the median over the rounds is reported in
-microseconds, so a slow spell of the host hits every stage alike.  It
-also counts the Python-level calls (cProfile's count, functions and
-builtins alike) one call of each stage makes, per generation.
+the action's normals and evolve's integers and uniforms, turned into
+member indices and a crossover sheet), ``sample_action``, ``evolve`` with
+those draws and its parts (mutation, crossover, repair, evaluation,
+selection), the whole ``ControllerStep`` call and, at a batch of one,
+``run_lde`` and ``run_baseline`` (de_rand1_fixed, ctpb_fixed and
+random_params) per generation.  The draw and the step take a chunk of
+max(1, ``CHUNK_GENERATIONS`` // B) generations per timed call, as a run
+(64) or a desk epoch (1) takes them, and report per generation.  At the
+large batch it also times ``epoch_gradient`` (the backward pass with its
+output gradients) over one epoch's K * L rollouts of ``--warmup``
+generations.  Stages are timed round-robin, one call each per round, and
+the median over the rounds is reported in microseconds, so a slow spell
+of the host hits every stage alike.  It also counts the Python-level
+calls (cProfile's count, functions and builtins alike) one call of each
+stage makes, per generation.
 
 It reports a batch of one (a run) and a batch of K * L rows (a training
 epoch's cross-function batch).  Run with ``PYTHONPATH=src``:
@@ -45,7 +46,7 @@ from ldectl.trainer import (ControllerStep, FunctionBlocks, TrainConfig, epoch_g
                             sample_trajectory)
 
 
-BASELINE_ROWS = ("ctpb_fixed", "random_params")
+BASELINE_ROWS = ("de_rand1_fixed", "ctpb_fixed", "random_params")
 NAME_WIDTH = 40  # the stage column
 
 
@@ -81,9 +82,9 @@ def stages(functions, rollouts: int, cfg: RunConfig, w, seed: int, warmup: int):
     x, mu, sheet = record.tape.z[:, w.hidden:], record.mu, record.action
     source = de_core.DrawSource(rngs, de_core.pbest_highs(N, n, p), N, n, 10 ** 9, normals=2 * N)
     z, *draws = source()
-    picks, r1, r2, j_rand, u = draws
-    mutants = de_core.mutate_current_to_pbest(pop, sheet, p, picks, (r1, r2))
-    trials = de_core.binomial_crossover_batch(pop.members, mutants, sheet.CR, j_rand, u)
+    pbest, members, forced, u = draws
+    mutants = de_core.mutate_current_to_pbest(pop, sheet, p, pbest, members)
+    trials = de_core.binomial_crossover_batch(pop.members, mutants, sheet.CR, forced, u)
     trials = de_core.repair_bounds(trials, objective.bounds)
     fitness = objective.evaluate_batch(trials.reshape(B * N, n)).reshape(B, N)
     calls = {
@@ -93,9 +94,9 @@ def stages(functions, rollouts: int, cfg: RunConfig, w, seed: int, warmup: int):
         "sample_action": lambda: sample_action(mu, cfg, z),
         "evolve": lambda: de_core.evolve(pop, objective, sheet, p, rngs, draws),
         "  mutate_current_to_pbest":
-            lambda: de_core.mutate_current_to_pbest(pop, sheet, p, picks, (r1, r2)),
+            lambda: de_core.mutate_current_to_pbest(pop, sheet, p, pbest, members),
         "  binomial_crossover_batch":
-            lambda: de_core.binomial_crossover_batch(pop.members, mutants, sheet.CR, j_rand, u),
+            lambda: de_core.binomial_crossover_batch(pop.members, mutants, sheet.CR, forced, u),
         "  repair_bounds": lambda: de_core.repair_bounds(trials, objective.bounds),
         "  evaluate_batch": lambda: objective.evaluate_batch(trials.reshape(B * N, n)),
         "  select": lambda: de_core.select(pop, trials, fitness),

@@ -10,7 +10,9 @@ generator in a fixed order, so a row's result does not depend on which
 rows share its batch.
 
 All operators are pure (inputs never mutated); mutation and crossover
-take their random draws as arrays.  Draw order is part of the contract.
+take their draws as a ``DrawSource`` call derives them, a chunk of
+generations at a time: flat member indices, a forced-coordinate mask and
+a full-width uniform sheet.  Draw order is part of the contract.
 A generation draws one block per row (``DrawSource``): the learned
 optimizer's 2N standard normals first (its action's z, from the row's
 own ``standard_normal``), then N integers from [0, h) for each bound h
@@ -113,14 +115,6 @@ def _member_index(batch: int, N: int) -> np.ndarray:
     return i
 
 
-def gather_members(X, indices) -> np.ndarray:
-    """X[b, r[b, i]] for each (B, N) index array r in ``indices``, as one
-    take over the (B * N, n) members; shape (len(indices), B, N, n)."""
-    B, N, n = X.shape
-    flat = np.concatenate(indices).reshape(len(indices), B, N) + _row_starts(B, N)
-    return X.reshape(B * N, n).take(flat, axis=0)
-
-
 @lru_cache(maxsize=64)
 def _draw_plan(highs: tuple, N: int, n: int):
     """What a generation's draws for ``highs`` need, made once per shape.
@@ -152,13 +146,17 @@ CHUNK_GENERATIONS = 64
 class DrawSource:
     """A batch's draws for successive generations, drawn a chunk ahead.
 
-    Each call returns the next generation's draws, in the documented
-    order (see the module notes): the (B, normals) standard normals if
-    normals > 0, the (B, lead) leading uniforms if lead > 0, one (B, N)
-    integer array from [0, h) per h in highs, then the uniforms, shape
-    (B, N, n - 1).  A chunk holds at most ``CHUNK_GENERATIONS``
-    row-generations, and no more generations than the ``generations``
-    the caller has left to take.
+    ``highs`` bound the integer draws: the pbest picks (1 for rand/1,
+    which picks none), the member offsets, the forced coordinates (n).
+    ``draw`` returns a chunk as drawn.  A call returns the next
+    generation's draws in the operators' form, derived a chunk at a time:
+    the (B, normals) normals and (B, lead) leading uniforms, if any, the
+    picks as flat ranks b * N + pick (B, N), the offsets as flat member
+    indices (k, B, N) (see distinct_indices), a (B, N, n) mask of the
+    forced coordinates, and a (B, N, n) sheet of each member's n - 1
+    uniforms at its other coordinates, in order (0.0 at the forced one).
+    A chunk holds at most ``CHUNK_GENERATIONS`` row-generations, and no
+    more generations than the ``generations`` the caller has left to take.
     """
 
     def __init__(self, rngs, highs: tuple, N: int, n: int, generations: int = 1,
@@ -167,22 +165,43 @@ class DrawSource:
         self.rngs, self.highs, self.N, self.n = rngs, highs, N, n
         self.lead, self.normals, self.left = lead, normals, generations
         self.width = lead + self.plan[3] // 2 + N * (n - 1)  # 64-bit outputs a generation
-        self.pending = []  # the chunk's generations not yet taken, the next one last
+        self.chunk = []  # the derived chunk, generation-major
         self.snapshots = []  # per row its PCG64 state at the chunk's start, or None
-        self.drawn = 0  # generations in the chunk
+        self.drawn = self.taken = 0  # generations in the chunk, and taken from it
 
     def __call__(self) -> list:
-        if not self.pending:
-            self.pending = self.draw(max(1, min(CHUNK_GENERATIONS // len(self.rngs), self.left)))
-            self.pending.reverse()
-        return self.pending.pop()
+        if self.taken == self.drawn:
+            span = max(1, min(CHUNK_GENERATIONS // len(self.rngs), self.left))
+            self.chunk, self.taken = self._derive(self.draw(span)), 0
+        self.taken += 1
+        return [a[self.taken - 1] for a in self.chunk]
+
+    def _derive(self, chunk) -> list:
+        """A ``draw`` chunk in a call's form, each array generation-major."""
+        h = bool(self.normals) + bool(self.lead)
+        heads, (picks, *offsets, j_rand, u) = chunk[:h], chunk[h:]
+        B, G, N = picks.shape
+        starts = _row_starts(B, N)
+
+        def by_generation(a):
+            return np.ascontiguousarray(a.swapaxes(0, 1))
+
+        members = np.empty((G, len(offsets), B, N), dtype=np.int64)
+        for j, r in enumerate(distinct_indices([by_generation(r).reshape(G * B, N)
+                                                for r in offsets])):
+            np.add(r.reshape(G, B, N), starts, out=members[:, j])
+        forced = np.eye(self.n, dtype=bool).take(by_generation(j_rand), axis=0)
+        sheet = np.zeros(forced.shape)
+        sheet[~forced] = by_generation(u).ravel()  # member by member, in coordinate order
+        return ([by_generation(a) for a in heads]
+                + [by_generation(picks) + starts, members, forced, sheet])
 
     def rewind(self) -> None:
         """Leave every generator where one draw per generation taken would."""
-        if self.pending:
+        if self.taken < self.drawn:
             for b in range(len(self.rngs)):
-                self._replay(b, self.drawn - len(self.pending))
-            self.pending = []
+                self._replay(b, self.taken)
+            self.taken = self.drawn
 
     def _replay(self, b: int, generations: int) -> None:
         """Put row b back at the chunk's start, then past its first ``generations``
@@ -194,10 +213,13 @@ class DrawSource:
             rng.bit_generator.advance(self.width)
 
     def draw(self, span: int) -> list:
-        """A chunk of 1 to ``span`` successive generations' draws, each a list
-        as a call returns it; every generator is left where that many
-        one-generation draws leave it, and every generation of a chunk of
-        two or more came from the raw blocks."""
+        """A chunk of 1 to ``span`` successive generations' draws as drawn,
+        each array with a generation axis after the row axis: the (B, G,
+        normals) normals and (B, G, lead) leading uniforms if any, one (B,
+        G, N) integer array per h in highs, then the (B, G, N, n - 1)
+        uniforms.  Every generator is left where G one-generation draws
+        leave it, and every generation of a chunk of two or more came from
+        the raw blocks."""
         if span < 1:
             raise ValueError(f"generations must be >= 1, got {span}")
         slots, h, threshold, k = self.plan
@@ -256,20 +278,11 @@ class DrawSource:
                 doubles[b, 0, width - N * (n - 1):] = rng.random((N, n - 1)).ravel()
         self.left -= count
         self.drawn = count
-        uniforms = doubles[:, :, width - N * (n - 1):].reshape(B, span, N, n - 1)
-        zero = np.zeros((B, N), dtype=np.int64)  # the draws of a bound of 1
-        heads = [a for a, size in ((z, self.normals), (doubles[:, :, :lead], lead)) if size]
-        return [[a[:, g] for a in heads] + [zero if s is None else ints[:, g, s] for s in slots]
-                + [uniforms[:, g]] for g in range(count)]
-
-
-def draw_generation(rngs, highs: tuple, N: int, n: int, lead: int = 0, generations=None) -> list:
-    """One generation's draws for every batch row, a ``DrawSource`` call
-    without normals; with ``generations`` G, a chunk of 1 to G successive
-    generations (``DrawSource.draw``)."""
-    if generations is None:
-        return DrawSource(rngs, highs, N, n, lead=lead).draw(1)[0]
-    return DrawSource(rngs, highs, N, n, lead=lead).draw(generations)
+        uniforms = doubles[:, :count, width - N * (n - 1):].reshape(B, count, N, n - 1)
+        zero = np.zeros((B, count, N), dtype=np.int64)  # the draws of a bound of 1
+        heads = [a[:, :count] for a, size in ((z, self.normals), (doubles[:, :, :lead], lead))
+                 if size]
+        return heads + [zero if s is None else ints[:, :count, s] for s in slots] + [uniforms]
 
 
 def distinct_indices(offsets) -> list:
@@ -295,63 +308,60 @@ def distinct_indices(offsets) -> list:
 
 
 def mutate_current_to_pbest(pop: Population, sheet: ParamSheet, p: float,
-                            picks, offsets) -> np.ndarray:
+                            pbest, members) -> np.ndarray:
     """Mutant array v_i = x_i + F_i (x_pbest - x_i) + F_i (x_r1 - x_r2), per row.
 
-    pbest is member ``picks`` (B, N), drawn from [0, ceil(N*p)), of the
-    ceil(N*p) fittest members of its own row, in stable fitness order; r1
-    and r2 come from the ``offsets`` pair, draws from [0, N - 1) and
-    [0, N - 2), shifted to be distinct from each other and from i (see
-    distinct_indices).
+    pbest is the member of flat rank ``pbest`` (B, N), b * N plus a pick
+    from [0, ceil(N*p)), among its own row's members in stable fitness
+    order; r1 and r2 are the flat member indices ``members`` (2, B, N),
+    distinct from each other and from i (a ``DrawSource`` call derives
+    both).
     """
-    B, N = pop.fitness.shape
+    B, N, n = pop.members.shape
     if N < 4:
         raise ValueError(f"population must hold at least 4 members, got {N}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     if sheet.F.shape != (B, N):
         raise ValueError("sheet shape must equal the population's (batch, members)")
-    order = pop.fitness.argsort(axis=1, kind="stable")
-    pbest = order.take(picks + _row_starts(B, N))
+    order = pop.fitness.argsort(axis=1, kind="stable") + _row_starts(B, N)
     X = pop.members
-    X_pbest, X_r1, X_r2 = gather_members(X, [pbest, *distinct_indices(offsets)])
+    flat = X.reshape(B * N, n)
+    X_pbest = flat.take(order.take(pbest), axis=0)
+    X_r1, X_r2 = flat.take(members, axis=0)
     # same-shape products: the broadcast ones' bits at a lower cost per call
-    F = sheet.F[:, :, None].repeat(X.shape[2], axis=2)
+    F = sheet.F[:, :, None].repeat(n, axis=2)
     return X + F * (X_pbest - X) + F * (X_r1 - X_r2)
 
 
-def mutate_rand1(pop: Population, sheet: ParamSheet, offsets) -> np.ndarray:
-    """Mutant array v_i = x_r1 + F_i (x_r2 - x_r3), per row; the ``offsets``
-    are draws from [0, N - 1), [0, N - 2) and [0, N - 3) (see distinct_indices)."""
-    B, N = pop.fitness.shape
+def mutate_rand1(pop: Population, sheet: ParamSheet, members) -> np.ndarray:
+    """Mutant array v_i = x_r1 + F_i (x_r2 - x_r3), per row; r1, r2 and r3
+    are the flat member indices ``members`` (3, B, N), pairwise distinct
+    and distinct from i (a ``DrawSource`` call derives them)."""
+    B, N, n = pop.members.shape
     if N < 4:
         raise ValueError(f"population must hold at least 4 members, got {N}")
     if sheet.F.shape != (B, N):
         raise ValueError("sheet shape must equal the population's (batch, members)")
-    X_r1, X_r2, X_r3 = gather_members(pop.members, distinct_indices(offsets))
+    X_r1, X_r2, X_r3 = pop.members.reshape(B * N, n).take(members, axis=0)
     return X_r1 + sheet.F[:, :, None] * (X_r2 - X_r3)
 
 
-def binomial_crossover_batch(targets, mutants, cr, j_rand, u) -> np.ndarray:
+def binomial_crossover_batch(targets, mutants, cr, forced, u) -> np.ndarray:
     """Member-wise binomial crossover of (B, N, n) arrays; cr holds one rate
     per member, shape (B, N).
 
-    Each member takes the mutant at its forced coordinate ``j_rand``
-    (B, N) and at each other coordinate, in order, where its uniform in
-    ``u`` (B, N, n - 1) is at most its rate.
+    Each member takes the mutant where the mask ``forced`` (B, N, n) marks
+    its forced coordinate, whatever its rate, and at each other coordinate
+    where its uniform in ``u`` (B, N, n) is at most its rate.
     """
     T = np.asarray(targets, dtype=float)
     M = np.asarray(mutants, dtype=float)
     cr = np.asarray(cr, dtype=float)
-    if T.shape != M.shape or T.ndim != 3 or cr.shape != T.shape[:2]:
-        raise ValueError("targets, mutants, and cr have incompatible shapes")
-    B, N, n = T.shape
-    # members of all rows are crossed as one (B * N, n) block
-    off = np.arange(n) != j_rand.reshape(B * N, 1)
-    take = ~off  # the forced coordinates
-    if n > 1:
-        take[off] = (u.reshape(B * N, n - 1) <= cr.reshape(B * N, 1)).ravel()
-    return np.where(take.reshape(B, N, n), M, T)
+    if (T.shape != M.shape or T.ndim != 3 or cr.shape != T.shape[:2]
+            or forced.shape != T.shape or u.shape != T.shape):
+        raise ValueError("targets, mutants, cr and the draws have incompatible shapes")
+    return np.where(forced | (u <= cr[:, :, None]), M, T)
 
 
 def repair_bounds(points, bounds) -> np.ndarray:
@@ -382,22 +392,22 @@ def pbest_highs(N: int, n: int, p: float) -> tuple:
 
 
 def rand1_highs(N: int, n: int) -> tuple:
-    """The integer bounds of a DE/rand/1/bin generation's draws: the r1, r2
-    and r3 offsets, the forced coordinates."""
-    return (N - 1, N - 2, N - 3, n)
+    """The integer bounds of a DE/rand/1/bin generation's draws: no pbest
+    picks (a bound of 1 draws nothing), the r1, r2 and r3 offsets, the
+    forced coordinates."""
+    return (1, N - 1, N - 2, N - 3, n)
 
 
 def _generation(pop: Population, objective, sheet: ParamSheet, rngs, highs, draws,
                 mutate) -> Population:
-    """Draw (unless ``draws`` holds the generation's draws), mutate(*integer
-    draws), cross over, repair, evaluate and select every row."""
+    """Take the generation's draws (a ``DrawSource`` call for ``highs``,
+    unless ``draws`` holds one), mutate(pbest, members), cross over,
+    repair, evaluate and select every row."""
     B, N, n = pop.members.shape
     if len(rngs) != B:
         raise ValueError(f"need one generator per batch row: {len(rngs)} for {B} rows")
-    if draws is None:
-        draws = draw_generation(rngs, highs, N, n)
-    *ints, j_rand, u = draws
-    trials = binomial_crossover_batch(pop.members, mutate(*ints), sheet.CR, j_rand, u)
+    pbest, members, forced, u = draws or DrawSource(rngs, highs, N, n)()
+    trials = binomial_crossover_batch(pop.members, mutate(pbest, members), sheet.CR, forced, u)
     trials = repair_bounds(trials, objective.bounds)
     fitness = objective.evaluate_batch(trials.reshape(B * N, n)).reshape(B, N)
     return select(pop, trials, fitness)
@@ -406,11 +416,11 @@ def _generation(pop: Population, objective, sheet: ParamSheet, rngs, highs, draw
 def evolve(pop: Population, objective, sheet: ParamSheet, p: float, rngs,
            draws=None) -> Population:
     """One current-to-pbest/1/bin generation of every row; ``draws``, if
-    given, is that generation's ``draw_generation`` list for
-    ``pbest_highs``, drawn ahead by the caller."""
+    given, is that generation's ``DrawSource`` call for ``pbest_highs``,
+    drawn ahead by the caller."""
     _, N, n = pop.members.shape
     return _generation(pop, objective, sheet, rngs, pbest_highs(N, n, p), draws,
-                       lambda picks, *rs: mutate_current_to_pbest(pop, sheet, p, picks, rs))
+                       lambda *draws: mutate_current_to_pbest(pop, sheet, p, *draws))
 
 
 def evolve_rand1(pop: Population, objective, sheet: ParamSheet, rngs,
@@ -419,4 +429,4 @@ def evolve_rand1(pop: Population, objective, sheet: ParamSheet, rngs,
     for ``rand1_highs``."""
     _, N, n = pop.members.shape
     return _generation(pop, objective, sheet, rngs, rand1_highs(N, n), draws,
-                       lambda *offsets: mutate_rand1(pop, sheet, offsets))
+                       lambda _, members: mutate_rand1(pop, sheet, members))

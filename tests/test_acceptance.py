@@ -8,7 +8,6 @@ the runs of one); the README says what they measure and what they last read.
 
 import dataclasses
 import itertools
-import math
 import time
 from pathlib import Path
 
@@ -21,11 +20,12 @@ from ldectl import neural
 from ldectl.benchfn import error_value, make_suite
 from ldectl.cli import main
 from ldectl.de_core import (
+    DrawSource,
     ParamSheet,
     Population,
     binomial_crossover_batch,
-    draw_generation,
     mutate_current_to_pbest,
+    pbest_highs,
     repair_bounds,
     select,
 )
@@ -204,11 +204,10 @@ def _de_core_cases():
                            rng.uniform(0.0, 1.0, (1, pop.size)))
         check_sheet_ranges(sheet)
         N, n = pop.members.shape[1:]
-        picks, r1, r2, j_rand, u = draw_generation(
-            [rng], (math.ceil(N * 0.11), N - 1, N - 2, n), N, n)
-        mut = mutate_current_to_pbest(pop, sheet, 0.11, picks, (r1, r2))
+        pbest, members, forced, u = DrawSource([rng], pbest_highs(N, n, 0.11), N, n)()
+        mut = mutate_current_to_pbest(pop, sheet, 0.11, pbest, members)
         assert np.all(np.isfinite(mut))
-        trials = binomial_crossover_batch(pop.members, mut, sheet.CR, j_rand, u)
+        trials = binomial_crossover_batch(pop.members, mut, sheet.CR, forced, u)
         from_target = trials == pop.members
         from_mutant = trials == mut
         assert np.all(from_target | from_mutant)

@@ -396,6 +396,30 @@ def test_run_out_tree_keeps_its_bits(ws):
     assert _tree_digest(ws / "runs") == GOLDEN_RUN_TREE
 
 
+# A run --out tree at the edge shapes: dim 1 and N 4, so the pbest bound
+# is 1 and there are no crossover uniforms; all four algorithms, two runs
+# each, some stopping at the tolerance and some at the budget.  Recorded
+# before each chunk's draws were turned into member indices and crossover
+# sheets (perfbench's digest rule gives badfcc94655397e1...).  Any changed
+# byte moves it.
+GOLDEN_EDGE_RUN_TREE = "6fc335658c7a24f627fc724a0a9984d8026f5bd49e9a3b6ab33f1504470a327c"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_edge_shape_run_tree_keeps_its_bits(ws, jobs):
+    _suite(ws, dim=1, train=2, test=2, seed=1)
+    assert main(["train", "--epochs", "1", "--rollouts", "2", "--horizon", "3",
+                 "--hidden", "4", "--pop-size", "4", "--jobs", jobs]) == 0
+    assert main(["run", "--weights", "trained/weights.bin", "--role", "test", "--runs", "2",
+                 "--budget", "400", "--pop-size", "4", "--jobs", jobs, "--algorithms",
+                 "lde,de_rand1_fixed,ctpb_fixed,random_params"]) == 0
+    with open(ws / "runs" / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["algorithm_id"] for r in rows} == {runner.LEARNED, *runner.BASELINES}
+    assert {int(r["evals_used"]) < 400 for r in rows} == {True, False}
+    assert _tree_digest(ws / "runs") == GOLDEN_EDGE_RUN_TREE
+
+
 def test_compare_reads_run_output(ws, capsys):
     _pipeline(ws)
     capsys.readouterr()

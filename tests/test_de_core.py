@@ -15,12 +15,14 @@ from ldectl.de_core import (
     ParamSheet,
     Population,
     binomial_crossover_batch,
-    draw_generation,
+    distinct_indices,
     evolve,
     evolve_rand1,
     init_population,
     mutate_current_to_pbest,
     mutate_rand1,
+    pbest_highs,
+    rand1_highs,
     repair_bounds,
     select,
 )
@@ -37,6 +39,16 @@ def _pop(members, fitness):
 
 
 # ---------------------------------------------------------------- sampler
+def _generations(chunk) -> list:
+    """A ``DrawSource.draw`` chunk as one list of (B, ...) arrays per generation."""
+    return [[a[:, g] for a in chunk] for g in range(chunk[0].shape[1])]
+
+
+def _one(rngs, highs, N, n, lead=0) -> list:
+    """One generation's draws as drawn, a one-generation chunk."""
+    return _generations(DrawSource(rngs, highs, N, n, lead=lead).draw(1))[0]
+
+
 def _per_call(rng, highs, N, n):
     """The generator's own calls in the documented order: the reference."""
     ints = [rng.integers(0, h, size=N) for h in highs]
@@ -53,7 +65,7 @@ def _check_against_per_call(make_rng, highs, N, n, batch, generations=3, seeds=r
         rngs = [make_rng(seed, b) for b in range(batch)]
         refs = [make_rng(seed, b) for b in range(batch)]
         for _ in range(generations):
-            *ints, u = draw_generation(rngs, highs, N, n)
+            *ints, u = _one(rngs, highs, N, n)
             assert len(ints) == len(highs) and u.shape == (batch, N, n - 1)
             for b, ref in enumerate(refs):
                 want_ints, want_u = _per_call(ref, highs, N, n)
@@ -111,7 +123,7 @@ def test_draw_generation_takes_one_raw_block_at_desk_size():
         random = integers
 
     rngs = [RawOnly(s) for s in range(10)]
-    *ints, u = draw_generation(rngs, (1, 19, 18, 10), 20, 10)
+    *ints, u = _one(rngs, (1, 19, 18, 10), 20, 10)
     for s, (picks, r1, r2, j_rand) in enumerate(zip(*ints)):
         want_ints, want_u = _per_call(np.random.Generator(np.random.PCG64(s)),
                                       (1, 19, 18, 10), 20, 10)
@@ -126,7 +138,7 @@ def test_draw_generation_own_call_order_is_pinned():
     # call of (N, n - 1)
     rng = ScriptedRng(ints=[[0, 0, 0], [2, 0, 1], [1, 1, 0]],
                       uniforms=[[[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]])
-    picks, r1, j_rand, u = draw_generation([rng], (1, 3, 2), 3, 3)
+    picks, r1, j_rand, u = _one([rng], (1, 3, 2), 3, 3)
     assert rng.exhausted()
     np.testing.assert_array_equal(picks, [[0, 0, 0]])
     np.testing.assert_array_equal(r1, [[2, 0, 1]])
@@ -136,15 +148,15 @@ def test_draw_generation_own_call_order_is_pinned():
 
 def test_draw_generation_rejects_empty_bounds():
     with pytest.raises(ValueError):
-        draw_generation([np.random.default_rng(0)], (0, 3), 4, 2)
+        DrawSource([np.random.default_rng(0)], (0, 3), 4, 2)
 
 
 def test_a_bad_bound_is_refused_on_every_call():
     for _ in range(3):  # the draw plan is cached, its refusal is not
         with pytest.raises(ValueError, match="integer bounds"):
-            draw_generation([np.random.default_rng(0)], (2 ** 32 + 1, 3), 4, 2)
+            DrawSource([np.random.default_rng(0)], (2 ** 32 + 1, 3), 4, 2)
     with pytest.raises(ValueError, match="generations must be >= 1"):
-        draw_generation([np.random.default_rng(0)], (1, 3), 4, 2, generations=0)
+        DrawSource([np.random.default_rng(0)], (1, 3), 4, 2).draw(0)
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -170,10 +182,10 @@ def test_a_chunk_is_successive_generations(make_rng, highs, N, n, lead, batch):
         own = [make_rng(seed, b) for b in range(batch)]
         G, got = 40, 0
         while got < G:
-            chunk = draw_generation(rngs, highs, N, n, lead, G - got)
+            chunk = _generations(DrawSource(rngs, highs, N, n, lead=lead).draw(G - got))
             assert 1 <= len(chunk) <= G - got
             for draws in chunk:
-                one = draw_generation(ones, highs, N, n, lead)
+                one = _one(ones, highs, N, n, lead)
                 assert len(draws) == len(one) == len(highs) + 1 + bool(lead)
                 for a, b in zip(draws, one):
                     assert a.shape == b.shape and a.dtype == b.dtype
@@ -200,31 +212,31 @@ def test_a_desk_chunk_comes_from_one_raw_block_per_row():
         random = integers
 
     rngs = [RawOnly(s) for s in range(3)]
-    chunk = draw_generation(rngs, (1, 19, 18, 10), 20, 10, lead=40, generations=64)
-    assert len(chunk) == 64
+    chunk = DrawSource(rngs, (1, 19, 18, 10), 20, 10, lead=40).draw(64)
+    assert chunk[0].shape == (3, 64, 40)
     width = 40 + 3 * 20 // 2 + 20 * 9  # 64-bit outputs per generation
     for s, rng in enumerate(rngs):
         fresh = np.random.PCG64(s).advance(64 * width)
         assert rng.bit_generator.state == fresh.state
-        np.testing.assert_array_equal(chunk[5][0][s], np.random.Generator(
+        np.testing.assert_array_equal(chunk[0][s, 5], np.random.Generator(
             np.random.PCG64(s).advance(5 * width)).random(40))
 
 
 def test_rewind_generations_steps_back_over_a_chunk():
     rngs = [_pcg(0, b) for b in range(2)]
     source = DrawSource(rngs, (1, 19, 18, 10), 20, 10, generations=10, lead=40)
-    chunk = [source() for _ in range(3)]  # the first 3 of a 10-generation chunk
+    for _ in range(3):  # the first 3 of a 10-generation chunk
+        source()
     assert source.drawn == 10
     source.rewind()
     refs = [_pcg(0, b) for b in range(2)]
     for _ in range(3):
-        draw_generation(refs, (1, 19, 18, 10), 20, 10, 40)
+        _one(refs, (1, 19, 18, 10), 20, 10, 40)
     assert [_state(r) for r in rngs] == [_state(r) for r in refs]
-    chunk += draw_generation(rngs, (1, 19, 18, 10), 20, 10, 40, 7)
-    again = draw_generation(refs, (1, 19, 18, 10), 20, 10, 40, 7)
-    for g, draws in enumerate(again):
-        for a, b in zip(draws, chunk[3 + g]):
-            np.testing.assert_array_equal(a, b)
+    rest = DrawSource(rngs, (1, 19, 18, 10), 20, 10, lead=40).draw(7)
+    again = DrawSource(refs, (1, 19, 18, 10), 20, 10, lead=40).draw(7)
+    for a, b in zip(rest, again):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -240,8 +252,9 @@ def test_rewind_generations_steps_back_over_a_chunk():
 def test_a_chunk_with_normals_is_standard_normal_then_one_generation(make_rng, highs, N, n,
                                                                     batch, monkeypatch):
     # per generation, each row's 2N standard normals and then its block, as
-    # the generator's own calls draw them; taken short of the horizon and
-    # rewound, the states must equal those of the generations taken
+    # the generator's own calls draw them, in the operators' form; taken
+    # short of the horizon and rewound, the states must equal those of the
+    # generations taken
     monkeypatch.setattr(de_core, "CHUNK_GENERATIONS", 24)
     for seed in range(3):
         rngs = [make_rng(seed, b) for b in range(batch)]
@@ -250,20 +263,79 @@ def test_a_chunk_with_normals_is_standard_normal_then_one_generation(make_rng, h
         for _ in range(40):
             z, *draws = source()
             assert z.shape == (batch, 2 * N)
+            raw = [[] for _ in range(len(highs) + 1)]
             for b, ref in enumerate(refs):
                 np.testing.assert_array_equal(z[b], ref.standard_normal(2 * N))
                 want_ints, want_u = _per_call(ref, highs, N, n)
-                for got, want in zip(draws, want_ints + [want_u]):
-                    np.testing.assert_array_equal(got[b], want)
+                for into, want in zip(raw, want_ints + [want_u]):
+                    into.append(want)
+            for got, want in zip(draws, _derived([np.array(a) for a in raw])):
+                np.testing.assert_array_equal(got, want)
         source.rewind()
         assert [_state(r) for r in rngs] == [_state(r) for r in refs]
 
 
+def _crossover_sheet(j_rand, u) -> list:
+    """The reference crossover arrays of forced coordinates (B, N) and
+    uniforms (B, N, n - 1): a mask of each member's other coordinates,
+    which take its uniforms in order.  Returns the forced mask and the
+    full-width sheet, 0.0 at the forced coordinates."""
+    B, N, n = *j_rand.shape, u.shape[2] + 1
+    off = np.arange(n) != j_rand.reshape(B * N, 1)
+    sheet = np.zeros((B * N, n))
+    sheet[off] = u.reshape(B * N, n - 1).ravel()
+    return [~off.reshape(B, N, n), sheet.reshape(B, N, n)]
+
+
+def _derived(raw) -> list:
+    """One generation's raw draws (pbest picks, offsets, forced coordinates,
+    uniforms) in the operators' form, by the reference rules: the picks
+    and the distinct_indices of the offsets plus each row's start, then
+    the crossover arrays of _crossover_sheet."""
+    picks, *offsets, j_rand, u = raw
+    starts = np.arange(len(picks))[:, None] * picks.shape[1]
+    members = np.array([r + starts for r in distinct_indices(offsets)])
+    return [picks + starts, members, *_crossover_sheet(j_rand, u)]
+
+
+@pytest.mark.parametrize("chunk", [1, 64])
+@pytest.mark.parametrize("batch", [1, 3, 60])
+@pytest.mark.parametrize("N, n", [(4, 2), (5, 10), (20, 1), (20, 10)])
+@pytest.mark.parametrize("rule", ["pbest 0.05", "pbest 0.5", "rand1"])
+def test_a_call_hands_out_the_derivation_of_its_raw_draws(rule, N, n, batch, chunk, monkeypatch):
+    # a source's calls over chunks of `chunk` generations against each
+    # generation drawn alone and derived by the reference rules; a pbest
+    # rule of 0.05 is a bound of 1 at these sizes
+    monkeypatch.setattr(de_core, "CHUNK_GENERATIONS", chunk * batch)
+    highs = rand1_highs(N, n) if rule == "rand1" else pbest_highs(N, n, float(rule[6:]))
+    G = chunk + 6  # over a chunk's end
+    rngs = [_pcg(batch, b) for b in range(batch)]
+    refs = [_pcg(batch, b) for b in range(batch)]
+    source = DrawSource(rngs, highs, N, n, generations=G)
+    spans = set()
+    for _ in range(G):
+        got = source()
+        spans.add(source.drawn)
+        want = _derived(_one(refs, highs, N, n))
+        assert len(got) == len(want) == 4
+        for a, w in zip(got, want):
+            assert a.shape == w.shape and a.dtype == w.dtype
+            np.testing.assert_array_equal(a, w)
+    # an odd number of 32-bit words a generation takes the generator's own calls
+    assert max(spans) == (chunk if N * sum(h > 1 for h in highs) % 2 == 0 else 1)
+    assert [_state(r) for r in rngs] == [_state(r) for r in refs]
+
+
 # ---------------------------------------------------------------- mutation
+def _prepared(picks, *offsets):
+    """Raw pbest picks and offsets of a batch of one as the operators take
+    them: a row start of 0, so flat indices are the members' own."""
+    return picks, np.stack(distinct_indices(offsets))
+
+
 def _mutation_draws(rng, N, n_pool):
-    """picks and the (r1, r2) offsets, drawn as evolve draws them."""
-    picks, r1, r2, _ = draw_generation([rng], (n_pool, N - 1, N - 2), N, 1)
-    return picks, (r1, r2)
+    """The pbest ranks and (r1, r2) indices, drawn as evolve draws them."""
+    return DrawSource([rng], (n_pool, N - 1, N - 2, 1), N, 1)()[:2]
 
 
 def _ints(*rows):
@@ -280,7 +352,7 @@ def test_mutation_pinned_hand_case():
         [0, 1, 0, 0],  # r1 offsets: i=1 -> draw 1 -> r1=2
         [0, 1, 0, 0],  # r2 offsets: i=1 -> draw 1 shifts past {1,2} -> r2=3
     )
-    v = mutate_current_to_pbest(pop, _sheet(4, f=0.5), 0.25, picks, (r1, r2))[0]
+    v = mutate_current_to_pbest(pop, _sheet(4, f=0.5), 0.25, *_prepared(picks, r1, r2))[0]
     assert v[1, 0] == 0.0
 
 
@@ -303,7 +375,7 @@ def test_mutation_small_population_rejected():
     pop = _pop(np.zeros((3, 2)), np.zeros(3))
     picks, r1, r2 = _ints([0, 0, 0], [0, 0, 0], [0, 0, 0])
     with pytest.raises(ValueError):
-        mutate_current_to_pbest(pop, _sheet(3), 0.5, picks, (r1, r2))
+        mutate_current_to_pbest(pop, _sheet(3), 0.5, *_prepared(picks, r1, r2))
 
 
 def test_mutation_validates_p_and_sheet():
@@ -329,7 +401,7 @@ def test_index_sampler_covers_exactly_the_distinct_pairs():
         for d1, d2 in itertools.product(range(N - 1), range(N - 2)):
             # the pool is the whole population at p=1
             picks, r1, r2 = _ints([i] * N, [d1] * N, [d2] * N)
-            v = mutate_current_to_pbest(pop, _sheet(N, f=1.0), 1.0, picks, (r1, r2))[0]
+            v = mutate_current_to_pbest(pop, _sheet(N, f=1.0), 1.0, *_prepared(picks, r1, r2))[0]
             # with pbest=i: v_i = x_i + (x_r1 - x_r2); one-hot rows make
             # the added/subtracted rows readable off the sign pattern
             delta = v[i] - members[i]
@@ -354,7 +426,7 @@ def test_pbest_pool_is_the_fittest_ceil_fraction():
         members[:, 0] = np.arange(N)
         pop = _pop(members, fitness)
         picks, r1, r2 = _ints([pick] * N, [0] * N, [0] * N)
-        v = mutate_current_to_pbest(pop, _sheet(N, f=1.0), 0.5, picks, (r1, r2))[0]
+        v = mutate_current_to_pbest(pop, _sheet(N, f=1.0), 0.5, *_prepared(picks, r1, r2))[0]
         # fittest rows are at the END here; stable argsort maps pick k to
         # row N-1-k
         expect_pbest = N - 1 - pick
@@ -378,14 +450,15 @@ def test_mutation_pure_and_seed_deterministic():
 
 # ---------------------------------------------------------------- crossover
 def _crossover_draws(rng, N, n):
-    return draw_generation([rng], (n,), N, n)  # j_rand, then the uniforms
+    return _crossover_sheet(*_one([rng], (n,), N, n))  # j_rand, then the uniforms
 
 
 def test_crossover_pinned_hand_case():
     # forced coordinate 1; uniforms 0.2 (take) and 0.8 (keep) fall on the
     # remaining coordinates in order -> trial (9, 9, 1)
     trial = binomial_crossover_batch(np.ones((1, 1, 3)), np.full((1, 1, 3), 9.0), [[0.5]],
-                                     np.array([[1]]), np.array([[[0.2, 0.8]]]))[0]
+                                     *_crossover_sheet(np.array([[1]]),
+                                                       np.array([[[0.2, 0.8]]])))[0]
     np.testing.assert_array_equal(trial, [[9.0, 9.0, 1.0]])
 
 
@@ -413,7 +486,8 @@ def test_crossover_cr_zero_changes_exactly_forced_coordinate():
 def test_crossover_boundary_uniform_equal_cr_takes_mutant():
     # the comparison is rand <= CR, non-strict
     trial = binomial_crossover_batch(np.zeros((1, 1, 3)), np.ones((1, 1, 3)), [[0.5]],
-                                     np.array([[0]]), np.array([[[0.5, 0.5]]]))
+                                     *_crossover_sheet(np.array([[0]]),
+                                                       np.array([[[0.5, 0.5]]])))
     np.testing.assert_array_equal(trial, [[[1.0, 1.0, 1.0]]])
 
 
@@ -433,17 +507,28 @@ def test_crossover_batch_rowwise_matches_scalar():
 
 def test_crossover_single_coordinate_always_mutant():
     trial = binomial_crossover_batch([[[1.0]]], [[[2.0]]], [[0.0]],
-                                     np.array([[0]]), np.empty((1, 1, 0)))
+                                     *_crossover_sheet(np.array([[0]]), np.empty((1, 1, 0))))
     assert trial[0, 0, 0] == 2.0
 
 
+def test_a_nan_rate_takes_the_mutant_at_the_forced_coordinate_only():
+    j_rand = np.array([[0, 1, 2, 0]])
+    forced, u = _crossover_sheet(j_rand, np.zeros((1, 4, 2)))
+    trial = binomial_crossover_batch(np.zeros((1, 4, 3)), np.ones((1, 4, 3)),
+                                     np.full((1, 4), np.nan), forced, u)
+    np.testing.assert_array_equal(trial, np.eye(3)[j_rand])
+
+
 def test_crossover_shape_validation():
-    j_rand, u = np.zeros((1, 1), dtype=int), np.zeros((1, 1, 2))
+    forced, u = _crossover_sheet(np.zeros((1, 1), dtype=int), np.zeros((1, 1, 2)))
     with pytest.raises(ValueError):
-        binomial_crossover_batch(np.zeros((1, 1, 3)), np.zeros((1, 1, 4)), [[0.5]], j_rand, u)
+        binomial_crossover_batch(np.zeros((1, 1, 3)), np.zeros((1, 1, 4)), [[0.5]], forced, u)
     with pytest.raises(ValueError):
         binomial_crossover_batch(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)),
-                                 np.zeros((1, 3)), j_rand, u)
+                                 np.zeros((1, 3)), forced, u)
+    with pytest.raises(ValueError):  # one member's draws for two
+        binomial_crossover_batch(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), [[0.5, 0.5]],
+                                 forced, u)
 
 
 # ---------------------------------------------------------------- repair
@@ -537,12 +622,12 @@ def test_evolve_rand1_takes_f_from_the_sheet():
             return np.zeros(len(X))
 
     pop = Population(np.random.default_rng(2).uniform(-1.0, 1.0, (1, 6, 3)), np.zeros((1, 6)))
-    offsets = draw_generation([np.random.default_rng(3)], (5, 4, 3, 3), 6, 3)[:3]
+    members = DrawSource([np.random.default_rng(3)], rand1_highs(6, 3), 6, 3)()[1]
     out = []
     for f in (0.5, 0.9):
         sheet = _sheet(6, f=f, cr=1.0)
         out.append(evolve_rand1(pop, Flat(), sheet, [np.random.default_rng(3)]).members)
-        np.testing.assert_array_equal(out[-1], mutate_rand1(pop, sheet, offsets))
+        np.testing.assert_array_equal(out[-1], mutate_rand1(pop, sheet, members))
     assert not np.array_equal(*out)
 
 
@@ -590,13 +675,15 @@ def test_mutation_matches_the_fancy_index_reference(B, N, n, p):
     sheet = ParamSheet(rng.uniform(0.0, 1.0, (B, N)), rng.uniform(0.0, 1.0, (B, N)))
     rngs = [np.random.default_rng([B, b]) for b in range(B)]
     n_pool = math.ceil(N * p)
-    picks, r1, r2 = draw_generation(rngs, (n_pool, N - 1, N - 2), N, 1)[:3]
+    picks, r1, r2 = _one(rngs, (n_pool, N - 1, N - 2, 1), N, 1)[:3]
     rows = np.arange(B)[:, None]
     pool = np.argsort(pop.fitness, axis=1, kind="stable")[:, :n_pool]
     X = pop.members
     X_pbest, X_r1, X_r2 = X[rows, np.array([pool[rows, picks], *_reference_distinct((r1, r2))])]
     F = sheet.F[:, :, None]
     want = X + F * (X_pbest - X) + F * (X_r1 - X_r2)
-    got = mutate_current_to_pbest(pop, sheet, p, picks, (r1, r2))
+    twins = [np.random.default_rng([B, b]) for b in range(B)]
+    got = mutate_current_to_pbest(pop, sheet, p,
+                                  *DrawSource(twins, (n_pool, N - 1, N - 2, 1), N, 1)()[:2])
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 

@@ -9,7 +9,7 @@ import pytest
 from conftest import EvalCounter
 from ldectl import de_core, runner
 from ldectl.benchfn import make_suite
-from ldectl.de_core import ParamSheet, Population, mutate_rand1
+from ldectl.de_core import ParamSheet, Population, distinct_indices, mutate_rand1
 from ldectl.neural import init_weights
 from ldectl.rng import stream
 from ldectl.runner import (
@@ -135,7 +135,7 @@ def test_rand1_mutation_pinned_draw_order():
     pop = Population(np.eye(4)[None], np.arange(4.0)[None])
     offsets = [np.array([row]) for row in ([0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0])]
     sheet = ParamSheet(np.full((1, 4), 0.5), np.full((1, 4), 0.8))
-    v = mutate_rand1(pop, sheet, offsets)[0]
+    v = mutate_rand1(pop, sheet, np.stack(distinct_indices(offsets)))[0]  # one row: flat = r
     picks = [(1, 3, 2), (0, 3, 2), (0, 3, 1), (0, 2, 1)]
     want = np.zeros((4, 4))
     for i, (r1, r2, r3) in enumerate(picks):

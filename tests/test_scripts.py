@@ -60,8 +60,8 @@ def test_step_cost_times_every_stage_at_both_batch_sizes(capsys):
     assert lines[0] == "dim 2 N 20 H 4 seed 0 rounds 3"
     assert lines[1].split() == ["stage", "B=1", "us", "calls", "B=4", "us", "calls"]
     rows = {line[:cost.NAME_WIDTH].strip(): line[cost.NAME_WIDTH:].split() for line in lines[2:]}
-    runs = ["run_lde / generation", "run_baseline ctpb_fixed / generation",
-            "run_baseline random_params / generation"]
+    runs = ["run_lde / generation", "run_baseline de_rand1_fixed / generation",
+            "run_baseline ctpb_fixed / generation", "run_baseline random_params / generation"]
     assert list(rows) == ["assemble_state", "forward_step", "draw / generation",
                           "sample_action", "evolve", "mutate_current_to_pbest",
                           "binomial_crossover_batch", "repair_bounds", "evaluate_batch",

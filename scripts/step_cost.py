@@ -11,15 +11,15 @@ those draws and its parts (mutation, crossover, repair, evaluation,
 selection), the whole ``ControllerStep`` call and, at a batch of one,
 ``run_lde`` and ``run_baseline`` (de_rand1_fixed, ctpb_fixed and
 random_params) per generation.  The draw and the step take a chunk of
-max(1, ``CHUNK_GENERATIONS`` // B) generations per timed call, as a run
-(64) or a desk epoch (1) takes them, and report per generation.  At the
-large batch it also times ``epoch_gradient`` (the backward pass with its
-output gradients) over one epoch's K * L rollouts of ``--warmup``
-generations.  Stages are timed round-robin, one call each per round, and
-the median over the rounds is reported in microseconds, so a slow spell
-of the host hits every stage alike.  It also counts the Python-level
-calls (cProfile's count, functions and builtins alike) one call of each
-stage makes, per generation.
+generations per timed call, as many as the ``DrawSource`` itself draws
+(64 for a run, 8 for a desk epoch's 60 rows), and report per generation.
+At the large batch it also times ``epoch_gradient`` (the backward pass
+with its output gradients) over one epoch's K * L rollouts of
+``--warmup`` generations.  Stages are timed round-robin, one call each
+per round, and the median over the rounds is reported in microseconds,
+so a slow spell of the host hits every stage alike.  It also counts the
+Python-level calls (cProfile's count, functions and builtins alike) one
+call of each stage makes, per generation.
 
 It reports a batch of one (a run) and a batch of K * L rows (a training
 epoch's cross-function batch).  Run with ``PYTHONPATH=src``:
@@ -76,12 +76,12 @@ def stages(functions, rollouts: int, cfg: RunConfig, w, seed: int, warmup: int):
     for _ in range(warmup):
         pop, record = step(pop, objective)
 
-    # a chunk's generations per call: the draw and the step are timed over
-    # whole chunks, as a run or an epoch takes them
-    chunk = max(1, de_core.CHUNK_GENERATIONS // B)
     x, mu, sheet = record.tape.z[:, w.hidden:], record.mu, record.action
     source = de_core.DrawSource(rngs, de_core.pbest_highs(N, n, p), N, n, 10 ** 9, normals=2 * N)
     z, *draws = source()
+    # a chunk's generations per call, as the source draws them: the draw and
+    # the step are timed over whole chunks, as a run or an epoch takes them
+    chunk = source.drawn
     pbest, members, forced, u = draws
     mutants = de_core.mutate_current_to_pbest(pop, sheet, p, pbest, members)
     trials = de_core.binomial_crossover_batch(pop.members, mutants, sheet.CR, forced, u)

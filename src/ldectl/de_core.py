@@ -36,7 +36,9 @@ above, when its bit generator is not PCG64, when it holds a pending
 words, or when any word would be redrawn.
 
 No caller draws anything else between generations, so a ``DrawSource``
-draws a chunk of generations ahead, per row and generation one
+draws a chunk of generations ahead (64 for a run, 8 for a desk training
+batch of 60 rows: ``CHUNK_GENERATIONS`` generations and at most
+``CHUNK_ROW_GENERATIONS`` row-generations), per row and generation one
 ``standard_normal`` and one ``random_raw`` call (one ``random_raw`` call
 per chunk without normals), with the bits of one-generation draws.  The
 normals take a varying number of outputs, so the source keeps one
@@ -138,9 +140,12 @@ def _draw_plan(highs: tuple, N: int, n: int):
     return tuple(slots), h, threshold, len(h)
 
 
-# row-generations a DrawSource draws per chunk at most: a run (one row) takes
-# up to this many generations at a time, a batch of B rows 1/B of them
+# a DrawSource chunk holds at most CHUNK_GENERATIONS generations and, over all
+# its rows, at most CHUNK_ROW_GENERATIONS row-generations (at least one
+# generation): a run (one row) takes 64 generations at a time, a desk training
+# batch (60 rows) 8, so a chunk's arrays stay small at any batch size
 CHUNK_GENERATIONS = 64
+CHUNK_ROW_GENERATIONS = 512
 
 
 class DrawSource:
@@ -155,8 +160,10 @@ class DrawSource:
     indices (k, B, N) (see distinct_indices), a (B, N, n) mask of the
     forced coordinates, and a (B, N, n) sheet of each member's n - 1
     uniforms at its other coordinates, in order (0.0 at the forced one).
-    A chunk holds at most ``CHUNK_GENERATIONS`` row-generations, and no
-    more generations than the ``generations`` the caller has left to take.
+    A chunk holds at most ``CHUNK_GENERATIONS`` generations, at most
+    ``CHUNK_ROW_GENERATIONS`` row-generations (but at least one
+    generation), and no more generations than the ``generations`` the
+    caller has left to take.
     """
 
     def __init__(self, rngs, highs: tuple, N: int, n: int, generations: int = 1,
@@ -171,7 +178,8 @@ class DrawSource:
 
     def __call__(self) -> list:
         if self.taken == self.drawn:
-            span = max(1, min(CHUNK_GENERATIONS // len(self.rngs), self.left))
+            span = max(1, min(CHUNK_GENERATIONS, CHUNK_ROW_GENERATIONS // len(self.rngs),
+                              self.left))
             self.chunk, self.taken = self._derive(self.draw(span)), 0
         self.taken += 1
         return [a[self.taken - 1] for a in self.chunk]
@@ -361,7 +369,8 @@ def binomial_crossover_batch(targets, mutants, cr, forced, u) -> np.ndarray:
     if (T.shape != M.shape or T.ndim != 3 or cr.shape != T.shape[:2]
             or forced.shape != T.shape or u.shape != T.shape):
         raise ValueError("targets, mutants, cr and the draws have incompatible shapes")
-    return np.where(forced | (u <= cr[:, :, None]), M, T)
+    # a same-shape compare: the broadcast one's bits at a lower cost per call
+    return np.where(forced | (u <= cr[:, :, None].repeat(T.shape[2], axis=2)), M, T)
 
 
 def repair_bounds(points, bounds) -> np.ndarray:

@@ -17,8 +17,9 @@ All of an epoch's rollouts advance together as one batch: each
 generation is one ``ControllerStep`` over the K * L rows (the same step
 the runner drives the trained controller with, there with a batch of
 one), with a single stacked controller step and a single ``evolve``; its
-draws come a chunk of ``de_core.CHUNK_GENERATIONS`` row-generations
-ahead (one generation at desk size, K * L = 60).
+draws come a chunk of generations ahead, as many as
+``de_core.CHUNK_ROW_GENERATIONS`` row-generations allow (8 at desk size,
+K * L = 60, so a 30-generation horizon draws chunks of 8, 8, 8 and 6).
 Rows are function-major, so function k owns the L consecutive rows from
 k * L on, and each function evaluates only its own L * N trials, in one
 call per generation.  Backpropagation runs once per batch, one time

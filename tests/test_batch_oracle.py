@@ -12,7 +12,8 @@ its own rollouts, and the per-trajectory gradients added in list order.
 Rewards, raw actions, head means, the epoch gradient and whole training
 runs must match it bit for bit, and train output must not depend on
 --jobs.  At small and odd widths, the epoch gradient must not depend on
-how the functions are grouped into batches.
+how the functions are grouped into batches, and at desk size a batch
+must not depend on how many generations its draws are drawn ahead.
 """
 
 import math
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import train_logged
-from ldectl import cli
+from ldectl import cli, de_core
 from ldectl.benchfn import error_value, make_suite
 from ldectl.de_core import Population
 from ldectl.neural import (
@@ -336,3 +337,36 @@ def test_odd_width_batch_matches_the_per_rollout_oracle():
               for f in functions]
     for k, want in _oracle_gradient(w, oracle, cfg).items():
         np.testing.assert_array_equal(getattr(grad, k), want, err_msg=k)
+
+
+# ------------------------------------------------------------- chunk spans
+def test_a_desk_batch_does_not_depend_on_the_chunk_span(monkeypatch):
+    # a desk epoch's batch (K 6, L 10, horizon 30) drawn 1, 8 (the default
+    # bounds' span at 60 rows) and 30 generations per chunk: the same
+    # rewards, actions, tapes, final generator states and epoch gradient
+    cfg = TrainConfig(pop_size=20, bins=5, window=5, hidden=32, rollouts=10, horizon=30)
+    functions = make_suite(cfg.seed, 10, 6, 0).train
+    B = len(functions) * cfg.rollouts
+    w, members = _start(cfg, functions, 10)
+    pop0 = Population(np.repeat(members[None], len(functions), axis=0),
+                      np.array([f.evaluate_batch(members) for f in functions]))
+    drawn = []
+    draw = de_core.DrawSource.draw
+    monkeypatch.setattr(de_core.DrawSource, "draw",
+                        lambda source, G: drawn.append(G) or draw(source, G))
+    outcomes = {}
+    for span in (8, 1, 30):
+        if span != 8:  # the default bounds give 60 rows 8 generations a chunk
+            monkeypatch.setattr(de_core, "CHUNK_GENERATIONS", span)
+            monkeypatch.setattr(de_core, "CHUNK_ROW_GENERATIONS", span * B)
+        drawn.clear()
+        rngs = [stream(cfg.seed, "t", f.id, l) for f in functions for l in range(cfg.rollouts)]
+        batch = sample_trajectory(w, functions, pop0, cfg, rngs)
+        H = cfg.horizon
+        assert drawn == [span] * (H // span) + [H % span] * (H % span > 0)
+        arrays = [batch.rewards, epoch_gradient(w, [batch], cfg).theta]
+        for s in batch.steps:
+            arrays += [s.action.raw, s.action.F, s.action.CR, s.mu, *vars(s.tape).values()]
+        outcomes[span] = ([a.tobytes() for a in arrays],
+                          [rng.bit_generator.state for rng in rngs])
+    assert outcomes[1] == outcomes[8] == outcomes[30]

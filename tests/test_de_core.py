@@ -306,7 +306,19 @@ def test_a_call_hands_out_the_derivation_of_its_raw_draws(rule, N, n, batch, chu
     # a source's calls over chunks of `chunk` generations against each
     # generation drawn alone and derived by the reference rules; a pbest
     # rule of 0.05 is a bound of 1 at these sizes
-    monkeypatch.setattr(de_core, "CHUNK_GENERATIONS", chunk * batch)
+    monkeypatch.setattr(de_core, "CHUNK_GENERATIONS", chunk)
+    monkeypatch.setattr(de_core, "CHUNK_ROW_GENERATIONS", chunk * batch)
+    _check_calls(rule, N, n, batch, chunk)
+
+
+def test_a_desk_training_batch_takes_the_row_generation_budget_a_chunk():
+    # at the default bounds a desk training batch (60 rows, N 20, n 10)
+    # draws 512 // 60 = 8 generations a chunk, under the 64-generation cap
+    assert de_core.CHUNK_ROW_GENERATIONS // 60 == 8 < de_core.CHUNK_GENERATIONS
+    _check_calls("pbest 0.05", 20, 10, 60, 8)
+
+
+def _check_calls(rule, N, n, batch, chunk):
     highs = rand1_highs(N, n) if rule == "rand1" else pbest_highs(N, n, float(rule[6:]))
     G = chunk + 6  # over a chunk's end
     rngs = [_pcg(batch, b) for b in range(batch)]

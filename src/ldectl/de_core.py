@@ -5,7 +5,7 @@ Every operator acts on a batch of B independent populations at once: a
 ``Population`` holds members of shape (B, N, n), and the learned
 optimizer advances one function's rollouts as one batch (a run is a
 batch of one).  Only the arithmetic is batched.  Randomness comes from
-one generator per batch row (``rngs``), and each row draws from its own
+one PCG64 generator per batch row (``rngs``), and each row draws from its own
 generator in a fixed order, so a row's result does not depend on which
 rows share its batch.
 
@@ -13,40 +13,34 @@ All operators are pure (inputs never mutated); mutation and crossover
 take their draws as a ``DrawSource`` call derives them, a chunk of
 generations at a time: flat member indices, a forced-coordinate mask and
 a full-width uniform sheet.  Draw order is part of the contract.
-A generation draws one block per row (``DrawSource``): the learned
-optimizer's 2N standard normals first (its action's z, from the row's
-own ``standard_normal``), then N integers from [0, h) for each bound h
-in turn -- the pbest picks then the r1 and r2 offsets (``evolve``) or
-the r1, r2 and r3 offsets (``evolve_rand1``), then the crossover's
-forced coordinates -- then one uniform per remaining coordinate, member
-by member.  These are the bits the generator's own ``integers(0, h,
-size=N)`` and ``random((N, n - 1))`` calls would consume in that order;
-a bound of 1 consumes none.  random_params draws 2N uniforms (its
-sheet) before the integers.
 
-For numpy's default bit generator, PCG64, a generation's block after the
-normals comes from one ``random_raw`` call per row.  numpy's bounded
-integers are Lemire's multiply-shift on 32-bit words, the low half of
-each 64-bit output first, redrawing a word whose low product half falls
-below (2^32 - h) mod h; its uniforms are (raw >> 11) * 2^-53.  Both are
-computed over all rows and generations of a chunk at once.  A row takes
-the generator's own ``integers``/``random`` calls instead, in the order
-above, when its bit generator is not PCG64, when it holds a pending
-32-bit half-word, when the block's integer draws use an odd number of
-words, or when any word would be redrawn.
+A generation of a row reads W = normals + lead + k + N(n - 1) raw 64-bit
+outputs of its PCG64 bit generator and converts them with the package's
+own conversions, each of a fixed consumption, in this order:
 
-No caller draws anything else between generations, so a ``DrawSource``
-draws a chunk of generations ahead (64 for a run, 8 for a desk training
+- normals: the learned optimizer's 2N standard normals when it samples
+  (none otherwise), by Box-Muller: with a the outputs [0, N) and c the
+  outputs [N, 2N), rho = sqrt(-2 ln(((a >> 11) + 1) * 2^-53)) and
+  theta = (2 pi * 2^-53) * (c >> 11), z = [rho cos theta, rho sin theta]
+  (F's N normals, then CR's N);
+- lead: random_params' 2N sheet uniforms, each (raw >> 11) * 2^-53;
+- integers: N from [0, h) for each bound h > 1 in turn -- the pbest picks,
+  then the r1 and r2 offsets (``evolve``) or the r1, r2 and r3 offsets
+  (``evolve_rand1``), then the crossover's forced coordinates -- each the
+  high word of raw * h, formed from 32-bit halves in uint64, with no
+  redraw (its bias is below h / 2^64); a bound of 1 reads nothing;
+- uniforms: one per remaining crossover coordinate, N(n - 1), member by
+  member, as the lead ones.
+
+Generation g of a row is then outputs [g W, (g + 1) W) of its stream,
+whatever the chunk size.  No caller draws anything else between
+generations, so a ``DrawSource`` draws a chunk of generations ahead with
+one ``random_raw`` call per row (64 for a run, 8 for a desk training
 batch of 60 rows: ``CHUNK_GENERATIONS`` generations and at most
-``CHUNK_ROW_GENERATIONS`` row-generations), per row and generation one
-``standard_normal`` and one ``random_raw`` call (one ``random_raw`` call
-per chunk without normals), with the bits of one-generation draws.  The
-normals take a varying number of outputs, so the source keeps one
-``state`` snapshot per row per chunk instead of stepping back with
-``advance``: a row is restored to it, and its kept generations drawn
-again, when the chunk stops before a generation that some row cannot
-take from its block (drawn alone, as above, by the next chunk) and when
-the caller stops part way through a chunk (``rewind``).
+``CHUNK_ROW_GENERATIONS`` row-generations).  A caller that stops part
+way through a chunk leaves its generators ahead of the generations it
+took; no generator is read after its run or rollout.  Suite draws,
+``init_population`` and weight initialisation use numpy's own methods.
 """
 
 from __future__ import annotations
@@ -117,27 +111,24 @@ def _member_index(batch: int, N: int) -> np.ndarray:
     return i
 
 
-@lru_cache(maxsize=64)
-def _draw_plan(highs: tuple, N: int, n: int):
-    """What a generation's draws for ``highs`` need, made once per shape.
+def _uniforms(raw) -> np.ndarray:
+    """A double in [0, 1) per raw output, (raw >> 11) * 2^-53 (exact:
+    raw >> 11 lies below 2^53)."""
+    return (raw >> 11).astype(float) * 2.0 ** -53
 
-    Returns, per bound, its index among the bounds above 1 (None for a
-    bound of 1, which draws nothing); per 32-bit word of the integer
-    draws, its bound h and the low product half below which numpy redraws
-    the word, (2^32 - h) mod h; and k, the number of those words.  A bad
-    bound raises on every call: lru_cache keeps no exception.
-    """
-    if min(highs) < 1 or max(highs) > 2 ** 32:
-        raise ValueError(f"integer bounds must lie in [1, 2^32], got {highs}")
-    slots, live = [], []
-    for h in highs:
-        slots.append(len(live) if h > 1 else None)
-        if h > 1:
-            live.append(h)
-    h = np.repeat(np.array(live, dtype=np.uint64), N)
-    threshold = ((2 ** 32 - h) % h).astype(np.uint32)
-    h.flags.writeable = threshold.flags.writeable = False
-    return tuple(slots), h, threshold, len(h)
+
+def _below(raw, h) -> np.ndarray:
+    """An integer in [0, h) per raw output: the high word of raw * h, formed
+    from 32-bit halves in uint64 (h <= 2^32, so no product overflows)."""
+    return ((raw >> 32) * h + (((raw & 0xFFFFFFFF) * h) >> 32)) >> 32
+
+
+def _normals(a, c) -> np.ndarray:
+    """Box-Muller: [rho cos theta, rho sin theta] along the last axis, rho
+    from the outputs a, theta from the outputs c."""
+    rho = np.sqrt(-2.0 * np.log(((a >> 11) + 1).astype(float) * 2.0 ** -53))
+    theta = (2.0 * np.pi * 2.0 ** -53) * (c >> 11).astype(float)
+    return np.concatenate([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
 
 
 # a DrawSource chunk holds at most CHUNK_GENERATIONS generations and, over all
@@ -151,36 +142,45 @@ CHUNK_ROW_GENERATIONS = 512
 class DrawSource:
     """A batch's draws for successive generations, drawn a chunk ahead.
 
-    ``highs`` bound the integer draws: the pbest picks (1 for rand/1,
-    which picks none), the member offsets, the forced coordinates (n).
-    ``draw`` returns a chunk as drawn.  A call returns the next
-    generation's draws in the operators' form, derived a chunk at a time:
-    the (B, normals) normals and (B, lead) leading uniforms, if any, the
-    picks as flat ranks b * N + pick (B, N), the offsets as flat member
-    indices (k, B, N) (see distinct_indices), a (B, N, n) mask of the
-    forced coordinates, and a (B, N, n) sheet of each member's n - 1
-    uniforms at its other coordinates, in order (0.0 at the forced one).
-    A chunk holds at most ``CHUNK_GENERATIONS`` generations, at most
-    ``CHUNK_ROW_GENERATIONS`` row-generations (but at least one
-    generation), and no more generations than the ``generations`` the
-    caller has left to take.
+    ``rngs`` holds one PCG64 generator per row.  ``highs`` bound the
+    integer draws: the pbest picks (1 for rand/1, which picks none), the
+    member offsets, the forced coordinates (n).  ``draw`` returns a chunk
+    as drawn.  A call returns the next generation's draws in the
+    operators' form, derived a chunk at a time: the (B, normals) normals
+    and (B, lead) leading uniforms, if any, the picks as flat ranks
+    b * N + pick (B, N), the offsets as flat member indices (k, B, N) (see
+    distinct_indices), a (B, N, n) mask of the forced coordinates, and a
+    (B, N, n) sheet of each member's n - 1 uniforms at its other
+    coordinates, in order (0.0 at the forced one).  A chunk holds at most
+    ``CHUNK_GENERATIONS`` generations, at most ``CHUNK_ROW_GENERATIONS``
+    row-generations (but at least one generation), and no more
+    generations than the ``generations`` the caller has left to take.
     """
 
     def __init__(self, rngs, highs: tuple, N: int, n: int, generations: int = 1,
                  lead: int = 0, normals: int = 0):
-        self.plan = _draw_plan(highs, N, n)
-        self.rngs, self.highs, self.N, self.n = rngs, highs, N, n
+        if min(highs) < 1 or max(highs) > 2 ** 32:
+            raise ValueError(f"integer bounds must lie in [1, 2^32], got {highs}")
+        self.bits = [getattr(rng, "bit_generator", None) for rng in rngs]
+        if any(type(bits) is not np.random.PCG64 for bits in self.bits):
+            raise ValueError("draws are converted from raw PCG64 outputs: "
+                             "every generator must have a PCG64 bit generator")
+        # per bound its index among the bounds above 1, None for a bound of 1
+        self.slots = [sum(b > 1 for b in highs[:i]) if h > 1 else None
+                      for i, h in enumerate(highs)]
+        self.h = np.repeat(np.array([h for h in highs if h > 1], dtype=np.uint64), N)
+        self.rngs, self.N, self.n = rngs, N, n
         self.lead, self.normals, self.left = lead, normals, generations
-        self.width = lead + self.plan[3] // 2 + N * (n - 1)  # 64-bit outputs a generation
+        self.width = normals + lead + len(self.h) + N * (n - 1)  # outputs a generation
         self.chunk = []  # the derived chunk, generation-major
-        self.snapshots = []  # per row its PCG64 state at the chunk's start, or None
         self.drawn = self.taken = 0  # generations in the chunk, and taken from it
 
     def __call__(self) -> list:
         if self.taken == self.drawn:
-            span = max(1, min(CHUNK_GENERATIONS, CHUNK_ROW_GENERATIONS // len(self.rngs),
-                              self.left))
-            self.chunk, self.taken = self._derive(self.draw(span)), 0
+            self.drawn = max(1, min(CHUNK_GENERATIONS, CHUNK_ROW_GENERATIONS // len(self.rngs),
+                                    self.left))
+            self.chunk, self.taken = self._derive(self.draw(self.drawn)), 0
+            self.left -= self.drawn
         self.taken += 1
         return [a[self.taken - 1] for a in self.chunk]
 
@@ -204,93 +204,26 @@ class DrawSource:
         return ([by_generation(a) for a in heads]
                 + [by_generation(picks) + starts, members, forced, sheet])
 
-    def rewind(self) -> None:
-        """Leave every generator where one draw per generation taken would."""
-        if self.taken < self.drawn:
-            for b in range(len(self.rngs)):
-                self._replay(b, self.taken)
-            self.taken = self.drawn
-
-    def _replay(self, b: int, generations: int) -> None:
-        """Put row b back at the chunk's start, then past its first ``generations``
-        generations (standard_normal takes a varying number of outputs)."""
-        rng = self.rngs[b]
-        rng.bit_generator.state = self.snapshots[b]
-        for _ in range(generations):
-            rng.standard_normal(self.normals)
-            rng.bit_generator.advance(self.width)
-
     def draw(self, span: int) -> list:
-        """A chunk of 1 to ``span`` successive generations' draws as drawn,
-        each array with a generation axis after the row axis: the (B, G,
-        normals) normals and (B, G, lead) leading uniforms if any, one (B,
-        G, N) integer array per h in highs, then the (B, G, N, n - 1)
-        uniforms.  Every generator is left where G one-generation draws
-        leave it, and every generation of a chunk of two or more came from
-        the raw blocks."""
+        """``span`` successive generations' draws as drawn, from one
+        ``random_raw`` call per row, each array with a generation axis after
+        the row axis: the (B, G, normals) normals and (B, G, lead) leading
+        uniforms if any, one (B, G, N) integer array per h in highs, then
+        the (B, G, N, n - 1) uniforms."""
         if span < 1:
             raise ValueError(f"generations must be >= 1, got {span}")
-        slots, h, threshold, k = self.plan
-        rngs, N, n, lead, width = self.rngs, self.N, self.n, self.lead, self.width
-        B = len(rngs)
-        own = []  # rows making the generator's own calls
-        self.snapshots = []
-        for b, rng in enumerate(rngs):
-            bits = getattr(rng, "bit_generator", None)
-            state = bits.state if k % 2 == 0 and type(bits) is np.random.PCG64 else None
-            if state is None or state["has_uint32"]:
-                own.append(b)
-                state = None
-            self.snapshots.append(state)
-        span = 1 if own else span
-        z = np.empty((B, span, self.normals))
-        count = span  # generations returned
-        if len(own) < B:
-            # little-endian, so each output's low 32-bit half comes first
-            raw = np.zeros((B, span, width), dtype="<u8")
-            for b, state in enumerate(self.snapshots):
-                if state is not None and self.normals:
-                    normal, bits = rngs[b].standard_normal, rngs[b].bit_generator
-                    for g in range(span):
-                        normal(out=z[b, g])
-                        raw[b, g] = bits.random_raw(width)
-                elif state is not None:
-                    raw[b] = rngs[b].bit_generator.random_raw((span, width))
-            # u * h per word: its high half is the draw, its low half the redraw test
-            m = raw[:, :, lead:lead + k // 2].view("<u4").astype(np.uint64) * h
-            ints = (m >> 32).astype(np.int64).reshape(B, span, k // N, N)
-            stop = (m.astype(np.uint32) < threshold).any(axis=2)  # (B, span): a word redrawn
-            # raw >> 11 lies below 2^53, so the float conversion is exact
-            doubles = (raw >> 11).astype(float) * 2.0 ** -53
-            stop[own, 0] = True
-            if stop.any():
-                first = int(stop.any(axis=0).argmax())
-                count = first or 1
-                own = np.flatnonzero(stop[:, 0]).tolist() if first == 0 else []
-                for b, state in enumerate(self.snapshots):  # to the first generation not
-                    if state is not None and (count < span or b in own):  # returned, or to
-                        self._replay(b, count - (b in own))  # where the own calls start
-        else:
-            ints = np.empty((B, 1, k // N, N), dtype=np.int64)
-            doubles = np.empty((B, 1, width))
-        for b in own:
-            rng = rngs[b]
-            if self.normals:
-                rng.standard_normal(out=z[b, 0])
-            if lead:
-                doubles[b, 0, :lead] = rng.random(lead)
-            drawn = [rng.integers(0, h, size=N) for h in self.highs]
-            if k:
-                ints[b, 0] = [d for d, h in zip(drawn, self.highs) if h > 1]
-            if n > 1:
-                doubles[b, 0, width - N * (n - 1):] = rng.random((N, n - 1)).ravel()
-        self.left -= count
-        self.drawn = count
-        uniforms = doubles[:, :count, width - N * (n - 1):].reshape(B, count, N, n - 1)
-        zero = np.zeros((B, count, N), dtype=np.int64)  # the draws of a bound of 1
-        heads = [a[:, :count] for a, size in ((z, self.normals), (doubles[:, :, :lead], lead))
-                 if size]
-        return heads + [zero if s is None else ints[:, :count, s] for s in slots] + [uniforms]
+        B, N, m, lead, k = len(self.bits), self.N, self.normals, self.lead, len(self.h)
+        raw = np.stack([bits.random_raw((span, self.width)) for bits in self.bits])
+        heads = []
+        if m:
+            heads.append(_normals(raw[:, :, :m // 2], raw[:, :, m // 2:m]))
+        if lead:
+            heads.append(_uniforms(raw[:, :, m:m + lead]))
+        ints = _below(raw[:, :, m + lead:m + lead + k], self.h).astype(np.int64)
+        ints = ints.reshape(B, span, k // N, N)
+        zero = np.zeros((B, span, N), dtype=np.int64)  # the draws of a bound of 1
+        uniforms = _uniforms(raw[:, :, m + lead + k:]).reshape(B, span, N, self.n - 1)
+        return heads + [zero if s is None else ints[:, :, s] for s in self.slots] + [uniforms]
 
 
 def distinct_indices(offsets) -> list:

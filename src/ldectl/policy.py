@@ -86,8 +86,7 @@ def sample_action(mu, cfg: PolicyConfig, z) -> Action:
     two halves clipped into range.
 
     z holds each row's standard normals, drawn from the row's generator
-    (``de_core.DrawSource``): the same draws, and the same bits, as
-    normal(mu, sigma), without its per-call overhead.
+    (``de_core.DrawSource``, Box-Muller on its raw outputs).
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 2 or mu.shape[1] % 2 != 0 or mu.shape[1] == 0:

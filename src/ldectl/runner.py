@@ -18,9 +18,10 @@ Baselines (each generation is ``de_core.evolve`` or ``evolve_rand1``):
 
 Every run takes its draws from one ``de_core.DrawSource``, a chunk of
 up to ``de_core.CHUNK_GENERATIONS`` generations ahead, no more than the
-budget allows, with the bits of one draw per generation (the learned
-optimizer's through its ``ControllerStep``, normals first); a run that
-stops at the tolerance part way through a chunk rewinds the rest.
+budget allows (the learned optimizer's through its ``ControllerStep``,
+normals first); generation g reads the same raw outputs of the run's
+stream whatever the chunk size, so a run that stops at the tolerance
+part way through a chunk leaves the rest unread.
 
 ``batch_experiment`` fans (algorithm, function, run) tasks out through
 ``trainer.worker_map``, the one place where work fans out, and writes
@@ -93,11 +94,10 @@ def _tercile_rows(gen, order, sheet, out):
 
 
 def _drive(algorithm_id, objective, term: Termination, cfg: RunConfig, rng,
-           gen_step, draws: DrawSource, run_seed: int = 0) -> RunResult:
+           gen_step, run_seed: int = 0) -> RunResult:
     """Shared budgeted loop over a batch of one; gen_step(pop) ->
     (new_pop, params), where params carries the generation's
-    per-individual F and CR, drawn from ``draws``, which is rewound when
-    the loop ends."""
+    per-individual F and CR."""
     if term.max_evals < cfg.pop_size:
         raise ValueError(f"budget {term.max_evals} below one generation ({cfg.pop_size} evals)")
     pop = init_population(objective, cfg.pop_size, rng)
@@ -118,7 +118,6 @@ def _drive(algorithm_id, objective, term: Termination, cfg: RunConfig, rng,
         if b < best:
             best = b
             trace.append((evals, b))
-    draws.rewind()
     if trace[-1][0] != evals:
         trace.append((evals, best))
     return RunResult(algorithm_id, objective.id, run_seed, best, evals, trace, params)
@@ -134,14 +133,7 @@ def run_lde(w: ControllerWeights, objective, term: Termination, cfg: RunConfig,
         pop, record = step(pop, objective)
         return pop, record.action
 
-    return _drive(LEARNED, objective, term, cfg, rng, gen_step, step.draws, run_seed)
-
-
-def random_sheet(doubles, N: int, f_min: float) -> ParamSheet:
-    """random_params' sheet from 2N uniforms from [0, 1), as numpy's
-    ``uniform(f_min, 1.0)`` then ``uniform(0.0, 1.0)`` form it from the same
-    doubles: low + (high - low) * double."""
-    return ParamSheet(f_min + (1.0 - f_min) * doubles[:, :N], doubles[:, N:])
+    return _drive(LEARNED, objective, term, cfg, rng, gen_step, run_seed)
 
 
 def run_baseline(kind: str, objective, term: Termination, cfg: RunConfig,
@@ -169,16 +161,15 @@ def run_baseline(kind: str, objective, term: Termination, cfg: RunConfig,
         highs, lead = pbest_highs(N, n, cfg.p_best), 2 * N
 
         def step(pop, draws):
-            doubles, *draws = draws
-            sheet = random_sheet(doubles, N, cfg.f_min)
+            u, *draws = draws  # F = f_min + (1 - f_min) u, CR = u, from 2N uniforms
+            sheet = ParamSheet(cfg.f_min + (1.0 - cfg.f_min) * u[:, :N], u[:, N:])
             return evolve(pop, objective, sheet, cfg.p_best, rngs, draws), sheet
 
     else:
         raise ValueError(f"unknown baseline {kind!r}; pick one of {BASELINES}")
 
     draws = DrawSource(rngs, highs, N, n, term.max_evals // N - 1, lead)
-    return _drive(kind, objective, term, cfg, rng, lambda pop: step(pop, draws()), draws,
-                  run_seed)
+    return _drive(kind, objective, term, cfg, rng, lambda pop: step(pop, draws()), run_seed)
 
 
 def _run_task(payload):

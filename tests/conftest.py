@@ -1,6 +1,6 @@
-"""Shared test helpers: scripted random streams, an evaluation counter, a
-parameter-range check, the brute-force rank-sum oracle, a training call
-that keeps its log rows, and hypothesis settings."""
+"""Shared test helpers: an evaluation counter, a parameter-range check,
+the brute-force rank-sum oracle, a training call that keeps its log
+rows, and hypothesis settings."""
 
 import itertools
 
@@ -16,35 +16,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
-
-
-class ScriptedRng:
-    """Replays pre-written draws in the documented operator draw order.
-
-    ``ints`` feeds successive ``integers`` calls, ``uniforms`` successive
-    ``random`` calls.  Exhausting a script is an error: tests pin the exact
-    number of draws an operator makes.
-    """
-
-    def __init__(self, ints=(), uniforms=()):
-        self._ints = [np.asarray(a) for a in ints]
-        self._uniforms = [np.asarray(a, dtype=float) for a in uniforms]
-
-    def integers(self, low, high, size=None):
-        draw = self._ints.pop(0)
-        assert draw.shape == ((size,) if np.isscalar(size) else tuple(size or ())), \
-            f"scripted integer draw shape {draw.shape} != requested {size}"
-        assert np.all((low <= draw) & (draw < high)), "scripted draw out of range"
-        return draw
-
-    def random(self, size=None):
-        draw = self._uniforms.pop(0)
-        want = (size,) if np.isscalar(size) else tuple(size or ())
-        assert draw.shape == want, f"scripted uniform shape {draw.shape} != {want}"
-        return draw
-
-    def exhausted(self) -> bool:
-        return not (self._ints or self._uniforms)
 
 
 class EvalCounter:

@@ -74,23 +74,33 @@ def _features(fitness, ring, bins):
     return np.concatenate([norm, hist, avg])
 
 
-def _evolve(members, fitness, F, CR, p, f, rng):
+def _evolve(members, fitness, F, CR, p, f, raw):
+    """One current-to-pbest/1/bin generation from ``raw``, the generation's
+    outputs after the normals as Python ints: N integers per bound above
+    1 (the high word of raw * h), then the N (n - 1) crossover uniforms."""
     N, n = members.shape
+    raw = iter(raw)
+
+    def integers(h):  # a bound of 1 reads no output
+        return np.array([(next(raw) * h) >> 64 if h > 1 else 0 for _ in range(N)])
+
     pool = np.argsort(fitness, kind="stable")[: math.ceil(N * p)]
-    pbest = pool[rng.integers(0, len(pool), size=N)]
-    r1 = rng.integers(0, N - 1, size=N)
+    pbest = pool[integers(len(pool))]
+    r1 = integers(N - 1)
     r1 = r1 + (r1 >= np.arange(N))
     lo, hi = np.minimum(np.arange(N), r1), np.maximum(np.arange(N), r1)
-    r2 = rng.integers(0, N - 2, size=N)
+    r2 = integers(N - 2)
     r2 = r2 + (r2 >= lo)
     r2 = r2 + (r2 >= hi)
     mut = members + F[:, None] * (members[pbest] - members) \
         + F[:, None] * (members[r1] - members[r2])
-    j_rand = rng.integers(0, n, size=N)
+    j_rand = integers(n)
     take = np.zeros((N, n), dtype=bool)
     if n > 1:
         off = np.arange(n)[None, :] != j_rand[:, None]
-        take[off] = (rng.random((N, n - 1)) <= CR[:, None]).ravel()
+        u = np.array([(r >> 11) * 2.0 ** -53 for r in raw]).reshape(N, n - 1)
+        take[off] = (u <= CR[:, None]).ravel()
+    assert next(raw, None) is None  # every output read
     take[np.arange(N), j_rand] = True
     trials = np.clip(np.where(take, mut, members), *f.bounds)
     tf = f.evaluate_batch(trials)
@@ -99,19 +109,27 @@ def _evolve(members, fitness, F, CR, p, f, rng):
 
 
 def _rollout(w, f, members, fitness, cfg, rng):
-    """One rollout: per step (reward, raw action, mu, tape)."""
+    """One rollout: per step (reward, raw action, mu, tape).  Each step
+    reads its own random_raw call of one generation's width: 2N outputs
+    for the normals (Box-Muller), then evolve's."""
     ring = deque(maxlen=cfg.window)
     h, c = np.zeros(w.hidden), np.zeros(w.hidden)
     err_prev = error_value(f, float(fitness.min()))
+    N, n = members.shape
+    live = sum(b > 1 for b in (math.ceil(N * cfg.p_best), N - 1, N - 2, n))
     steps = []
     for _ in range(cfg.horizon):
         mu, h, c, tape = _forward(w, _features(fitness, ring, cfg.bins), h, c)
-        raw = rng.normal(mu, cfg.sigma)
-        N = cfg.pop_size
-        members, fitness = _evolve(members, fitness, np.clip(raw[:N], cfg.f_min, 1.0),
-                                   np.clip(raw[N:], 0.0, 1.0), cfg.p_best, f, rng)
+        raw = rng.bit_generator.random_raw(2 * N + live * N + N * (n - 1))
+        a, b = raw[:N], raw[N:2 * N]
+        rho = np.sqrt(-2.0 * np.log(((a >> 11) + 1).astype(float) * 2.0 ** -53))
+        theta = (2.0 * np.pi * 2.0 ** -53) * (b >> 11).astype(float)
+        action = mu + cfg.sigma * np.concatenate([rho * np.cos(theta), rho * np.sin(theta)])
+        members, fitness = _evolve(members, fitness, np.clip(action[:N], cfg.f_min, 1.0),
+                                   np.clip(action[N:], 0.0, 1.0), cfg.p_best, f,
+                                   [int(r) for r in raw[2 * N:]])
         err_next = error_value(f, float(fitness.min()))
-        steps.append((max(0.0, (err_prev - err_next) / (err_prev + 1e-12)), raw, mu, tape))
+        steps.append((max(0.0, (err_prev - err_next) / (err_prev + 1e-12)), action, mu, tape))
         err_prev = err_next
     return steps
 

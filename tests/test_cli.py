@@ -274,9 +274,10 @@ def test_train_jobs_do_not_change_weights(ws):
     assert a == b
 
 
-# A train --out tree (log, one checkpoint, final weights) recorded before
-# the log rows were written by column name; any changed byte moves it.
-GOLDEN_TRAIN_TREE = "b14b131241204e3d345899df2c795d042bacb89f73d6ecf3dc14423bebdbfba3"
+# A train --out tree (log, one checkpoint, final weights) recorded when the
+# draws became the package's own conversions of raw PCG64 outputs; any
+# changed byte moves it.
+GOLDEN_TRAIN_TREE = "a46d9b42c9c788f94841c6c497d9debcfb0f03133edd22f5f2995cafa79c4854"
 
 
 def test_train_out_tree_keeps_its_bits(ws):
@@ -376,10 +377,10 @@ def test_run_rerun_and_jobs_byte_identical(ws):
 
 
 # A run --out tree (results, error traces, parameter traces) recorded
-# before the writers left float formatting to csv: all four algorithms,
-# two runs each, on three dim-2 functions; some runs stop at --tol and
-# some spend the whole budget.  Any changed byte moves it.
-GOLDEN_RUN_TREE = "d92d1d6286c25d8e9d5445d5560e88bc63111929e9b2137b384d9ad04f8243b3"
+# when the draws became the package's own conversions: all four
+# algorithms, two runs each, on three dim-2 functions; some runs stop at
+# --tol and some spend the whole budget.  Any changed byte moves it.
+GOLDEN_RUN_TREE = "72cae7cc7a8e154857f9bc0d2883d980ddeeb12106fb9e2f4d6f3777d92a1a5e"
 
 
 def test_run_out_tree_keeps_its_bits(ws):
@@ -399,10 +400,9 @@ def test_run_out_tree_keeps_its_bits(ws):
 # A run --out tree at the edge shapes: dim 1 and N 4, so the pbest bound
 # is 1 and there are no crossover uniforms; all four algorithms, two runs
 # each, some stopping at the tolerance and some at the budget.  Recorded
-# before each chunk's draws were turned into member indices and crossover
-# sheets (perfbench's digest rule gives badfcc94655397e1...).  Any changed
-# byte moves it.
-GOLDEN_EDGE_RUN_TREE = "6fc335658c7a24f627fc724a0a9984d8026f5bd49e9a3b6ab33f1504470a327c"
+# when the draws became the package's own conversions.  Any changed byte
+# moves it.
+GOLDEN_EDGE_RUN_TREE = "e4f26899d053fe74299dc440134afdd5484dafe63bde0d60073b2a42abb99184"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats as sps
 
-from conftest import EvalCounter, ScriptedRng, check_sheet_ranges
+from conftest import EvalCounter, check_sheet_ranges
 from ldectl import de_core
 from ldectl.benchfn import FunctionInstance, make_suite
 from ldectl.de_core import (
@@ -44,36 +45,65 @@ def _generations(chunk) -> list:
     return [[a[:, g] for a in chunk] for g in range(chunk[0].shape[1])]
 
 
-def _one(rngs, highs, N, n, lead=0) -> list:
+def _one(rngs, highs, N, n, lead=0, normals=0) -> list:
     """One generation's draws as drawn, a one-generation chunk."""
-    return _generations(DrawSource(rngs, highs, N, n, lead=lead).draw(1))[0]
+    return _generations(DrawSource(rngs, highs, N, n, lead=lead, normals=normals).draw(1))[0]
 
 
-def _per_call(rng, highs, N, n):
-    """The generator's own calls in the documented order: the reference."""
-    ints = [rng.integers(0, h, size=N) for h in highs]
-    return ints, (rng.random((N, n - 1)) if n > 1 else np.empty((N, 0)))
+def _uniform(raw: int) -> float:
+    return (raw >> 11) * 2.0 ** -53
+
+
+def _reference(rng, highs, N, n, lead=0, normals=0) -> list:
+    """One generation of one row by the documented layout, from the row's
+    own ``random_raw`` call of one generation's width, with Python ints:
+    the normals (Box-Muller on the row's arrays), the lead uniforms, N
+    integers per bound (none for a bound of 1) and the (N, n - 1)
+    crossover uniforms."""
+    live = [h for h in highs if h > 1]
+    raw = rng.bit_generator.random_raw(normals + lead + N * len(live) + N * (n - 1))
+    out = []
+    if normals:
+        a, c = raw[:normals // 2], raw[normals // 2:normals]
+        rho = np.sqrt(-2.0 * np.log(((a >> 11) + 1).astype(float) * 2.0 ** -53))
+        theta = (2.0 * np.pi * 2.0 ** -53) * (c >> 11).astype(float)
+        out.append(np.concatenate([rho * np.cos(theta), rho * np.sin(theta)]))
+    raw = [int(r) for r in raw[normals:]]
+    if lead:
+        out.append(np.array([_uniform(r) for r in raw[:lead]]))
+    ints = raw[lead:lead + N * len(live)]
+    for h in highs:
+        out.append(np.array([(r * h) >> 64 for r in ints[:N]] if h > 1 else [0] * N))
+        ints = ints[N:] if h > 1 else ints
+    out.append(np.array([_uniform(r) for r in raw[lead + N * len(live):]]).reshape(N, n - 1))
+    return out
 
 
 def _state(rng):
-    st = rng.bit_generator.state
-    return {k: np.asarray(v).tolist() for k, v in st["state"].items()}, st.get("has_uint32")
+    return rng.bit_generator.state["state"]
 
 
-def _check_against_per_call(make_rng, highs, N, n, batch, generations=3, seeds=range(8)):
+def _check_against_the_reference(make_rng, highs, N, n, batch, draw, lead=0, normals=0,
+                                 seeds=range(4)):
+    """Successive chunks of ``draw(rngs)`` (an iterator of chunks, each a
+    list of (B, ...) arrays per generation) against the reference of one generation at a time, and
+    the generator states after every chunk.  A batch holding a row that is
+    not PCG64 is refused: the conversions read raw PCG64 outputs."""
     for seed in seeds:
         rngs = [make_rng(seed, b) for b in range(batch)]
+        if any(type(r.bit_generator) is not np.random.PCG64 for r in rngs):
+            with pytest.raises(ValueError, match="PCG64"):
+                DrawSource(rngs, highs, N, n, lead=lead, normals=normals)
+            continue
         refs = [make_rng(seed, b) for b in range(batch)]
-        for _ in range(generations):
-            *ints, u = _one(rngs, highs, N, n)
-            assert len(ints) == len(highs) and u.shape == (batch, N, n - 1)
-            for b, ref in enumerate(refs):
-                want_ints, want_u = _per_call(ref, highs, N, n)
-                for got, want in zip(ints, want_ints):
-                    assert got.shape == (batch, N)
-                    np.testing.assert_array_equal(got[b], want)
-                np.testing.assert_array_equal(u[b], want_u)
-        assert [_state(r) for r in rngs] == [_state(r) for r in refs]
+        for chunk in draw(rngs):
+            for draws in chunk:
+                assert len(draws) == len(highs) + 1 + bool(lead) + bool(normals)
+                for b, ref in enumerate(refs):
+                    for got, want in zip(draws, _reference(ref, highs, N, n, lead, normals)):
+                        assert got[b].shape == want.shape
+                        np.testing.assert_array_equal(got[b], want)
+            assert [_state(r) for r in rngs] == [_state(r) for r in refs]
 
 
 def _pcg(seed, b):
@@ -82,7 +112,7 @@ def _pcg(seed, b):
 
 def _pending_half_word(seed, b):
     rng = _pcg(seed, b)
-    rng.integers(0, 5)  # one 32-bit word: the other half waits in the generator
+    rng.integers(0, 5)  # one 32-bit word: the other half waits in the generator, unread
     assert rng.bit_generator.state["has_uint32"] == 1
     return rng
 
@@ -99,51 +129,41 @@ def _mixed(seed, b):
 @pytest.mark.parametrize("make_rng, highs, N, n", [
     (_pcg, (1, 19, 18, 10), 20, 10),             # desk evolve: n_pool = 1 draws nothing
     (_pcg, (19, 18, 17, 10), 20, 10),            # desk rand/1
-    (_pcg, (1,), 20, 1),                         # no bits at all
-    (_pcg, (7, 6, 5, 4), 7, 4),                  # odd N, even word count
-    (_pcg, (1, 4, 3, 3), 5, 3),                  # odd word count: the generator's own calls
+    (_pcg, (1,), 20, 1),                         # no outputs at all
+    (_pcg, (7, 6, 5, 4), 7, 4),                  # odd N
+    (_pcg, (1, 4, 3, 3), 5, 3),                  # an odd number of integer outputs
     (_pending_half_word, (1, 19, 18, 10), 20, 10),
-    (_pcg, (2 ** 31 + 1, 2 ** 31 + 1), 4, 3),    # about half the words redrawn
+    (_pcg, (2 ** 31 + 1, 2 ** 31 + 1), 4, 3),    # two equal bounds, each its own outputs
     (_pcg, (3, 2, 1, 1), 6, 1),                  # n = 1: no uniforms
-    (_mt19937, (1, 19, 18, 10), 20, 10),         # not PCG64
-    (_mixed, (2 ** 31 + 1, 4, 3, 5), 6, 5),      # every branch in one batch
+    (_mt19937, (1, 19, 18, 10), 20, 10),         # not PCG64: refused
+    (_mixed, (2 ** 31 + 1, 4, 3, 5), 6, 5),      # one such row refuses the batch
 ])
 def test_draw_generation_equals_the_generators_own_calls(make_rng, highs, N, n, batch):
-    _check_against_per_call(make_rng, highs, N, n, batch)
+    # three one-generation draws, each against the row's own random_raw call
+    _check_against_the_reference(make_rng, highs, N, n, batch,
+                                 lambda rngs: ([_one(rngs, highs, N, n)] for _ in range(3)))
+
+
+class _RawOnly:
+    """A PCG64 generator whose own draw methods must not be used."""
+
+    def __init__(self, seed):
+        self.bit_generator = np.random.PCG64(seed)
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("a Generator method drew")
+
+    random = standard_normal = integers
 
 
 def test_draw_generation_takes_one_raw_block_at_desk_size():
-    class RawOnly:  # a PCG64 generator whose own draw calls must not be used
-        def __init__(self, seed):
-            self.bit_generator = np.random.PCG64(seed)
-
-        def integers(self, *args, **kwargs):
-            raise AssertionError("per-call draw at a size the raw block covers")
-
-        random = integers
-
-    rngs = [RawOnly(s) for s in range(10)]
-    *ints, u = _one(rngs, (1, 19, 18, 10), 20, 10)
-    for s, (picks, r1, r2, j_rand) in enumerate(zip(*ints)):
-        want_ints, want_u = _per_call(np.random.Generator(np.random.PCG64(s)),
-                                      (1, 19, 18, 10), 20, 10)
-        for got, want in zip((picks, r1, r2, j_rand), want_ints):
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(u[s], want_u)
-
-
-def test_draw_generation_own_call_order_is_pinned():
-    # a generator without a PCG64 bit generator makes its own calls: one
-    # integers call of N per bound, a bound of 1 included, then one random
-    # call of (N, n - 1)
-    rng = ScriptedRng(ints=[[0, 0, 0], [2, 0, 1], [1, 1, 0]],
-                      uniforms=[[[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]])
-    picks, r1, j_rand, u = _one([rng], (1, 3, 2), 3, 3)
-    assert rng.exhausted()
-    np.testing.assert_array_equal(picks, [[0, 0, 0]])
-    np.testing.assert_array_equal(r1, [[2, 0, 1]])
-    np.testing.assert_array_equal(j_rand, [[1, 1, 0]])
-    np.testing.assert_array_equal(u, [[[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]])
+    rngs = [_RawOnly(s) for s in range(10)]
+    draws = _one(rngs, (1, 19, 18, 10), 20, 10, normals=40)
+    for s in range(10):
+        want = _reference(np.random.Generator(np.random.PCG64(s)), (1, 19, 18, 10), 20, 10,
+                          normals=40)
+        for got, w in zip(draws, want):
+            np.testing.assert_array_equal(got[s], w)
 
 
 def test_draw_generation_rejects_empty_bounds():
@@ -152,11 +172,53 @@ def test_draw_generation_rejects_empty_bounds():
 
 
 def test_a_bad_bound_is_refused_on_every_call():
-    for _ in range(3):  # the draw plan is cached, its refusal is not
+    for _ in range(3):
         with pytest.raises(ValueError, match="integer bounds"):
             DrawSource([np.random.default_rng(0)], (2 ** 32 + 1, 3), 4, 2)
     with pytest.raises(ValueError, match="generations must be >= 1"):
         DrawSource([np.random.default_rng(0)], (1, 3), 4, 2).draw(0)
+
+
+def test_a_source_refuses_a_generator_that_is_not_pcg64():
+    for rng in (np.random.Generator(np.random.MT19937(0)),
+                np.random.Generator(np.random.Philox(0)), object()):
+        with pytest.raises(ValueError, match="PCG64"):
+            DrawSource([np.random.default_rng(0), rng], (1, 3), 4, 2)
+
+
+@pytest.mark.parametrize("raw", [0, 2 ** 64 - 1, 2 ** 32 - 1, 2 ** 32, 0x9E3779B97F4A7C15])
+def test_multiply_high_is_the_high_word_of_the_full_product(raw):
+    for h in (2, 19, 3 * 2 ** 30, 2 ** 32):
+        got = de_core._below(np.array([raw], dtype=np.uint64), np.uint64(h))
+        assert got.dtype == np.uint64 and int(got[0]) == (raw * h) >> 64 < h
+
+
+def _big_chunk(seed=0, N=50, n=3, span=1000):
+    """A chunk with every kind of draw: (normals, lead uniforms, integers
+    for bounds 7, 19 and 3 * 2^30, crossover uniforms)."""
+    source = DrawSource([_pcg(seed, 0)], (7, 19, 3 * 2 ** 30, n), N, n, lead=2 * N,
+                        normals=2 * N)
+    return source.draw(span)
+
+
+def test_the_normals_and_uniforms_pass_a_ks_test():
+    z, lead, *_, u = _big_chunk()
+    assert z.size == lead.size == 100_000 and u.size == 100_000
+    assert sps.kstest(z.ravel(), "norm").pvalue > 0.01
+    for sample in (lead, u):
+        assert sample.min() >= 0.0 and sample.max() < 1.0
+        assert sps.kstest(sample.ravel(), "uniform").pvalue > 0.01
+    # F's normals and CR's (cos and sin halves of one pair) are uncorrelated
+    assert abs(np.corrcoef(z[0, :, :50].ravel(), z[0, :, 50:].ravel())[0, 1]) < 0.01
+
+
+def test_the_integers_pass_a_chi_square_test():
+    _, _, *ints, _ = _big_chunk()
+    for a, h, bins in zip(ints, (7, 19, 3 * 2 ** 30, 3), (7, 19, 24, 3)):
+        assert a.min() >= 0 and a.max() < h
+        counts = np.bincount((a.ravel() * bins) // h, minlength=bins)
+        assert len(counts) == bins
+        assert sps.chisquare(counts).pvalue > 0.01
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -164,100 +226,80 @@ def test_a_bad_bound_is_refused_on_every_call():
     (_pcg, (1, 19, 18, 10), 20, 10, 0),            # desk evolve
     (_pcg, (1, 19, 18, 10), 20, 10, 40),           # desk random_params: 2N sheet uniforms first
     (_pcg, (19, 18, 17, 10), 20, 10, 0),           # desk rand/1
-    (_pcg, (3 * 2 ** 30, 19, 18, 10), 20, 10, 4),  # a quarter of the pbest words redrawn
-    (_pcg, (2 ** 32 - 2 ** 28, 7, 6, 5), 8, 5, 0),  # a sixteenth: chunks stop part way
-    (_pcg, (1, 4, 3, 3), 5, 3, 2),                 # odd word count: the generator's own calls
+    (_pcg, (3 * 2 ** 30, 19, 18, 10), 20, 10, 4),  # a bound far above N
+    (_pcg, (2 ** 32 - 2 ** 28, 7, 6, 5), 8, 5, 0),
+    (_pcg, (1, 4, 3, 3), 5, 3, 2),                 # an odd number of integer outputs
     (_pending_half_word, (1, 19, 18, 10), 20, 10, 40),
-    (_mt19937, (1, 19, 18, 10), 20, 10, 40),       # not PCG64
+    (_mt19937, (1, 19, 18, 10), 20, 10, 40),       # not PCG64: refused
     (_mixed, (1, 19, 18, 10), 20, 10, 40),
     (_pcg, (3, 2, 1, 1), 6, 1, 0),                 # n = 1: no uniforms
 ])
 def test_a_chunk_is_successive_generations(make_rng, highs, N, n, lead, batch):
-    # chunks of up to G generations against one-generation calls, each of
-    # which is the generator's own calls; the states must agree after
-    # every chunk, so a chunk that stops early rewinds exactly
-    for seed in range(4):
-        rngs = [make_rng(seed, b) for b in range(batch)]
-        ones = [make_rng(seed, b) for b in range(batch)]
-        own = [make_rng(seed, b) for b in range(batch)]
-        G, got = 40, 0
-        while got < G:
-            chunk = _generations(DrawSource(rngs, highs, N, n, lead=lead).draw(G - got))
-            assert 1 <= len(chunk) <= G - got
-            for draws in chunk:
-                one = _one(ones, highs, N, n, lead)
-                assert len(draws) == len(one) == len(highs) + 1 + bool(lead)
-                for a, b in zip(draws, one):
-                    assert a.shape == b.shape and a.dtype == b.dtype
-                    np.testing.assert_array_equal(a, b)
-                for b, rng in enumerate(own):
-                    leading = rng.random(lead)
-                    want_ints, want_u = _per_call(rng, highs, N, n)
-                    want = ([leading] if lead else []) + want_ints + [want_u]
-                    for a, w in zip(draws, want):
-                        np.testing.assert_array_equal(a[b], w)
-            got += len(chunk)
-            assert [_state(r) for r in rngs] == [_state(r) for r in ones] \
-                == [_state(r) for r in own]
+    # chunks of 1 to 13 generations against the reference one generation
+    # at a time; the states must agree after every chunk
+    _check_against_the_reference(
+        make_rng, highs, N, n, batch,
+        lambda rngs: (_generations(DrawSource(rngs, highs, N, n, lead=lead).draw(G))
+                      for G in (1, 13, 2, 7)), lead)
+
+
+@pytest.mark.parametrize("span", [1, 7, 64])
+@pytest.mark.parametrize("batch", [1, 3, 60])
+def test_a_chunk_equals_successive_one_generation_draws(span, batch, monkeypatch):
+    # a source drawing `span` generations a chunk against sources of one
+    # generation, normals and lead uniforms included, over a chunk's end
+    highs, N, n = (1, 19, 18, 10), 20, 10
+    G = 70
+    rngs = [_pcg(span, b) for b in range(batch)]
+    ones = [_pcg(span, b) for b in range(batch)]
+    monkeypatch.setattr(de_core, "CHUNK_GENERATIONS", span)
+    monkeypatch.setattr(de_core, "CHUNK_ROW_GENERATIONS", span * batch)
+    source = DrawSource(rngs, highs, N, n, G, lead=2 * N, normals=2 * N)
+    spans = set()
+    for _ in range(G):
+        got = source()
+        spans.add(source.drawn)
+        want = DrawSource(ones, highs, N, n, lead=2 * N, normals=2 * N)()
+        for a, w in zip(got, want):
+            assert a.shape == w.shape and a.dtype == w.dtype
+            np.testing.assert_array_equal(a, w)
+    assert max(spans) == span and source.left == 0
+    assert [_state(r) for r in rngs] == [_state(r) for r in ones]
 
 
 def test_a_desk_chunk_comes_from_one_raw_block_per_row():
-    class RawOnly:  # a PCG64 generator whose own draw calls must not be used
-        def __init__(self, seed):
-            self.bit_generator = np.random.PCG64(seed)
-
-        def integers(self, *args, **kwargs):
-            raise AssertionError("per-call draw at a size the raw block covers")
-
-        random = integers
-
-    rngs = [RawOnly(s) for s in range(3)]
+    rngs = [_RawOnly(s) for s in range(3)]
     chunk = DrawSource(rngs, (1, 19, 18, 10), 20, 10, lead=40).draw(64)
     assert chunk[0].shape == (3, 64, 40)
-    width = 40 + 3 * 20 // 2 + 20 * 9  # 64-bit outputs per generation
+    width = 40 + 3 * 20 + 20 * 9  # 64-bit outputs per generation
     for s, rng in enumerate(rngs):
-        fresh = np.random.PCG64(s).advance(64 * width)
-        assert rng.bit_generator.state == fresh.state
-        np.testing.assert_array_equal(chunk[0][s, 5], np.random.Generator(
-            np.random.PCG64(s).advance(5 * width)).random(40))
-
-
-def test_rewind_generations_steps_back_over_a_chunk():
-    rngs = [_pcg(0, b) for b in range(2)]
-    source = DrawSource(rngs, (1, 19, 18, 10), 20, 10, generations=10, lead=40)
-    for _ in range(3):  # the first 3 of a 10-generation chunk
-        source()
-    assert source.drawn == 10
-    source.rewind()
-    refs = [_pcg(0, b) for b in range(2)]
-    for _ in range(3):
-        _one(refs, (1, 19, 18, 10), 20, 10, 40)
-    assert [_state(r) for r in rngs] == [_state(r) for r in refs]
-    rest = DrawSource(rngs, (1, 19, 18, 10), 20, 10, lead=40).draw(7)
-    again = DrawSource(refs, (1, 19, 18, 10), 20, 10, lead=40).draw(7)
-    for a, b in zip(rest, again):
-        np.testing.assert_array_equal(a, b)
+        assert rng.bit_generator.state == np.random.PCG64(s).advance(64 * width).state
+        fifth = np.random.PCG64(s).advance(5 * width).random_raw(40)
+        np.testing.assert_array_equal(chunk[0][s, 5], [_uniform(int(r)) for r in fifth])
 
 
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("make_rng, highs, N, n", [
     (_pcg, (1, 19, 18, 10), 20, 10),              # desk evolve
-    (_pcg, (2 ** 31 + 1, 19, 18, 10), 20, 10),    # about half the pbest words redrawn
-    (_pcg, (2 ** 32 - 2 ** 28, 7, 6, 5), 8, 5),   # a sixteenth: chunks stop part way
-    (_pcg, (1, 4, 3, 3), 5, 3),                   # odd word count: the generator's own calls
+    (_pcg, (2 ** 31 + 1, 19, 18, 10), 20, 10),    # a bound far above N
+    (_pcg, (2 ** 32 - 2 ** 28, 7, 6, 5), 8, 5),
+    (_pcg, (1, 4, 3, 3), 5, 3),                   # an odd number of integer outputs
     (_pending_half_word, (1, 19, 18, 10), 20, 10),
-    (_mt19937, (1, 19, 18, 10), 20, 10),          # not PCG64
+    (_mt19937, (1, 19, 18, 10), 20, 10),          # not PCG64: refused
     (_mixed, (1, 19, 18, 10), 20, 10),
 ])
 def test_a_chunk_with_normals_is_standard_normal_then_one_generation(make_rng, highs, N, n,
                                                                     batch, monkeypatch):
-    # per generation, each row's 2N standard normals and then its block, as
-    # the generator's own calls draw them, in the operators' form; taken
-    # short of the horizon and rewound, the states must equal those of the
-    # generations taken
+    # per generation, each row's 2N standard normals and then its block, by
+    # the reference, in the operators' form; taken short of the chunk's
+    # end, the generators stand at the chunk's end
     monkeypatch.setattr(de_core, "CHUNK_GENERATIONS", 24)
     for seed in range(3):
         rngs = [make_rng(seed, b) for b in range(batch)]
+        if any(type(r.bit_generator) is not np.random.PCG64 for r in rngs):
+            with pytest.raises(ValueError, match="PCG64"):
+                DrawSource(rngs, highs, N, n, generations=45, normals=2 * N)
+            continue
         refs = [make_rng(seed, b) for b in range(batch)]
         source = DrawSource(rngs, highs, N, n, generations=45, normals=2 * N)
         for _ in range(40):
@@ -265,13 +307,15 @@ def test_a_chunk_with_normals_is_standard_normal_then_one_generation(make_rng, h
             assert z.shape == (batch, 2 * N)
             raw = [[] for _ in range(len(highs) + 1)]
             for b, ref in enumerate(refs):
-                np.testing.assert_array_equal(z[b], ref.standard_normal(2 * N))
-                want_ints, want_u = _per_call(ref, highs, N, n)
-                for into, want in zip(raw, want_ints + [want_u]):
-                    into.append(want)
+                want_z, *want = _reference(ref, highs, N, n, normals=2 * N)
+                np.testing.assert_array_equal(z[b], want_z)
+                for into, w in zip(raw, want):
+                    into.append(w)
             for got, want in zip(draws, _derived([np.array(a) for a in raw])):
                 np.testing.assert_array_equal(got, want)
-        source.rewind()
+        assert source.drawn == 21 and source.taken == 16  # chunks of 24 and 21
+        for ref in refs:
+            ref.bit_generator.advance(5 * source.width)
         assert [_state(r) for r in rngs] == [_state(r) for r in refs]
 
 
@@ -333,8 +377,7 @@ def _check_calls(rule, N, n, batch, chunk):
         for a, w in zip(got, want):
             assert a.shape == w.shape and a.dtype == w.dtype
             np.testing.assert_array_equal(a, w)
-    # an odd number of 32-bit words a generation takes the generator's own calls
-    assert max(spans) == (chunk if N * sum(h > 1 for h in highs) % 2 == 0 else 1)
+    assert max(spans) == chunk
     assert [_state(r) for r in rngs] == [_state(r) for r in refs]
 
 

@@ -5,7 +5,10 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
+
 from ldectl import neural
+from ldectl.cli import main as cli
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -91,3 +94,35 @@ def test_compare_cost_times_every_stage_of_one_call(capsys):
         assert list(rows) == ["parse", "table", "table_cold", "ranksum", "render", "write",
                               "compare"]
         assert all(us > 0 for us in rows.values())
+
+
+def test_heldout_medians_equal_those_of_run(tmp_path, monkeypatch, capsys):
+    # the same suite, master seed and weights through `ldectl run`: the
+    # script's per-function medians must be the medians of its results.csv
+    heldout = _load("heldout")
+    monkeypatch.chdir(tmp_path)
+    assert cli(["suite", "--seed", "3", "--dim", "2", "--train", "2", "--test", "3"]) == 0
+    assert cli(["train", "--seed", "3", "--epochs", "1", "--rollouts", "2", "--horizon", "3",
+                "--hidden", "4", "--pop-size", "6"]) == 0
+    assert cli(["run", "--seed", "3", "--weights", "trained/weights.bin", "--role", "test",
+                "--algorithms", "lde,random_params", "--runs", "3", "--budget", "300",
+                "--tol", "1e-8"]) == 0
+    errors = {}
+    with open("runs/results.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            errors.setdefault((row["function_id"], row["algorithm_id"]), []).append(
+                float(row["best_error"]))
+    want = [(fid, *(float(np.median(errors[fid, alg])) for alg in ("lde", "random_params")))
+            for fid in dict.fromkeys(fid for fid, _ in errors)]
+    capsys.readouterr()
+    tiny = ["--seeds", "3", "--weights", "trained/weights.bin", "--dim", "2", "--train", "2",
+            "--test", "3", "--runs", "3", "--budget", "300", "--jobs", "2"]
+    assert heldout.main(tiny) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "seed 3" and len(lines) == 2 + len(want) + 1
+    for line, (fid, lm, rm) in zip(lines[2:], want):
+        assert line.split() == [fid, f"{lm:.3e}", f"{rm:.3e}"]
+    wins, ties = heldout.tally(want)
+    assert lines[-1].startswith(f"  {wins}/3 wins, {ties} ties")
+    args = heldout.argparse.Namespace(dim=2, train=2, test=3, runs=3, budget=300, jobs=1)
+    assert heldout.medians(3, args, neural.load_weights("trained/weights.bin")) == want

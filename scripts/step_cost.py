@@ -9,10 +9,12 @@ the action's normals and evolve's integers and uniforms, turned into
 member indices and a crossover sheet), ``sample_action``, ``evolve`` with
 those draws and its parts (mutation, crossover, repair, evaluation,
 selection), the whole ``ControllerStep`` call and, at a batch of one,
-``run_lde`` and ``run_baseline`` (de_rand1_fixed, ctpb_fixed and
-random_params) per generation.  The draw and the step take a chunk of
-generations per timed call, as many as the ``DrawSource`` itself draws
-(64 for a run, 8 for a desk epoch's 60 rows), and report per generation.
+each baseline's draw (rand/1's layout, ctpb_fixed's, and random_params'
+with its 2N leading uniforms), then ``run_lde`` and ``run_baseline``
+(de_rand1_fixed, ctpb_fixed and random_params) per generation.  The
+draws and the step take a chunk of generations per timed call, as many
+as the ``DrawSource`` itself draws (64 for a run, 8 for a desk epoch's
+60 rows), and report per generation.
 At the large batch it also times ``epoch_gradient`` (the backward pass
 with its output gradients) over one epoch's K * L rollouts of
 ``--warmup`` generations.  Stages are timed round-robin, one call each
@@ -40,7 +42,7 @@ from ldectl.benchfn import make_suite
 from ldectl.neural import forward_step, init_weights
 from ldectl.policy import sample_action
 from ldectl.rng import stream
-from ldectl.runner import RunConfig, Termination, run_baseline, run_lde
+from ldectl.runner import BASELINE_TABLE, RunConfig, Termination, run_baseline, run_lde
 from ldectl.state_feat import assemble_state
 from ldectl.trainer import (ControllerStep, FunctionBlocks, TrainConfig, epoch_gradient,
                             sample_trajectory)
@@ -92,7 +94,7 @@ def stages(functions, rollouts: int, cfg: RunConfig, w, seed: int, warmup: int):
         "forward_step": lambda: forward_step(w, x, step.state),
         "draw / generation": lambda: [source() for _ in range(chunk)],
         "sample_action": lambda: sample_action(mu, cfg, z),
-        "evolve": lambda: de_core.evolve(pop, objective, sheet, p, rngs, draws),
+        "evolve": lambda: de_core.evolve(pop, objective, sheet, p, draws),
         "  mutate_current_to_pbest":
             lambda: de_core.mutate_current_to_pbest(pop, sheet, p, pbest, members),
         "  binomial_crossover_batch":
@@ -107,6 +109,16 @@ def stages(functions, rollouts: int, cfg: RunConfig, w, seed: int, warmup: int):
         budget = (warmup + 1) * N
         run_rng = stream(seed, "step_cost", "run")
         term = Termination(budget, error_tol=0.0)
+        # each baseline's draws at a batch of one, laid out as run_baseline
+        # lays them out from its row of the table
+        for kind, (mutation, fixed) in BASELINE_TABLE.items():
+            highs = (de_core.pbest_highs(N, n, p) if mutation == "current-to-pbest/1"
+                     else de_core.rand1_highs(N, n))
+            kind_draws = de_core.DrawSource([stream(seed, "step_cost", "draw", kind)], highs, N,
+                                            n, 10 ** 9, lead=0 if fixed else 2 * N)
+            name = f"draw {kind} / generation"
+            calls[name] = lambda kind_draws=kind_draws: [kind_draws() for _ in range(chunk)]
+            per_call[name] = chunk
         calls["run_lde / generation"] = lambda: run_lde(w, functions[0], term, cfg, run_rng)
         for kind in BASELINE_ROWS:
             calls[f"run_baseline {kind} / generation"] = (

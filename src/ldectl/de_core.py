@@ -5,14 +5,15 @@ Every operator acts on a batch of B independent populations at once: a
 ``Population`` holds members of shape (B, N, n), and the learned
 optimizer advances one function's rollouts as one batch (a run is a
 batch of one).  Only the arithmetic is batched.  Randomness comes from
-one PCG64 generator per batch row (``rngs``), and each row draws from its own
-generator in a fixed order, so a row's result does not depend on which
-rows share its batch.
+one PCG64 generator per batch row, held by a ``DrawSource``, and each row
+draws from its own generator in a fixed order, so a row's result does
+not depend on which rows share its batch.
 
-All operators are pure (inputs never mutated); mutation and crossover
-take their draws as a ``DrawSource`` call derives them, a chunk of
-generations at a time: flat member indices, a forced-coordinate mask and
-a full-width uniform sheet.  Draw order is part of the contract.
+All operators are pure (inputs never mutated) and take only their draws,
+as a ``DrawSource`` call derives them a chunk of generations at a time:
+flat member indices, a forced-coordinate mask and a full-width uniform
+sheet.  ``evolve`` and ``evolve_rand1`` take one such call per
+generation and hold no generator.  Draw order is part of the contract.
 
 A generation of a row reads W = normals + lead + k + N(n - 1) raw 64-bit
 outputs of its PCG64 bit generator and converts them with the package's
@@ -169,7 +170,7 @@ class DrawSource:
         self.slots = [sum(b > 1 for b in highs[:i]) if h > 1 else None
                       for i, h in enumerate(highs)]
         self.h = np.repeat(np.array([h for h in highs if h > 1], dtype=np.uint64), N)
-        self.rngs, self.N, self.n = rngs, N, n
+        self.N, self.n = N, n
         self.lead, self.normals, self.left = lead, normals, generations
         self.width = normals + lead + len(self.h) + N * (n - 1)  # outputs a generation
         self.chunk = []  # the derived chunk, generation-major
@@ -177,7 +178,7 @@ class DrawSource:
 
     def __call__(self) -> list:
         if self.taken == self.drawn:
-            self.drawn = max(1, min(CHUNK_GENERATIONS, CHUNK_ROW_GENERATIONS // len(self.rngs),
+            self.drawn = max(1, min(CHUNK_GENERATIONS, CHUNK_ROW_GENERATIONS // len(self.bits),
                                     self.left))
             self.chunk, self.taken = self._derive(self.draw(self.drawn)), 0
             self.left -= self.drawn
@@ -340,35 +341,26 @@ def rand1_highs(N: int, n: int) -> tuple:
     return (1, N - 1, N - 2, N - 3, n)
 
 
-def _generation(pop: Population, objective, sheet: ParamSheet, rngs, highs, draws,
-                mutate) -> Population:
-    """Take the generation's draws (a ``DrawSource`` call for ``highs``,
-    unless ``draws`` holds one), mutate(pbest, members), cross over,
-    repair, evaluate and select every row."""
+def _generation(pop: Population, objective, sheet: ParamSheet, draws, mutate) -> Population:
+    """One generation of every row from its ``DrawSource`` call ``draws``:
+    mutate(pbest, members), cross over, repair, evaluate and select."""
     B, N, n = pop.members.shape
-    if len(rngs) != B:
-        raise ValueError(f"need one generator per batch row: {len(rngs)} for {B} rows")
-    pbest, members, forced, u = draws or DrawSource(rngs, highs, N, n)()
+    pbest, members, forced, u = draws
     trials = binomial_crossover_batch(pop.members, mutate(pbest, members), sheet.CR, forced, u)
     trials = repair_bounds(trials, objective.bounds)
     fitness = objective.evaluate_batch(trials.reshape(B * N, n)).reshape(B, N)
     return select(pop, trials, fitness)
 
 
-def evolve(pop: Population, objective, sheet: ParamSheet, p: float, rngs,
-           draws=None) -> Population:
-    """One current-to-pbest/1/bin generation of every row; ``draws``, if
-    given, is that generation's ``DrawSource`` call for ``pbest_highs``,
-    drawn ahead by the caller."""
-    _, N, n = pop.members.shape
-    return _generation(pop, objective, sheet, rngs, pbest_highs(N, n, p), draws,
+def evolve(pop: Population, objective, sheet: ParamSheet, p: float, draws) -> Population:
+    """One current-to-pbest/1/bin generation of every row; ``draws`` is that
+    generation's ``DrawSource`` call for ``pbest_highs``."""
+    return _generation(pop, objective, sheet, draws,
                        lambda *draws: mutate_current_to_pbest(pop, sheet, p, *draws))
 
 
-def evolve_rand1(pop: Population, objective, sheet: ParamSheet, rngs,
-                 draws=None) -> Population:
-    """One DE/rand/1/bin generation of every row; ``draws`` as in ``evolve``,
-    for ``rand1_highs``."""
-    _, N, n = pop.members.shape
-    return _generation(pop, objective, sheet, rngs, rand1_highs(N, n), draws,
+def evolve_rand1(pop: Population, objective, sheet: ParamSheet, draws) -> Population:
+    """One DE/rand/1/bin generation of every row; ``draws`` is that
+    generation's ``DrawSource`` call for ``rand1_highs``."""
+    return _generation(pop, objective, sheet, draws,
                        lambda _, members: mutate_rand1(pop, sheet, members))

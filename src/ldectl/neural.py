@@ -367,8 +367,8 @@ def run_gradcheck(hidden: int = 8, actions: int = 4, bins: int = 1, steps: int =
     """Compare BPTT gradients against central differences on a seeded rollout."""
     if min(hidden, actions, bins, steps) < 1:
         raise ValueError("hidden, actions, bins, and steps must be >= 1")
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 0.0 < threshold < math.inf:  # no error passes a threshold <= 0 or NaN
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
     rng = stream(seed, "gradcheck")

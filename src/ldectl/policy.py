@@ -46,8 +46,8 @@ class PolicyConfig:
             raise ValueError(f"pop_size must be >= 4, got {self.pop_size}")
         if self.bins < 1 or self.window < 1:
             raise ValueError("bins and window must be >= 1")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0.0 < self.p_best <= 1.0:
             raise ValueError(f"p_best must lie in (0, 1], got {self.p_best}")
         if not 0.0 < self.f_min < 1.0:

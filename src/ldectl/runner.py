@@ -8,13 +8,18 @@ featurises and samples its parameters from N(mu, sigma^2) exactly as in
 training (``RunConfig.deterministic`` clips the head means instead;
 ``param_traces`` records each fitness tercile's mean F and CR).
 
-Baselines (each generation is ``de_core.evolve`` or ``evolve_rand1``):
+The baselines are the rows of ``BASELINE_TABLE``, all driven by one
+step that reads its row: the mutation (a generation is ``de_core.evolve``
+or ``evolve_rand1``) and either a fixed (F, CR), whose sheet is built
+once per run, or None for random_params' 2N leading uniforms u, drawn
+every generation:
 
     de_rand1_fixed   DE/rand/1/bin, F = 0.5, CR = 0.8
     ctpb_fixed       current-to-pbest/1/bin, F = 0.5, CR = 0.9
     random_params    current-to-pbest/1/bin with per-individual
-                     F ~ U(f_min, 1], CR ~ U[0, 1] resampled every
-                     generation
+                     F = f_min + (1 - f_min) u in [f_min, 1) and
+                     CR = u in [0, 1), u = (raw >> 11) 2^-53, resampled
+                     every generation
 
 Every run takes its draws from one ``de_core.DrawSource``, a chunk of
 up to ``de_core.CHUNK_GENERATIONS`` generations ahead, no more than the
@@ -48,7 +53,14 @@ from .policy import PolicyConfig
 from .rng import stream
 from .trainer import ControllerStep, worker_map
 
-BASELINES = ("de_rand1_fixed", "ctpb_fixed", "random_params")
+# each baseline's mutation and its fixed (F, CR), or None for random_params'
+# per-member F and CR from 2N leading uniforms, drawn anew every generation
+BASELINE_TABLE = {
+    "de_rand1_fixed": ("rand/1", (0.5, 0.8)),
+    "ctpb_fixed": ("current-to-pbest/1", (0.5, 0.9)),
+    "random_params": ("current-to-pbest/1", None),
+}
+BASELINES = tuple(BASELINE_TABLE)
 LEARNED = "lde"
 # the columns of results.csv: RunResult fields, in file order
 RESULT_COLUMNS = ("algorithm_id", "function_id", "seed", "best_error", "evals_used")
@@ -62,8 +74,8 @@ class Termination:
     def __post_init__(self):
         if self.max_evals < 1:
             raise ValueError("max_evals must be positive")
-        if self.error_tol < 0.0:
-            raise ValueError("error_tol must be non-negative")
+        if not 0.0 <= self.error_tol < np.inf:  # NaN or inf would end every run at its start
+            raise ValueError(f"error_tol must be non-negative and finite, got {self.error_tol}")
 
 
 @dataclass
@@ -138,38 +150,30 @@ def run_lde(w: ControllerWeights, objective, term: Termination, cfg: RunConfig,
 
 def run_baseline(kind: str, objective, term: Termination, cfg: RunConfig,
                  rng, run_seed: int = 0) -> RunResult:
-    """Drive one of the fixed-parameter baselines, its draws a chunk of
-    generations ahead (see the module notes)."""
-    N, n = cfg.pop_size, objective.dim
-    rngs, lead = [rng], 0  # lead: uniforms each generation draws before evolve's
-
-    if kind == "de_rand1_fixed":
-        sheet = ParamSheet(np.full((1, N), 0.5), np.full((1, N), 0.8))
-        highs = rand1_highs(N, n)
-
-        def step(pop, draws):
-            return evolve_rand1(pop, objective, sheet, rngs, draws), sheet
-
-    elif kind == "ctpb_fixed":
-        sheet = ParamSheet(np.full((1, N), 0.5), np.full((1, N), 0.9))
-        highs = pbest_highs(N, n, cfg.p_best)
-
-        def step(pop, draws):
-            return evolve(pop, objective, sheet, cfg.p_best, rngs, draws), sheet
-
-    elif kind == "random_params":
-        highs, lead = pbest_highs(N, n, cfg.p_best), 2 * N
-
-        def step(pop, draws):
-            u, *draws = draws  # F = f_min + (1 - f_min) u, CR = u, from 2N uniforms
-            sheet = ParamSheet(cfg.f_min + (1.0 - cfg.f_min) * u[:, :N], u[:, N:])
-            return evolve(pop, objective, sheet, cfg.p_best, rngs, draws), sheet
-
-    else:
+    """Drive one of the baselines, a row of ``BASELINE_TABLE``, its draws a
+    chunk of generations ahead (see the module notes)."""
+    if kind not in BASELINE_TABLE:
         raise ValueError(f"unknown baseline {kind!r}; pick one of {BASELINES}")
+    mutation, fixed = BASELINE_TABLE[kind]
+    N, n, p = cfg.pop_size, objective.dim, cfg.p_best
+    pbest = mutation == "current-to-pbest/1"
+    highs = pbest_highs(N, n, p) if pbest else rand1_highs(N, n)
+    draws = DrawSource([rng], highs, N, n, term.max_evals // N - 1, lead=0 if fixed else 2 * N)
+    if fixed:  # built once per run
+        fixed_sheet = ParamSheet(np.full((1, N), fixed[0]), np.full((1, N), fixed[1]))
 
-    draws = DrawSource(rngs, highs, N, n, term.max_evals // N - 1, lead)
-    return _drive(kind, objective, term, cfg, rng, lambda pop: step(pop, draws()), run_seed)
+    def step(pop):
+        gen = draws()
+        if fixed:
+            sheet = fixed_sheet
+        else:  # F = f_min + (1 - f_min) u, CR = u, from the 2N leading uniforms
+            u = gen.pop(0)
+            sheet = ParamSheet(cfg.f_min + (1.0 - cfg.f_min) * u[:, :N], u[:, N:])
+        if pbest:
+            return evolve(pop, objective, sheet, p, gen), sheet
+        return evolve_rand1(pop, objective, sheet, gen), sheet
+
+    return _drive(kind, objective, term, cfg, rng, step, run_seed)
 
 
 def _run_task(payload):

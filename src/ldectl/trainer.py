@@ -88,8 +88,8 @@ class TrainConfig(PolicyConfig):
             raise ValueError("rollouts must be >= 1")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be non-negative")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be non-negative and finite, got {self.alpha}")
 
 
 @dataclass
@@ -141,7 +141,8 @@ class ControllerStep:
     which bounds the chunks drawn ahead (``de_core.DrawSource``).  Each
     call featurises the population batch, steps the controller, draws the
     actions (or, with ``sample=False``, clips the head means) and evolves
-    one generation; it returns the next population and the step's record.
+    one generation with the rest of that generation's draws; it returns
+    the next population and the step's record.
     """
 
     def __init__(self, w: ControllerWeights, spec: PolicyConfig, rngs, dim: int,
@@ -162,7 +163,7 @@ class ControllerStep:
         draws = self.draws()  # the action's normals first, when sampling
         action = (sample_action(mu, self.spec, draws.pop(0)) if self.sample
                   else clip_action(mu, self.spec))
-        pop = evolve(pop, objective, action, self.spec.p_best, self.draws.rngs, draws)
+        pop = evolve(pop, objective, action, self.spec.p_best, draws)
         return pop, StepRecord(tape, action, mu)
 
 

@@ -237,7 +237,9 @@ def test_train_resume_refuses_changed_settings(ws, capsys):
     (["--resume", "t/weights.bin", "--epochs", "1"],
      "cannot resume after 2 epochs with epochs = 1: only epochs may grow"),
     (["--suite", "mixed"], "training functions must share dim and bounds"),
-], ids=["resume-fewer-epochs", "mixed-dims"])
+    (["--alpha", "nan"], "alpha must be non-negative and finite, got nan"),
+    (["--sigma", "inf"], "sigma must be positive and finite, got inf"),
+], ids=["resume-fewer-epochs", "mixed-dims", "alpha-nan", "sigma-inf"])
 def test_train_refuses_inputs_train_cannot_use_before_any_output(ws, capsys, argv, message):
     _suite(ws, dim=2, train=1, test=0)
     assert main(["train", *TINY_TRAIN, "--out", "t"]) == 0  # 2 epochs done
@@ -364,6 +366,17 @@ def test_run_zero_runs_is_usage_error_before_any_output(ws, capsys):
     assert main(["run", "--algorithms", "de_rand1_fixed", "--runs", "0",
                  "--budget", "60", "--pop-size", "6"]) == 1
     assert "usage error: runs must be >= 1" in capsys.readouterr().err
+    assert not (ws / "runs").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_run_refuses_a_tol_that_is_not_finite_before_any_output(ws, capsys, tol):
+    # either would stop every run at its start population
+    _suite(ws)
+    assert main(["run", "--algorithms", "de_rand1_fixed", "--runs", "1", "--budget", "60",
+                 "--pop-size", "6", "--tol", tol]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: error_tol must be non-negative and finite, got {tol}" in err
     assert not (ws / "runs").exists()
 
 
@@ -628,6 +641,10 @@ def test_gradcheck_refuses_non_positive_eps(ws, capsys):
     assert main(["gradcheck", "--eps", "0"]) == 1
     err = capsys.readouterr().err
     assert "usage error: eps must be positive" in err and "Traceback" not in err
+    for eps in ("inf", "nan"):  # not a failed check (2) after an inf or NaN step
+        assert main(["gradcheck", "--eps", eps]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: eps must be positive and finite, got {eps}" in err
     (ws / "gc.cfg").write_text("steps = 0\n")
     assert main(["gradcheck", "--config", "gc.cfg"]) == 1
     assert "steps must be >= 1" in capsys.readouterr().err

@@ -642,19 +642,32 @@ def test_evolve_accounting_and_monotonicity():
     pop = init_population(inst, 10, rng)
     assert inst.count == 10
     best = pop.fitness.min()
+    draws = DrawSource([rng], pbest_highs(10, 5, 0.2), 10, 5, generations=5)
     for g in range(1, 6):
-        pop = evolve(pop, inst, _sheet(10), 0.2, [rng])
+        pop = evolve(pop, inst, _sheet(10), 0.2, draws())
         assert inst.count == 10 * (g + 1)
         assert pop.fitness.min() <= best
         best = pop.fitness.min()
     np.testing.assert_array_equal(pop.fitness[0], inst.evaluate_batch(pop.members[0]))
 
 
-def test_evolve_needs_one_generator_per_row():
+def test_evolve_refuses_draws_made_for_another_batch_size():
     inst = make_suite(0, 3, 1, 0).train[0]
-    pop = init_population(inst, 4, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        evolve(pop, inst, _sheet(4), 0.5, [np.random.default_rng(0)] * 2)
+    start = init_population(inst, 4, np.random.default_rng(0))
+    two = Population(start.members.repeat(2, axis=0), start.fitness.repeat(2, axis=0))
+
+    def refused(highs, generation):
+        one_row = DrawSource([np.random.default_rng(1)], highs, 4, 3)()
+        two_rows = DrawSource([np.random.default_rng(b) for b in (1, 2)], highs, 4, 3)()
+        # mutation broadcasts one row's draws over two; the crossover refuses them
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            generation(two, _sheet(4, batch=2), one_row)
+        # two rows' member indices run past one row's members
+        with pytest.raises(IndexError):
+            generation(start, _sheet(4), two_rows)
+
+    refused(pbest_highs(4, 3, 0.5), lambda pop, sheet, d: evolve(pop, inst, sheet, 0.5, d))
+    refused(rand1_highs(4, 3), lambda pop, sheet, d: evolve_rand1(pop, inst, sheet, d))
 
 
 def test_evolve_respects_bounds():
@@ -662,8 +675,9 @@ def test_evolve_respects_bounds():
                             shift=np.zeros(3), bounds=(-1.0, 1.0))
     rng = np.random.default_rng(1)
     pop = init_population(inst, 8, rng)
+    draws = DrawSource([rng], pbest_highs(8, 3, 0.5), 8, 3, generations=10)
     for _ in range(10):
-        pop = evolve(pop, inst, _sheet(8, f=1.0, cr=1.0), 0.5, [rng])
+        pop = evolve(pop, inst, _sheet(8, f=1.0, cr=1.0), 0.5, draws())
         assert np.all(pop.members >= -1.0) and np.all(pop.members <= 1.0)
 
 
@@ -677,12 +691,12 @@ def test_evolve_rand1_takes_f_from_the_sheet():
             return np.zeros(len(X))
 
     pop = Population(np.random.default_rng(2).uniform(-1.0, 1.0, (1, 6, 3)), np.zeros((1, 6)))
-    members = DrawSource([np.random.default_rng(3)], rand1_highs(6, 3), 6, 3)()[1]
+    draws = DrawSource([np.random.default_rng(3)], rand1_highs(6, 3), 6, 3)()
     out = []
     for f in (0.5, 0.9):
         sheet = _sheet(6, f=f, cr=1.0)
-        out.append(evolve_rand1(pop, Flat(), sheet, [np.random.default_rng(3)]).members)
-        np.testing.assert_array_equal(out[-1], mutate_rand1(pop, sheet, members))
+        out.append(evolve_rand1(pop, Flat(), sheet, draws).members)
+        np.testing.assert_array_equal(out[-1], mutate_rand1(pop, sheet, draws[1]))
     assert not np.array_equal(*out)
 
 

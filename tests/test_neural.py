@@ -441,7 +441,8 @@ def test_run_gradcheck_fails_on_a_nan_gradient(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [{"hidden": 0}, {"actions": 0}, {"bins": 0}, {"steps": 0},
-                                 {"eps": 0.0}, {"eps": -1e-6}])
+                                 {"eps": 0.0}, {"eps": -1e-6}, {"eps": math.inf},
+                                 {"eps": math.nan}])
 def test_run_gradcheck_refuses_bad_arguments(bad):
     with pytest.raises(ValueError, match="must be"):
         run_gradcheck(**bad)

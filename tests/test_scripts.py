@@ -63,18 +63,23 @@ def test_step_cost_times_every_stage_at_both_batch_sizes(capsys):
     assert lines[0] == "dim 2 N 20 H 4 seed 0 rounds 3"
     assert lines[1].split() == ["stage", "B=1", "us", "calls", "B=4", "us", "calls"]
     rows = {line[:cost.NAME_WIDTH].strip(): line[cost.NAME_WIDTH:].split() for line in lines[2:]}
-    runs = ["run_lde / generation", "run_baseline de_rand1_fixed / generation",
-            "run_baseline ctpb_fixed / generation", "run_baseline random_params / generation"]
+    batch_of_one = ["draw de_rand1_fixed / generation", "draw ctpb_fixed / generation",
+                    "draw random_params / generation", "run_lde / generation",
+                    "run_baseline de_rand1_fixed / generation",
+                    "run_baseline ctpb_fixed / generation",
+                    "run_baseline random_params / generation"]
     assert list(rows) == ["assemble_state", "forward_step", "draw / generation",
                           "sample_action", "evolve", "mutate_current_to_pbest",
                           "binomial_crossover_batch", "repair_bounds", "evaluate_batch",
-                          "select", "ControllerStep / generation", *runs, "epoch_gradient"]
-    # the runs time a batch of one, epoch_gradient an epoch's K * L rows
-    only = {**dict.fromkeys(runs, slice(0, 2)), "epoch_gradient": slice(2, 4)}
+                          "select", "ControllerStep / generation", *batch_of_one,
+                          "epoch_gradient"]
+    # the baselines' draws and the runs time a batch of one, epoch_gradient
+    # an epoch's K * L rows
+    only = {**dict.fromkeys(batch_of_one, slice(0, 2)), "epoch_gradient": slice(2, 4)}
     for name, cells in rows.items():
         timed = cells[only.get(name, slice(None))]
         assert all(float(us) > 0 and int(calls) > 0 for us, calls in zip(timed[::2], timed[1::2]))
-    for name in runs:
+    for name in batch_of_one:
         assert rows[name][2:] == ["-", "-"]
     assert rows["epoch_gradient"][:2] == ["-", "-"]
     # the parts of evolve are calls evolve makes

@@ -443,9 +443,14 @@ def test_train_validation_errors():
         train(suite.train, cfg, weights=wrong)
 
 
-def test_train_divergence_carries_last_good_state():
-    cfg = _tiny_cfg(alpha=math.inf, epochs=2)
+def test_train_divergence_carries_last_good_state(monkeypatch):
+    with pytest.raises(ValueError, match="alpha must be non-negative and finite, got inf"):
+        _tiny_cfg(alpha=math.inf)
+    cfg = _tiny_cfg(epochs=2)
     suite = make_suite(cfg.seed, 2, 1, 0)
+    # a gradient that overflows: the first ascent step leaves the weights inf
+    monkeypatch.setattr("ldectl.trainer.epoch_gradient",
+                        lambda w, batches, cfg: w.like(np.full_like(w.theta, np.inf)))
     with pytest.raises(NumericFailure) as err:
         train(suite.train, cfg)
     last_good = err.value.last_good
